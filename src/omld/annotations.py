@@ -6,11 +6,11 @@ as an exact Decimal until evaluation.  A derivation records which function
 computed the point and which sources fill which argument positions; argument
 positions must be exactly 1..n.
 
-Translation to OpenMath applies the function symbol (parsed from its URI)
-to the argument values in position order.  Sources that are themselves
-derived points are inlined recursively, up to a depth cap.  The reverse
-direction emits the same blank-node shape the extractor reads, so the two
-form a round trip.
+Translation to OpenMath is one level deep: it applies the function symbol
+(parsed from its URI) to the argument numbers in position order, taking each
+source's number from the caller.  Following a chain of derived sources is
+the evaluator's job (``rewrite``).  The reverse direction emits the same
+blank-node shape the extractor reads, so the two form a round trip.
 """
 
 from __future__ import annotations
@@ -237,43 +237,20 @@ def decimal_to_om(value: Decimal) -> OMInteger | OMFloat:
     return OMFloat(float(value))
 
 
-def derivation_to_om(
-    derivation: Derivation,
-    points: Mapping[str, DataPoint],
-    derivations: Mapping[str, Derivation] | None = None,
-    max_depth: int = 32,
-) -> OMObject:
-    """Translate a derivation into a function application over its inputs.
+def derivation_to_om(derivation: Derivation, inputs: Mapping[str, Decimal | float]) -> OMObject:
+    """Apply the derivation's function to its arguments in position order.
 
-    ``points`` and ``derivations`` are keyed by the point IRI string.  A
-    source with a stored value becomes a number; a source that is itself a
-    derived point is translated recursively.
+    ``inputs`` maps each source point's IRI string to its number: a Decimal
+    becomes OMI or OMF as ``decimal_to_om`` decides, a computed value becomes
+    OMF.  A source missing from ``inputs`` raises UnresolvedArgumentError.
     """
-    derivations = derivations or {}
-
-    def translate(d: Derivation, visiting: tuple[str, ...]) -> OMObject:
-        pid = d.point_id.value
-        if pid in visiting:
-            raise CyclicDerivationError([*visiting, pid])
-        if len(visiting) >= max_depth:
-            raise CyclicDerivationError([*visiting, pid])
-        head = symbol_from_iri(d.function_uri)
-        om_args: list[OMObject] = []
-        for arg in d.args:
-            if arg.literal is not None:
-                om_args.append(decimal_to_om(arg.literal))
-                continue
-            source = arg.source
-            point = points.get(source.value)
-            if point is not None and point.value is not None:
-                om_args.append(decimal_to_om(point.value))
-            elif source.value in derivations:
-                om_args.append(translate(derivations[source.value], (*visiting, pid)))
-            else:
-                raise UnresolvedArgumentError(source)
-        return OMApplication(head, tuple(om_args))
-
-    return translate(derivation, ())
+    om_args: list[OMObject] = []
+    for arg in derivation.args:
+        if arg.source is not None and arg.source.value not in inputs:
+            raise UnresolvedArgumentError(arg.source)
+        value = arg.literal if arg.source is None else inputs[arg.source.value]
+        om_args.append(decimal_to_om(value) if isinstance(value, Decimal) else OMFloat(value))
+    return OMApplication(symbol_from_iri(derivation.function_uri), tuple(om_args))
 
 
 def om_to_derivation(

@@ -52,7 +52,7 @@ def _build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--config", help="path to a JSON config file")
-        p.add_argument("--max-depth", type=int, dest="max_depth")
+        p.add_argument("--max-depth", type=int, dest="max_depth", help="maximum rewrite passes")
 
     p = sub.add_parser("verify", help="check stored derived values against recomputation")
     p.add_argument("dataset", help="Turtle dataset file")

@@ -10,7 +10,7 @@ minted under example.org.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .cd import RDFS_SEE_ALSO
 from .errors import ToolkitError
@@ -106,21 +106,7 @@ class ToolkitConfig:
         return StatVocab.from_prefixes(self.prefixes)
 
 
-_KNOWN_KEYS = {
-    "prefixes",
-    "tolerance",
-    "max_depth",
-    "cache_ttl",
-    "base_env",
-    "link_predicates",
-    "region_type",
-    "cd_dirs",
-    "bind_address",
-    "port",
-    "cd_directory",
-    "base_iri",
-    "default_representation",
-}
+_KNOWN_KEYS = frozenset(f.name for f in fields(ToolkitConfig))
 
 
 def load_config(path: str) -> ToolkitConfig:

@@ -639,86 +639,3 @@ def serialize_turtle(graph: Graph) -> str:
         lines.append(f"{subject_text} " + " ;\n    ".join(parts) + " .")
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-# ---------------------------------------------------------------------------
-# Isomorphism
-# ---------------------------------------------------------------------------
-
-
-def _bnode_signature(node: BlankNode, triples: frozenset[Triple]) -> tuple:
-    """Blank-node colour: how the node connects to ground terms around it."""
-    sig = []
-    for t in triples:
-        if t.subject == node:
-            obj = "*" if isinstance(t.object, BlankNode) else term_key(t.object)
-            sig.append(("s", t.predicate.value, obj))
-        if t.object == node:
-            subj = "*" if isinstance(t.subject, BlankNode) else term_key(t.subject)
-            sig.append(("o", t.predicate.value, subj))
-    return tuple(sorted(sig))
-
-
-def isomorphic(g1: Graph, g2: Graph) -> bool:
-    """True when g2 is g1 under some renaming of blank nodes.
-
-    Ground triples must match exactly; blank nodes are matched by signature
-    first and then by backtracking search.  Intended for desk-scale graphs.
-    """
-
-    def split(g: Graph):
-        ground, with_bnodes = set(), set()
-        for t in g.triples:
-            if isinstance(t.subject, BlankNode) or isinstance(t.object, BlankNode):
-                with_bnodes.add(t)
-            else:
-                ground.add(t)
-        return ground, with_bnodes
-
-    ground1, rest1 = split(g1)
-    ground2, rest2 = split(g2)
-    if ground1 != ground2 or len(rest1) != len(rest2):
-        return False
-    if not rest1:
-        return True
-
-    def bnodes(triples):
-        found = []
-        for t in triples:
-            for term in (t.subject, t.object):
-                if isinstance(term, BlankNode) and term not in found:
-                    found.append(term)
-        return found
-
-    nodes1, nodes2 = bnodes(rest1), bnodes(rest2)
-    if len(nodes1) != len(nodes2):
-        return False
-
-    sigs2: dict[BlankNode, tuple] = {n: _bnode_signature(n, frozenset(rest2)) for n in nodes2}
-    candidates = {
-        n: [m for m in nodes2 if sigs2[m] == _bnode_signature(n, frozenset(rest1))]
-        for n in nodes1
-    }
-    # Most-constrained node first keeps the search shallow.
-    order = sorted(nodes1, key=lambda n: len(candidates[n]))
-
-    def rename(t: Triple, mapping: dict[BlankNode, BlankNode]) -> Triple:
-        s = mapping.get(t.subject, t.subject) if isinstance(t.subject, BlankNode) else t.subject
-        o = mapping.get(t.object, t.object) if isinstance(t.object, BlankNode) else t.object
-        return Triple(s, t.predicate, o)
-
-    def assign(i: int, mapping: dict[BlankNode, BlankNode], used: set[BlankNode]) -> bool:
-        if i == len(order):
-            return {rename(t, mapping) for t in rest1} == rest2
-        node = order[i]
-        for cand in candidates[node]:
-            if cand in used:
-                continue
-            mapping[node] = cand
-            used.add(cand)
-            if assign(i + 1, mapping, used):
-                return True
-            del mapping[node]
-            used.discard(cand)
-        return False
-
-    return assign(0, {}, set())

@@ -67,12 +67,10 @@ class FetchResult:
     content_type: str
     body: bytes
     redirect_chain: tuple[str, ...]
-    retrieved_at: float
 
 
 @dataclass
 class CacheEntry:
-    key: str
     cd: ContentDictionary
     expires_at: float
 
@@ -137,7 +135,6 @@ def negotiate_fetch(
                 content_type=resp_headers.get("content-type", ""),
                 body=body,
                 redirect_chain=tuple(chain),
-                retrieved_at=time.time(),
             )
         if status in _REDIRECT_STATUSES:
             location = resp_headers.get("location")
@@ -213,7 +210,7 @@ class CdResolver:
             except (ToolkitError, UnicodeDecodeError) as exc:
                 raise UnparseableBodyError(result.content_type, str(exc)) from exc
             with self._gate:
-                self._cache[key] = CacheEntry(key, cd, self._clock() + self.cache_ttl)
+                self._cache[key] = CacheEntry(cd, self._clock() + self.cache_ttl)
             return cd
 
     def dereference_symbol(self, uri: SymbolUri, store=None) -> SymbolDefinition:

@@ -15,16 +15,15 @@ statistical data a zero denominator is a data bug worth surfacing.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .annotations import (
+    CyclicDerivationError,
     DataPoint,
     Derivation,
-    CyclicDerivationError,
-    decimal_to_om,
     derivation_to_om,
     extract_data_points,
     extract_derivations,
@@ -132,7 +131,8 @@ class CdStore:
         """Parse every .ocd file in a directory into the store."""
         count = 0
         for file in sorted(Path(path).glob("*.ocd")):
-            self.add(parse_cd_xml(file.read_text(encoding="utf-8"), source_url=file.as_uri()))
+            text = file.read_text(encoding="utf-8")
+            self.add(parse_cd_xml(text, source_url=file.resolve().as_uri()))
             count += 1
         return count
 
@@ -441,15 +441,7 @@ class VerificationReport:
         ]
 
 
-def _compute_derivation(
-    derivation: Derivation,
-    points: dict[str, DataPoint],
-    derivations: dict[str, Derivation],
-    store: CdStore,
-    base: BaseEnv,
-    max_depth: int,
-) -> float:
-    term = derivation_to_om(derivation, points, derivations, max_depth=max_depth)
+def _compute_term(term: OMObject, store: CdStore, base: BaseEnv, max_depth: int) -> float:
     expanded = expand(term, store, base, max_depth=max_depth)
     residual = residual_symbols(expanded, base)
     if residual:
@@ -464,6 +456,73 @@ def _compute_derivation(
     return evaluate(expanded, base)
 
 
+def _extract(
+    graph: Graph, vocab: StatVocab
+) -> tuple[dict[str, DataPoint], dict[str, Derivation], dict[str, Decimal]]:
+    """Data points, derivations and stored values, each keyed by point IRI."""
+    points = {p.id.value: p for p in extract_data_points(graph, vocab)}
+    derivations = {d.point_id.value: d for d in extract_derivations(graph, vocab)}
+    stored = {pid: p.value for pid, p in points.items() if p.value is not None}
+    return points, derivations, stored
+
+
+def _compute_chains(
+    targets: Iterable[str],
+    derivations: Mapping[str, Derivation],
+    fixed: Mapping[str, Decimal | float],
+    store: CdStore,
+    base: BaseEnv,
+    max_depth: int,
+) -> dict[str, float | ToolkitError]:
+    """Compute each target and the derived inputs it needs, each point once.
+
+    A source in ``fixed`` is taken as given.  Any other source that is a
+    derived point is computed before the point that uses it (call by value),
+    so when it fails, every point that uses it fails with the same error.  A
+    cycle among non-fixed derived points fails as CyclicDerivationError.
+    The walk keeps its own stack, so a chain may be deeper than Python's
+    recursion limit.  The result maps each computed point to its value or
+    its error.
+    """
+    results: dict[str, float | ToolkitError] = {}
+
+    def sources(pid: str) -> list[str]:
+        return [a.source.value for a in derivations[pid].args if a.source is not None]
+
+    def uncomputed_inputs(pid: str) -> Iterator[str]:
+        for sid in sources(pid):
+            if sid in derivations and sid not in fixed and sid not in results:
+                yield sid
+
+    def compute(pid: str) -> float | ToolkitError:
+        known = [s for s in sources(pid) if s in fixed or s in results]
+        inputs = {s: fixed[s] if s in fixed else results[s] for s in known}
+        for value in inputs.values():
+            if isinstance(value, ToolkitError):
+                return value
+        try:
+            return _compute_term(derivation_to_om(derivations[pid], inputs), store, base, max_depth)
+        except ToolkitError as exc:
+            return exc
+
+    for target in targets:
+        # The points being computed, in call order, each with its inputs still to visit.
+        path = {target: uncomputed_inputs(target)} if target not in results else {}
+        while path:
+            pid, inputs = next(reversed(path.items()))
+            sid = next(inputs, None)
+            if sid is None:
+                path.popitem()
+                if pid not in results:  # a point on a cycle already holds its error
+                    results[pid] = compute(pid)
+            elif sid in path:
+                chain = list(path)
+                results[sid] = CyclicDerivationError([*chain[chain.index(sid) :], sid])
+            else:
+                path[sid] = uncomputed_inputs(sid)
+    return results
+
+
 def verify_dataset(
     graph: Graph,
     store: CdStore,
@@ -475,42 +534,33 @@ def verify_dataset(
     """Recompute every derived point and compare against its stored value.
 
     A point matches when |stored - computed| <= tolerance * max(1, |stored|).
+    Every stored value is taken as given where it is an input, so only
+    derived inputs without a stored value are computed, each once.  A failed
+    input makes every point that uses it fail with the same reason.
     Failures never abort the run; they are reported per point.
     """
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
-    points = {p.id.value: p for p in extract_data_points(graph, vocab)}
-    derivations = {d.point_id.value: d for d in extract_derivations(graph, vocab)}
+    _, derivations, stored = _extract(graph, vocab)
+    order = sorted(derivations)
+    computed = _compute_chains(
+        [pid for pid in order if pid in stored], derivations, stored, store, base, max_depth
+    )
 
     results = []
-    for pid in sorted(derivations):
-        derivation = derivations[pid]
-        point = points.get(pid)
-        if point is None or point.value is None:
-            results.append(
-                PointResult(derivation.point_id, "uncomputable", reason="no stored value")
-            )
+    for pid in order:
+        point_id = derivations[pid].point_id
+        if pid not in stored:
+            results.append(PointResult(point_id, "uncomputable", reason="no stored value"))
             continue
-        stored = float(point.value)
-        try:
-            computed = _compute_derivation(
-                derivation, points, derivations, store, base, max_depth
-            )
-        except ToolkitError as exc:
-            results.append(
-                PointResult(
-                    derivation.point_id,
-                    "uncomputable",
-                    stored=stored,
-                    reason=f"{type(exc).__name__}: {exc}",
-                )
-            )
+        value, outcome = float(stored[pid]), computed[pid]
+        if isinstance(outcome, ToolkitError):
+            reason = f"{type(outcome).__name__}: {outcome}"
+            results.append(PointResult(point_id, "uncomputable", stored=value, reason=reason))
             continue
-        delta = abs(stored - computed)
-        if delta <= tolerance * max(1.0, abs(stored)):
-            results.append(PointResult(derivation.point_id, "match", stored, computed, delta))
-        else:
-            results.append(PointResult(derivation.point_id, "mismatch", stored, computed, delta))
+        delta = abs(value - outcome)
+        status = "match" if delta <= tolerance * max(1.0, abs(value)) else "mismatch"
+        results.append(PointResult(point_id, status, value, outcome, delta))
     return VerificationReport(tuple(results))
 
 
@@ -528,30 +578,6 @@ def canonical_decimal(value: float) -> str:
     return text
 
 
-def _topological_order(derivations: dict[str, Derivation]) -> list[str]:
-    """Derived points ordered so every derived dependency comes first."""
-    order: list[str] = []
-    state: dict[str, int] = {}  # 1 = visiting, 2 = done
-
-    def visit(pid: str, stack: tuple[str, ...]):
-        mark = state.get(pid)
-        if mark == 2:
-            return
-        if mark == 1:
-            cycle = [*stack[stack.index(pid):], pid] if pid in stack else [pid, pid]
-            raise CyclicDerivationError(list(cycle))
-        state[pid] = 1
-        for arg in derivations[pid].args:
-            if arg.source is not None and arg.source.value in derivations:
-                visit(arg.source.value, (*stack, pid))
-        state[pid] = 2
-        order.append(pid)
-
-    for pid in sorted(derivations):
-        visit(pid, ())
-    return order
-
-
 def recompute(
     graph: Graph,
     store: CdStore,
@@ -561,24 +587,23 @@ def recompute(
 ) -> Graph:
     """Replace every derived point's stored value with a fresh computation.
 
-    Chains are handled in dependency order, so a derived input is recomputed
-    before anything that consumes it.  Underived points are untouched.
+    Only the values of underived points are taken as given: every derived
+    input is recomputed before anything that uses it, so fresh values flow
+    down a chain.  A failed input makes every point that uses it fail with
+    the same error; the first failed point by IRI raises it.  Underived
+    points are untouched.
     """
-    points = {p.id.value: p for p in extract_data_points(graph, vocab)}
-    derivations = {d.point_id.value: d for d in extract_derivations(graph, vocab)}
-    order = _topological_order(derivations)
+    _, derivations, stored = _extract(graph, vocab)
+    fixed = {pid: value for pid, value in stored.items() if pid not in derivations}
+    order = sorted(derivations)
+    computed = _compute_chains(order, derivations, fixed, store, base, max_depth)
 
-    current = dict(points)
     new_values: dict[str, str] = {}
     for pid in order:
-        derivation = derivations[pid]
-        computed = _compute_derivation(derivation, current, {}, store, base, max_depth)
-        lexical = canonical_decimal(computed)
-        new_values[pid] = lexical
-        point = current.get(pid)
-        if point is None:
-            point = DataPoint(id=derivation.point_id, dimensions=())
-        current[pid] = replace(point, value=Decimal(lexical))
+        outcome = computed[pid]
+        if isinstance(outcome, ToolkitError):
+            raise outcome
+        new_values[pid] = canonical_decimal(outcome)
 
     derived_ids = {Iri(pid) for pid in new_values}
     triples = {
@@ -611,35 +636,30 @@ def query_max_increase(
 
     Regions are the dimension IRIs typed as ``region_type``.  The metric for
     a (region, time) pair is computed from the derivation whose function is
-    ``metric_function``; stored values are ignored.  Ties go to the
-    lexicographically smaller region IRI.
+    ``metric_function``; the metric point's own stored value is ignored, but
+    every stored value is taken as given where it is an input.  A failed
+    input makes every point that uses it fail, and failed points are left
+    out.  Ties go to the lexicographically smaller region IRI.
     """
-    points = {p.id.value: p for p in extract_data_points(graph, vocab)}
-    derivations = {d.point_id.value: d for d in extract_derivations(graph, vocab)}
+    points, derivations, stored = _extract(graph, vocab)
+    regions = {t.subject for t in graph.match(None, Iri(RDF_TYPE), region_type)}
 
-    def is_region(dim: Iri) -> bool:
-        return bool(graph.match(dim, Iri(RDF_TYPE), region_type))
-
-    values: dict[tuple[str, str], float] = {}
+    keys: dict[str, tuple[str, str]] = {}
     for pid in sorted(derivations):
-        derivation = derivations[pid]
-        if derivation.function_uri != metric_function:
-            continue
         point = points.get(pid)
-        if point is None:
+        if point is None or derivations[pid].function_uri != metric_function:
             continue
         dims = set(point.dimensions)
         time = t1 if t1 in dims else (t2 if t2 in dims else None)
-        if time is None:
-            continue
-        regions = [d for d in point.dimensions if is_region(d)]
-        if len(regions) != 1:
-            continue
-        try:
-            value = _compute_derivation(derivation, points, derivations, store, base, max_depth)
-        except ToolkitError:
-            continue
-        values.setdefault((regions[0].value, time.value), value)
+        in_region = [d for d in point.dimensions if d in regions]
+        if time is not None and len(in_region) == 1:
+            keys[pid] = (in_region[0].value, time.value)
+
+    computed = _compute_chains(keys, derivations, stored, store, base, max_depth)
+    values: dict[tuple[str, str], float] = {}
+    for pid, key in keys.items():
+        if not isinstance(computed[pid], ToolkitError):
+            values.setdefault(key, computed[pid])
 
     increases: list[tuple[str, float]] = []
     for region in sorted({r for (r, _) in values}):

@@ -34,21 +34,6 @@ SUPPORTED_TYPES = (OPENMATH_XML_MIME, TEXT_HTML, TEXT_TURTLE)
 
 
 @dataclass(frozen=True)
-class ServerConfig:
-    cd_directory: str
-    base_iri: str
-    bind_address: str = "127.0.0.1"
-    port: int = 8080
-    default_representation: str = OPENMATH_XML_MIME
-
-    def __post_init__(self):
-        if self.base_iri.endswith("#"):
-            raise ValueError("base_iri must not end with '#'")
-        if not Path(self.cd_directory).is_dir():
-            raise ValueError(f"CD directory does not exist: {self.cd_directory}")
-
-
-@dataclass(frozen=True)
 class _LoadedCd:
     cd: ContentDictionary
     raw: bytes
@@ -247,7 +232,7 @@ def load_cd_directory(directory: str | Path) -> dict[str, _LoadedCd]:
     cds: dict[str, _LoadedCd] = {}
     for file in sorted(Path(directory).glob("*.ocd")):
         raw = file.read_bytes()
-        cd = parse_cd_xml(raw.decode("utf-8"), source_url=file.as_uri())
+        cd = parse_cd_xml(raw.decode("utf-8"), source_url=file.resolve().as_uri())
         if cd.cdname in cds:
             raise ValueError(f"two CD files define {cd.cdname!r}")
         cds[cd.cdname] = _LoadedCd(cd=cd, raw=raw)

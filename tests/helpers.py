@@ -2,9 +2,80 @@
 
 from __future__ import annotations
 
+import inspect
+import sys
+from contextlib import contextmanager
+from typing import Iterator, Mapping
+
+from omld.annotations import (
+    CyclicDerivationError,
+    DataPoint,
+    Derivation,
+    UnresolvedArgumentError,
+    decimal_to_om,
+)
 from omld.cd import DefinitionalFMP, find_definition
-from omld.om import OMApplication, OMBinding, OMObject, OMSymbol
+from omld.om import OMApplication, OMBinding, OMObject, OMSymbol, symbol_from_iri
+from omld.rdf import BlankNode, Graph, Triple, term_key
 from omld.rewrite import BaseEnv, CdStore, _replace
+
+
+ARITH1 = "http://www.openmath.org/cd/arith1#"
+DATASET_PREFIXES = """\
+@prefix ahs: <http://example.org/ns/ahs#> .
+@prefix scv: <http://purl.org/NET/scovo#> .
+@prefix env: <http://example.org/ns/env#> .
+@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .
+@prefix sl:  <http://example.org/ns/sl#> .
+@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+"""
+
+
+def point_turtle(name: str, value=None, function: str | None = None, args=()) -> str:
+    """One data point ``ahs:<name>`` as Turtle.
+
+    ``function`` is an arith1 operation name or a function IRI; ``args`` are
+    Turtle terms for its arguments in position order, such as ``ahs:L`` or
+    ``"1"^^xsd:decimal``.
+    """
+    text = f"ahs:{name} scv:dimension env:x"
+    if value is not None:
+        text += f' ; rdf:value "{value}"^^xsd:decimal'
+    if function is not None:
+        iri = function if "#" in function else ARITH1 + function
+        entries = " , ".join(
+            f'[ sl:argPosition "{i}"^^xsd:int ; sl:argValue {arg} ]'
+            for i, arg in enumerate(args, start=1)
+        )
+        text += f" ; sl:computedFrom [ sl:function <{iri}> ; sl:arguments {entries} ]"
+    return text + " .\n"
+
+
+def chain_turtle(depth: int, top_value=None) -> str:
+    """ahs:L = 1 under a chain of derived points ahs:D1 .. ahs:D<depth>.
+
+    D<i> = plus(D<i+1>, 1), and the last one adds 1 to L, so D<i> computes to
+    depth - i + 2.  The top of the chain, D1, sorts first.  No derived point
+    has a stored value except D1, when ``top_value`` is given.
+    """
+    lines = [DATASET_PREFIXES, point_turtle("L", 1)]
+    for i in range(1, depth + 1):
+        below = f"ahs:D{i + 1}" if i < depth else "ahs:L"
+        value = top_value if i == 1 else None
+        lines.append(point_turtle(f"D{i}", value, "plus", (below, '"1"^^xsd:decimal')))
+    return "".join(lines)
+
+
+@contextmanager
+def recursion_limit(frames: int) -> Iterator[int]:
+    """Allow only ``frames`` more stack frames than the caller has; yield the limit."""
+    old = sys.getrecursionlimit()
+    limit = len(inspect.stack(0)) + frames
+    sys.setrecursionlimit(limit)
+    try:
+        yield limit
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def _definition(sym: OMSymbol, store: CdStore) -> DefinitionalFMP | None:
@@ -51,3 +122,114 @@ def expand_outermost(obj: OMObject, store: CdStore, base: BaseEnv, max_passes: i
             return term2
         term = term2
     raise AssertionError("outermost expansion did not reach a fixpoint")
+
+
+def inline(
+    derivation: Derivation,
+    points: Mapping[str, DataPoint],
+    derivations: Mapping[str, Derivation],
+) -> OMObject:
+    """Translate a derivation, inlining each derived source that has no stored value.
+
+    The recursive reference for the chain evaluator: a source with a stored
+    value becomes a number, a derived one becomes its own translated term.
+    """
+
+    def translate(d: Derivation, visiting: tuple[str, ...]) -> OMObject:
+        pid = d.point_id.value
+        if pid in visiting:
+            raise CyclicDerivationError([*visiting, pid])
+        om_args: list[OMObject] = []
+        for arg in d.args:
+            if arg.literal is not None:
+                om_args.append(decimal_to_om(arg.literal))
+                continue
+            point = points.get(arg.source.value)
+            if point is not None and point.value is not None:
+                om_args.append(decimal_to_om(point.value))
+            elif arg.source.value in derivations:
+                om_args.append(translate(derivations[arg.source.value], (*visiting, pid)))
+            else:
+                raise UnresolvedArgumentError(arg.source)
+        return OMApplication(symbol_from_iri(d.function_uri), tuple(om_args))
+
+    return translate(derivation, ())
+
+
+def _bnode_signature(node: BlankNode, triples: frozenset[Triple]) -> tuple:
+    """Blank-node colour: how the node connects to ground terms around it."""
+    sig = []
+    for t in triples:
+        if t.subject == node:
+            obj = "*" if isinstance(t.object, BlankNode) else term_key(t.object)
+            sig.append(("s", t.predicate.value, obj))
+        if t.object == node:
+            subj = "*" if isinstance(t.subject, BlankNode) else term_key(t.subject)
+            sig.append(("o", t.predicate.value, subj))
+    return tuple(sorted(sig))
+
+
+def isomorphic(g1: Graph, g2: Graph) -> bool:
+    """True when g2 is g1 under some renaming of blank nodes.
+
+    Ground triples must match exactly; blank nodes are matched by signature
+    first and then by backtracking search.  Intended for desk-scale graphs.
+    """
+
+    def split(g: Graph):
+        ground, with_bnodes = set(), set()
+        for t in g.triples:
+            if isinstance(t.subject, BlankNode) or isinstance(t.object, BlankNode):
+                with_bnodes.add(t)
+            else:
+                ground.add(t)
+        return ground, with_bnodes
+
+    ground1, rest1 = split(g1)
+    ground2, rest2 = split(g2)
+    if ground1 != ground2 or len(rest1) != len(rest2):
+        return False
+    if not rest1:
+        return True
+
+    def bnodes(triples):
+        found = []
+        for t in triples:
+            for term in (t.subject, t.object):
+                if isinstance(term, BlankNode) and term not in found:
+                    found.append(term)
+        return found
+
+    nodes1, nodes2 = bnodes(rest1), bnodes(rest2)
+    if len(nodes1) != len(nodes2):
+        return False
+
+    sigs2: dict[BlankNode, tuple] = {n: _bnode_signature(n, frozenset(rest2)) for n in nodes2}
+    candidates = {
+        n: [m for m in nodes2 if sigs2[m] == _bnode_signature(n, frozenset(rest1))]
+        for n in nodes1
+    }
+    # Most-constrained node first keeps the search shallow.
+    order = sorted(nodes1, key=lambda n: len(candidates[n]))
+
+    def rename(t: Triple, mapping: dict[BlankNode, BlankNode]) -> Triple:
+        s = mapping.get(t.subject, t.subject) if isinstance(t.subject, BlankNode) else t.subject
+        o = mapping.get(t.object, t.object) if isinstance(t.object, BlankNode) else t.object
+        return Triple(s, t.predicate, o)
+
+    def assign(i: int, mapping: dict[BlankNode, BlankNode], used: set[BlankNode]) -> bool:
+        if i == len(order):
+            return {rename(t, mapping) for t in rest1} == rest2
+        node = order[i]
+        for cand in candidates[node]:
+            if cand in used:
+                continue
+            mapping[node] = cand
+            used.add(cand)
+            if assign(i + 1, mapping, used):
+                return True
+            del mapping[node]
+            used.discard(cand)
+        return False
+
+    return assign(0, {}, set())

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from omld.annotations import Derivation, DerivationArg
 from omld.rdf import XSD_NS, BlankNode, Graph, Iri, Literal, Triple
 
+from .helpers import DATASET_PREFIXES, point_turtle
+
 _WORD = st.from_regex(r"[a-z][a-z0-9]{0,8}", fullmatch=True)
 _LOCAL = st.from_regex(r"[A-Za-z0-9_][A-Za-z0-9_\-]{0,10}", fullmatch=True)
 
@@ -124,3 +126,29 @@ def derivations(draw) -> Derivation:
             value = Decimal(draw(st.integers(-999, 999))) / Decimal(draw(st.sampled_from([1, 2, 4, 8])))
             args.append(DerivationArg(position=position, literal=value))
     return Derivation(point_id=point, function_uri=function, args=tuple(args))
+
+
+@st.composite
+def derivation_dags(draw) -> tuple[str, str]:
+    """Turtle for a DAG of arith1 derivations over positive leaves, and its top IRI.
+
+    Only the top point surely has a stored value; each other derived point
+    may have one.  Values stay finite and nonzero: at most six levels, each
+    at most squaring the magnitude of 999 or 1/8.
+    """
+    positive = st.builds(
+        lambda n, d: Decimal(n) / d, st.integers(1, 999), st.sampled_from([1, 2, 4, 8])
+    )
+    names = [f"L{i}" for i in range(draw(st.integers(1, 4)))]
+    lines = [point_turtle(name, draw(positive)) for name in names]
+    derived = draw(st.integers(1, 6))
+    for j in range(derived):
+        function = draw(st.sampled_from(["plus", "times", "divide"]))
+        arity = 2 if function == "divide" else draw(st.integers(1, 3))
+        # Drawing from the last two points makes diamonds and long chains.
+        sources = st.one_of(st.sampled_from(names), st.sampled_from(names[-2:]))
+        args = [f"ahs:{draw(sources)}" for _ in range(arity)]
+        value = 1 if j == derived - 1 else draw(st.one_of(st.none(), positive))
+        lines.append(point_turtle(f"D{j}", value, function, args))
+        names.append(f"D{j}")
+    return DATASET_PREFIXES + "".join(lines), "http://example.org/ns/ahs#" + names[-1]

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from omld.annotations import (
     BadArgPositionsError,
     BadValueLiteralError,
-    CyclicDerivationError,
     DataPoint,
     Derivation,
     DerivationArg,
@@ -21,8 +20,9 @@ from omld.annotations import (
     om_to_derivation,
 )
 from omld.om import OMApplication, OMFloat, OMInteger, OMSymbol
-from omld.rdf import Graph, Iri, isomorphic, parse_turtle
+from omld.rdf import Graph, Iri, parse_turtle
 
+from .helpers import inline, isomorphic
 from .strategies import derivations
 
 AHS = "http://example.org/ns/ahs#"
@@ -139,24 +139,13 @@ class TestExtractDerivations:
 
 class TestDerivationToOm:
     def test_listing2_with_values(self, geese_graph):
-        points = {p.id.value: p for p in extract_data_points(geese_graph)}
+        points = extract_data_points(geese_graph)
+        inputs = {p.id.value: p.value for p in points if p.value is not None}
         derivation = next(
             d for d in extract_derivations(geese_graph) if d.point_id == Iri(AHS + "PD100")
         )
-        obj = derivation_to_om(derivation, points)
+        obj = derivation_to_om(derivation, inputs)
         assert obj == OMApplication(DIVIDE, (OMInteger(693), OMInteger(380)))
-
-    def test_self_loop(self):
-        derivation = Derivation(
-            point_id=Iri(AHS + "X"),
-            function_uri=DIVIDE_URI,
-            args=(
-                DerivationArg(position=1, source=Iri(AHS + "X")),
-                DerivationArg(position=2, literal=Decimal(2)),
-            ),
-        )
-        with pytest.raises(CyclicDerivationError):
-            derivation_to_om(derivation, {}, {AHS + "X": derivation})
 
     def test_recursive_translation(self):
         inner = Derivation(
@@ -175,13 +164,18 @@ class TestDerivationToOm:
                 DerivationArg(position=2, literal=Decimal("2")),
             ),
         )
-        points = {
-            AHS + "A": DataPoint(Iri(AHS + "A"), (), Decimal(10)),
-            AHS + "B": DataPoint(Iri(AHS + "B"), (), Decimal(4)),
-            AHS + "D1": DataPoint(Iri(AHS + "D1"), ()),  # derived, value pending
-        }
-        obj = derivation_to_om(outer, points, {AHS + "D1": inner})
-        assert obj == OMApplication(
+        leaves = {AHS + "A": Decimal(10), AHS + "B": Decimal(4)}
+        # One level at a time: a computed input comes in as a float.
+        assert derivation_to_om(inner, leaves) == OMApplication(
+            DIVIDE, (OMInteger(10), OMInteger(4))
+        )
+        assert derivation_to_om(outer, {AHS + "D1": 2.5}) == OMApplication(
+            DIVIDE, (OMFloat(2.5), OMInteger(2))
+        )
+        # The reference inliner nests the same translation.
+        points = {pid: DataPoint(Iri(pid), (), value) for pid, value in leaves.items()}
+        points[AHS + "D1"] = DataPoint(Iri(AHS + "D1"), ())  # derived, no stored value
+        assert inline(outer, points, {AHS + "D1": inner}) == OMApplication(
             DIVIDE,
             (OMApplication(DIVIDE, (OMInteger(10), OMInteger(4))), OMInteger(2)),
         )
@@ -237,13 +231,12 @@ class TestRoundTripProperty:
     def test_om_rdf_round_trip(self, derivation):
         # Give every referenced source point a value so translation works,
         # then check extract(om_to_derivation(translate(d))) == d.
-        points = {}
-        for i, arg in enumerate(derivation.args):
-            if arg.source is not None:
-                points[arg.source.value] = DataPoint(
-                    arg.source, (), Decimal(10_000 + i) / Decimal(4)
-                )
-        obj = derivation_to_om(derivation, points)
+        inputs = {
+            arg.source.value: Decimal(10_000 + i) / Decimal(4)
+            for i, arg in enumerate(derivation.args)
+            if arg.source is not None
+        }
+        obj = derivation_to_om(derivation, inputs)
         order = iter([a.source for a in derivation.args])
         triples = om_to_derivation(derivation.point_id, obj, lambda arg: next(order))
         (again,) = extract_derivations(Graph(frozenset(triples)))

@@ -16,6 +16,7 @@ from omld.om import OPENMATH_XML_MIME, parse_om_xml, serialize_om_xml
 from omld.rdf import RDF_VALUE, Iri, parse_turtle
 
 from .conftest import CD_DIR, FIXTURES, fixture_text
+from .helpers import chain_turtle, recursion_limit
 
 
 @pytest.fixture
@@ -89,6 +90,19 @@ class TestRecomputeCommand:
         assert code == 0
         text = capsys.readouterr().out
         assert parse_turtle(text).triples == parse_turtle(fixture_text("listing1.ttl")).triples
+
+    def test_chain_deeper_than_recursion_limit_exits_0(self, tmp_path, config_file):
+        dataset = tmp_path / "chain.ttl"
+        out = tmp_path / "out.ttl"
+        with recursion_limit(150) as limit:
+            depth = limit + 50
+            dataset.write_text(chain_turtle(depth))
+            code = main(["recompute", str(dataset), "--out", str(out), "--config", config_file])
+        assert code == 0
+        (value,) = parse_turtle(out.read_text()).match(
+            Iri("http://example.org/ns/ahs#D1"), Iri(RDF_VALUE), None
+        )
+        assert value.object.lexical == str(depth + 1)
 
     def test_cyclic_dataset_exits_2(self, tmp_path, capsys, config_file):
         cyclic = tmp_path / "cyclic.ttl"
@@ -243,6 +257,7 @@ class TestServeCommand:
         finally:
             proc.terminate()
             proc.wait(timeout=5)
+            proc.stderr.close()
 
 
 class TestUsage:

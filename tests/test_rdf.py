@@ -16,11 +16,11 @@ from omld.rdf import (
     Triple,
     TurtleSyntaxError,
     UnknownPrefixError,
-    isomorphic,
     parse_turtle,
     serialize_turtle,
 )
 
+from .helpers import isomorphic
 from .strategies import graphs
 
 AHS = "http://example.org/ns/ahs#"

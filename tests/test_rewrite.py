@@ -43,7 +43,15 @@ from omld.rewrite import (
 )
 
 from .conftest import CD_DIR, fixture_text
-from .helpers import expand_outermost
+from .helpers import (
+    DATASET_PREFIXES,
+    chain_turtle,
+    expand_outermost,
+    inline,
+    point_turtle,
+    recursion_limit,
+)
+from .strategies import derivation_dags
 
 DIVIDE = OMSymbol(cd="arith1", name="divide")
 PLUS = OMSymbol(cd="arith1", name="plus")
@@ -331,6 +339,13 @@ class TestCdStore:
         assert count >= 4
         assert store.lookup("http://example.org", "statistics") is not None
 
+    def test_load_relative_directory(self, monkeypatch):
+        monkeypatch.chdir(CD_DIR.parent)
+        store = CdStore()
+        assert store.load_directory(CD_DIR.name) >= 4
+        cd = store.lookup("http://example.org", "statistics")
+        assert cd.source_url == (CD_DIR / "statistics.ocd").resolve().as_uri()
+
 
 class TestVerify:
     def test_geese_fixture_matches(self, geese_graph, local_store, arith1):
@@ -369,12 +384,91 @@ class TestVerify:
         assert result.status == "uncomputable"
         assert "no stored value" in result.reason
 
+    def test_deep_chain_without_stored_values_matches(self, local_store, arith1):
+        graph = parse_turtle(chain_turtle(40, top_value=41))
+        report = verify_dataset(graph, local_store, arith1, tolerance=1e-9)
+        top = next(r for r in report.results if r.point_id == Iri(AHS + "D1"))
+        assert top.status == "match"
+        assert top.computed == 41.0
+
+    def test_cycle_among_unstored_inputs_is_uncomputable(self, local_store, arith1):
+        text = DATASET_PREFIXES + "".join(
+            [
+                point_turtle("L", 2),
+                point_turtle("A", None, "plus", ("ahs:B", "ahs:L")),
+                point_turtle("B", None, "times", ("ahs:A", "ahs:L")),
+                point_turtle("C", 5, "plus", ("ahs:A", '"1"^^xsd:decimal')),
+            ]
+        )
+        report = verify_dataset(parse_turtle(text), local_store, arith1, tolerance=1e-9)
+        by_name = {r.point_id.value.rsplit("#")[-1]: r for r in report.results}
+        assert by_name["C"].status == "uncomputable"
+        assert by_name["C"].reason.startswith("CyclicDerivationError")
+        assert by_name["A"].reason == by_name["B"].reason == "no stored value"
+
+    def test_failed_input_fails_each_consumer_alike(self, local_store, arith1):
+        local_store.add(
+            parse_cd_xml(
+                "<CD><CDName>pick</CDName><CDBase>http://example.org</CDBase>"
+                "<Description>d</Description><CDDefinition><Name>first</Name>"
+                '<FMP><OMOBJ><OMA><OMS cd="relation1" name="eq"/>'
+                '<OMA><OMS cdbase="http://example.org" cd="pick" name="first"/>'
+                '<OMV name="x"/><OMV name="y"/></OMA><OMV name="x"/></OMA></OMOBJ></FMP>'
+                "</CDDefinition></CD>"
+            )
+        )
+        text = DATASET_PREFIXES + "".join(
+            [
+                point_turtle("L", 3),
+                point_turtle("Z", None, "minus", ("ahs:L", "ahs:L")),
+                point_turtle("Q", None, "divide", ("ahs:L", "ahs:Z")),
+                point_turtle("C1", 1, "plus", ("ahs:Q", '"1"^^xsd:decimal')),
+                point_turtle("C2", 1, "times", ("ahs:L", "ahs:Q")),
+                # pick#first ignores its second argument; the failed input still counts.
+                point_turtle("C3", 3, "http://example.org/pick#first", ("ahs:L", "ahs:Q")),
+            ]
+        )
+        report = verify_dataset(parse_turtle(text), local_store, arith1, tolerance=1e-9)
+        reasons = {r.point_id.value.rsplit("#")[-1]: r.reason for r in report.results}
+        assert reasons["C1"] == reasons["C2"] == reasons["C3"]
+        assert reasons["C1"].startswith("DivisionByZeroError")
+        # The reason names Q's numbers, not the term Z was computed from.
+        assert "minus" not in reasons["C1"]
+
+    def test_complex_input_does_not_abort_the_run(self, local_store, arith1):
+        text = DATASET_PREFIXES + "".join(
+            [
+                point_turtle("N", -8),
+                point_turtle("R", None, "power", ("ahs:N", '"0.5"^^xsd:decimal')),
+                point_turtle("C", 1, "plus", ("ahs:R", '"1"^^xsd:decimal')),
+            ]
+        )
+        report = verify_dataset(parse_turtle(text), local_store, arith1, tolerance=1e-9)
+        assert [r.point_id.value.rsplit("#")[-1] for r in report.results] == ["C", "R"]
+
     def test_report_serializations(self, geese_graph, local_store, arith1):
         report = verify_dataset(geese_graph, local_store, arith1, tolerance=1e-9)
         assert "MATCH" in report.to_text()
         records = report.to_records()
         assert records[0]["status"] == "match"
         assert records[0]["id"].endswith("PD100")
+
+
+class TestChainEvaluator:
+    """verify's value for the top of a derivation DAG, against full inlining."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(derivation_dags())
+    def test_verify_equals_inlined_evaluation(self, case):
+        text, top = case
+        graph = parse_turtle(text)
+        store, base = CdStore(), BaseEnv.arith1()
+        report = verify_dataset(graph, store, base, tolerance=1e-9)
+        (result,) = [r for r in report.results if r.point_id.value == top]
+        points = {p.id.value: p for p in extract_data_points(graph)}
+        derivations = {d.point_id.value: d for d in extract_derivations(graph)}
+        term = inline(derivations[top], points, derivations)
+        assert result.computed == evaluate(expand(term, store, base), base)
 
 
 class TestRecompute:
@@ -414,6 +508,14 @@ class TestRecompute:
         recomputed = recompute(parse_turtle(text), local_store, arith1)
         report = verify_dataset(recomputed, local_store, arith1, tolerance=1e-9)
         assert report.all_match
+
+    def test_chain_deeper_than_recursion_limit(self, local_store, arith1):
+        with recursion_limit(150) as limit:
+            depth = limit + 50
+            result = recompute(parse_turtle(chain_turtle(depth)), local_store, arith1)
+        for i in (1, depth // 2, depth):
+            (value,) = result.match(Iri(AHS + f"D{i}"), Iri(RDF_VALUE), None)
+            assert value.object.lexical == str(depth - i + 2)
 
     def test_cycle_detected(self, local_store, arith1):
         text = fixture_text("listing2.ttl") + (
@@ -488,8 +590,6 @@ class TestQueryMax:
         """Oracle: evaluate every metric derivation, group by hand."""
         points = {p.id.value: p for p in extract_data_points(graph)}
         derivations = {d.point_id.value: d for d in extract_derivations(graph)}
-        from omld.annotations import derivation_to_om
-        from omld.rewrite import expand as _expand
 
         per_region: dict[str, dict[str, float]] = {}
         for pid, d in derivations.items():
@@ -501,7 +601,7 @@ class TestQueryMax:
                 x for x in dims if graph.match(Iri(x), None, self.REGION)
             )
             time = self.T1.value if self.T1.value in dims else self.T2.value
-            value = evaluate(_expand(derivation_to_om(d, points, derivations), store, base), base)
+            value = evaluate(expand(inline(d, points, derivations), store, base), base)
             per_region.setdefault(region, {})[time] = value
         best = None
         for region in sorted(per_region):

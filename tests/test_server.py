@@ -200,3 +200,8 @@ class TestLiveServer:
         shutil.copy(CD_DIR / "statistics.ocd", directory / "two.ocd")
         with pytest.raises(ValueError):
             load_cd_directory(directory)
+
+    def test_relative_directory(self, monkeypatch):
+        monkeypatch.chdir(CD_DIR.parent)
+        cds = load_cd_directory(CD_DIR.name)
+        assert cds["statistics"].cd.source_url == (CD_DIR / "statistics.ocd").resolve().as_uri()
