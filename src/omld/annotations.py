@@ -124,11 +124,10 @@ def _decimal(lexical: str) -> Decimal:
 
 def extract_data_points(graph: Graph, vocab: StatVocab = DEFAULT_VOCAB) -> list[DataPoint]:
     """One DataPoint per IRI subject with at least one dimension triple."""
-    subjects: list[Iri] = []
-    for t in graph.match(predicate=vocab.dimension):
-        if isinstance(t.subject, Iri) and t.subject not in subjects:
-            subjects.append(t.subject)
-    subjects.sort(key=lambda s: s.value)
+    subjects = sorted(
+        {t.subject for t in graph.match(predicate=vocab.dimension) if isinstance(t.subject, Iri)},
+        key=lambda s: s.value,
+    )
 
     points = []
     for subject in subjects:

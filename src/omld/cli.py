@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, ToolkitConfig, load_config, with_overrides
-from .errors import ToolkitError
+from .errors import ToolkitError, read_utf8
 from .om import OPENMATH_XML_MIME, parse_om_xml, serialize_om_xml
 from .rdf import Graph, Iri, parse_turtle, serialize_turtle
 from .resolver import CdResolver, negotiate_fetch
@@ -109,7 +109,7 @@ def _read_graph(path: str, cfg: ToolkitConfig) -> Graph:
     p = Path(path)
     if not p.is_file():
         raise _UsageError(f"dataset file not found: {path}")
-    return parse_turtle(p.read_text(encoding="utf-8"))
+    return parse_turtle(read_utf8(p))
 
 
 def _base_env(cfg: ToolkitConfig) -> BaseEnv:
@@ -162,7 +162,7 @@ def _cmd_expand(args) -> int:
     path = Path(args.omxml)
     if not path.is_file():
         raise _UsageError(f"OpenMath file not found: {args.omxml}")
-    obj = parse_om_xml(path.read_text(encoding="utf-8"))
+    obj = parse_om_xml(read_utf8(path))
 
     resolver = CdResolver(cache_ttl=cfg.cache_ttl)
     store = CdStore(fetch=resolver.cd_fetcher())

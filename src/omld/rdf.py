@@ -7,7 +7,8 @@ The Turtle subset covers what SCOVO-style statistical data needs:
   * the ``a`` keyword
   * ``;`` / ``,`` predicate-object lists
   * anonymous ``[...]`` and labelled ``_:x`` blank nodes
-  * string, numeric, typed, and language-tagged literals
+  * string, numeric, typed, and language-tagged literals; a ``\\u``/``\\U``
+    escape must name a Unicode scalar value (at most U+10FFFF, no surrogate)
   * ``#`` comments
 
 Collections ``( )``, ``@base``, and multiline strings are deliberately not
@@ -160,20 +161,37 @@ class Graph:
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+$")
 _DECIMAL_RE = re.compile(r"[+-]?[0-9]*\.[0-9]+$")
 _DOUBLE_RE = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][+-]?[0-9]+$")
+_NUMBER_TYPES = ((_DOUBLE_RE, XSD_DOUBLE), (_DECIMAL_RE, XSD_DECIMAL), (_INTEGER_RE, XSD_INTEGER))
 
-_PNAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
-_NUMBER_START = set("0123456789+-.")
+_ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 
-_ESCAPES = {
-    "t": "\t",
-    "b": "\b",
-    "n": "\n",
-    "r": "\r",
-    "f": "\f",
-    '"': '"',
-    "'": "'",
-    "\\": "\\",
-}
+# A string body: characters other than a quote, backslash or newline, and complete escapes.
+_STRING_BODY = r"""(?:[^"\\\n]|\\[tbnrf"'\\]|\\u[0-9A-Fa-f]{4}|\\U[0-9A-Fa-f]{8})*"""
+
+# One alternative per token kind, tried in order; only SKIP spans newlines.
+# Numerals, '_:' labels and prefixed names take every character that may
+# continue them and are checked afterwards.  BAD_STRING (the valid part of
+# an unclosed string), BAD_AT and ERROR only ever end in a syntax error.
+_TOKEN_RE = re.compile(
+    rf"""
+      (?P<SKIP>(?:[ \t\r\n]|\#[^\n]*)+)
+    | (?P<IRIREF><[^<>\n]*>)
+    | (?P<STRING>"{_STRING_BODY}")
+    | (?P<BAD_STRING>"{_STRING_BODY})
+    | (?P<PREFIX_KW>@prefix)(?![^\W_]|-)
+    | (?P<LANGTAG>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)(?![^\W_]|-)
+    | (?P<BAD_AT>@)
+    | (?P<HATHAT>\^\^)
+    | (?P<SEMI>;) | (?P<COMMA>,) | (?P<LBRACKET>\[) | (?P<RBRACKET>\])
+    | (?P<NUMBER>(?:[-+0-9]|\.[0-9])(?:[0-9.]|[eE][-+]?)*)
+    | (?P<DOT>\.)
+    | (?P<BLANK>_:[A-Za-z0-9_-]*)
+    | (?P<A>a)(?![A-Za-z0-9_:-])
+    | (?P<PNAME>[A-Za-z_:][A-Za-z0-9_:-]*)
+    | (?P<ERROR>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 
 @dataclass
@@ -184,181 +202,101 @@ class _Token:
     column: int
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+def _error(text: str, pos: int, expected: str) -> TurtleSyntaxError:
+    """A syntax error at offset ``pos`` of ``text``."""
+    return TurtleSyntaxError(text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos), expected)
 
-    def error(self, expected: str) -> TurtleSyntaxError:
-        return TurtleSyntaxError(self.line, self.col, expected)
 
-    def _peek(self, offset: int = 0) -> str | None:
-        j = self.pos + offset
-        return self.text[j] if j < len(self.text) else None
-
-    def _advance(self) -> str:
-        c = self.text[self.pos]
-        self.pos += 1
-        if c == "\n":
-            self.line += 1
-            self.col = 1
+def _unescape(text: str, start: int, end: int) -> str:
+    """The characters of the string body ``text[start:end]``, whose escapes are complete."""
+    chars: list[str] = []
+    while (slash := text.find("\\", start, end)) >= 0:
+        chars.append(text[start:slash])
+        esc = text[slash + 1]
+        if esc in "uU":
+            start = slash + (6 if esc == "u" else 10)
+            code = int(text[slash + 2 : start], 16)
+            if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                raise _error(text, slash, f"a Unicode scalar value (got {text[slash:start]})")
+            chars.append(chr(code))
         else:
-            self.col += 1
-        return c
+            start = slash + 2
+            chars.append(_ESCAPES[esc])
+    chars.append(text[start:end])
+    return "".join(chars)
 
-    def tokens(self) -> list[_Token]:
-        out: list[_Token] = []
-        while True:
-            tok = self._next()
-            out.append(tok)
-            if tok.kind == "EOF":
-                return out
 
-    def _next(self) -> _Token:
-        while True:
-            c = self._peek()
-            if c is None:
-                return _Token("EOF", None, self.line, self.col)
-            if c in " \t\r\n":
-                self._advance()
-                continue
-            if c == "#":
-                while self._peek() not in (None, "\n"):
-                    self._advance()
-                continue
-            break
+def _string_error(text: str, start: int, end: int) -> TurtleSyntaxError:
+    """Why the string opened at ``start`` stops at ``end``: no closing quote or a bad escape."""
+    _unescape(text, start + 1, end)  # an escape naming no character comes first
+    if end == len(text) or text[end] == "\n":
+        return _error(text, start, "closing '\"' (multiline strings unsupported)")
+    esc = text[end + 1 : end + 2]
+    if not esc:
+        return _error(text, end + 1, "an escape character")
+    if esc in "uU":
+        width = 4 if esc == "u" else 8
+        digits = text[end + 2 : end + 2 + width]
+        hex_digits = len(digits) - len(digits.lstrip("0123456789abcdefABCDEF"))
+        return _error(text, end + 2 + hex_digits, f"{width} hex digits")
+    return _error(text, end + 2, f"a valid escape (got \\{esc})")
 
-        line, col = self.line, self.col
-        c = self._peek()
 
-        if c == "<":
-            return self._iriref(line, col)
-        if c == '"':
-            return self._string(line, col)
-        if c == "@":
-            return self._at_word(line, col)
-        if c == "^":
-            self._advance()
-            if self._peek() == "^":
-                self._advance()
-                return _Token("HATHAT", None, line, col)
-            raise self.error("'^^'")
-        punct = {";": "SEMI", ",": "COMMA", "[": "LBRACKET", "]": "RBRACKET"}
-        if c in punct:
-            self._advance()
-            return _Token(punct[c], None, line, col)
-        if c == ".":
-            # A dot only starts a number when a digit follows (e.g. ".5e0").
-            nxt = self._peek(1)
-            if nxt is None or not nxt.isdigit():
-                self._advance()
-                return _Token("DOT", None, line, col)
-            return self._number(line, col)
-        if c == "_" and self._peek(1) == ":":
-            return self._blank_label(line, col)
-        if c in _NUMBER_START:
-            return self._number(line, col)
-        if c in _PNAME_CHARS or c == ":":
-            return self._pname_or_keyword(line, col)
-        raise self.error(f"a Turtle token (got {c!r})")
-
-    def _iriref(self, line: int, col: int) -> _Token:
-        self._advance()  # '<'
-        chars: list[str] = []
-        while True:
-            c = self._peek()
-            if c is None or c in "\n<":
-                raise TurtleSyntaxError(line, col, "'>' closing the IRI")
-            self._advance()
-            if c == ">":
-                break
-            chars.append(c)
-        return _Token("IRIREF", "".join(chars), line, col)
-
-    def _string(self, line: int, col: int) -> _Token:
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            c = self._peek()
-            if c is None or c == "\n":
-                raise TurtleSyntaxError(line, col, "closing '\"' (multiline strings unsupported)")
-            self._advance()
-            if c == '"':
-                break
-            if c == "\\":
-                esc = self._peek()
-                if esc is None:
-                    raise TurtleSyntaxError(self.line, self.col, "an escape character")
-                self._advance()
-                if esc in _ESCAPES:
-                    chars.append(_ESCAPES[esc])
-                elif esc in "uU":
-                    width = 4 if esc == "u" else 8
-                    digits = ""
-                    for _ in range(width):
-                        d = self._peek()
-                        if d is None or d not in "0123456789abcdefABCDEF":
-                            raise TurtleSyntaxError(self.line, self.col, f"{width} hex digits")
-                        digits += self._advance()
-                    chars.append(chr(int(digits, 16)))
-                else:
-                    raise TurtleSyntaxError(self.line, self.col, f"a valid escape (got \\{esc})")
-            else:
-                chars.append(c)
-        return _Token("STRING", "".join(chars), line, col)
-
-    def _at_word(self, line: int, col: int) -> _Token:
-        self._advance()  # '@'
-        word = ""
-        while (c := self._peek()) is not None and (c.isalnum() or c == "-"):
-            word += self._advance()
-        if word == "prefix":
-            return _Token("PREFIX_KW", None, line, col)
-        if word == "base":
-            raise TurtleSyntaxError(line, col, "no '@base' (unsupported directive)")
-        if re.fullmatch(r"[A-Za-z]+(-[A-Za-z0-9]+)*", word):
-            return _Token("LANGTAG", word, line, col)
-        raise TurtleSyntaxError(line, col, "a language tag or '@prefix'")
-
-    def _blank_label(self, line: int, col: int) -> _Token:
-        self._advance()
-        self._advance()  # '_:'
-        label = ""
-        while (c := self._peek()) is not None and c in _PNAME_CHARS:
-            label += self._advance()
-        if not label:
-            raise TurtleSyntaxError(line, col, "a blank node label after '_:'")
-        return _Token("BLANK", label, line, col)
-
-    def _number(self, line: int, col: int) -> _Token:
-        chars = ""
-        while (c := self._peek()) is not None and (c in "0123456789+-.eE"):
-            # '+'/'-' are only legal at the start or right after an exponent marker.
-            if c in "+-" and chars and chars[-1] not in "eE":
-                break
-            chars += self._advance()
-        if _DOUBLE_RE.fullmatch(chars):
-            return _Token("NUMBER", (chars, XSD_DOUBLE), line, col)
-        if _DECIMAL_RE.fullmatch(chars):
-            return _Token("NUMBER", (chars, XSD_DECIMAL), line, col)
-        if _INTEGER_RE.fullmatch(chars):
-            return _Token("NUMBER", (chars, XSD_INTEGER), line, col)
-        raise TurtleSyntaxError(line, col, f"a numeric literal (got {chars!r})")
-
-    def _pname_or_keyword(self, line: int, col: int) -> _Token:
-        chars = ""
-        while (c := self._peek()) is not None and (c in _PNAME_CHARS or c == ":"):
-            chars += self._advance()
-        if ":" in chars:
-            prefix, local = chars.split(":", 1)
+def _tokenize(text: str) -> list[_Token]:
+    """Split Turtle text into tokens, the last of which is EOF."""
+    tokens: list[_Token] = []
+    line, line_start, pos = 1, 0, 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        kind, end, value = m.lastgroup, m.end(), None
+        if kind == "SKIP":
+            newlines = text.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", pos, end) + 1
+            pos = end
+            continue
+        if kind == "PNAME":
+            prefix, colon, local = text[pos:end].partition(":")
+            if not colon:
+                raise _error(text, pos, f"a prefixed name (got bare {prefix!r})")
             if ":" in local:
-                raise TurtleSyntaxError(line, col, "a prefixed name with a single ':'")
-            return _Token("PNAME", (prefix, local), line, col)
-        if chars == "a":
-            return _Token("A", None, line, col)
-        raise TurtleSyntaxError(line, col, f"a prefixed name (got bare {chars!r})")
+                raise _error(text, pos, "a prefixed name with a single ':'")
+            value = (prefix, local)
+        elif kind == "STRING":
+            value = _unescape(text, pos + 1, end - 1)
+        elif kind == "IRIREF":
+            value = text[pos + 1 : end - 1]
+        elif kind == "LANGTAG":
+            value = text[pos + 1 : end]
+            if value == "base":
+                raise _error(text, pos, "no '@base' (unsupported directive)")
+        elif kind == "NUMBER":
+            chars = text[pos:end]
+            value = next(((chars, dt) for rx, dt in _NUMBER_TYPES if rx.fullmatch(chars)), None)
+            if value is None:
+                raise _error(text, pos, f"a numeric literal (got {chars!r})")
+        elif kind == "BLANK":
+            value = text[pos + 2 : end]
+            if not value:
+                raise _error(text, pos, "a blank node label after '_:'")
+        elif kind == "DOT" and text[end : end + 1].isdigit():  # a non-ASCII digit
+            raise _error(text, pos, "a numeric literal (got '.')")
+        elif kind == "BAD_STRING":
+            raise _string_error(text, pos, end)
+        elif kind == "BAD_AT":
+            raise _error(text, pos, "a language tag or '@prefix'")
+        elif kind == "ERROR":
+            c = text[pos]
+            if c == "<":
+                raise _error(text, pos, "'>' closing the IRI")
+            if c == "^":
+                raise _error(text, pos + 1, "'^^'")
+            raise _error(text, pos, f"a Turtle token (got {c!r})")
+        tokens.append(_Token(kind, value, line, pos - line_start + 1))
+        pos = end
+    tokens.append(_Token("EOF", None, line, pos - line_start + 1))
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +306,7 @@ class _Tokenizer:
 
 class _Parser:
     def __init__(self, text: str, base_iri: Iri | None):
-        self.tokens = _Tokenizer(text).tokens()
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.base_iri = base_iri
         self.prefixes: dict[str, str] = {}
@@ -558,24 +496,14 @@ def parse_turtle(text: str, base_iri: Iri | None = None) -> Graph:
 # ---------------------------------------------------------------------------
 
 
+# Backslash, quote and every control character, as string escapes.
+_ESCAPE_TABLE = {c: "\\u%04x" % c for c in range(0x20)} | str.maketrans(
+    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+)
+
+
 def _escape(text: str) -> str:
-    out = []
-    for c in text:
-        if c == "\\":
-            out.append("\\\\")
-        elif c == '"':
-            out.append('\\"')
-        elif c == "\n":
-            out.append("\\n")
-        elif c == "\r":
-            out.append("\\r")
-        elif c == "\t":
-            out.append("\\t")
-        elif ord(c) < 0x20:
-            out.append("\\u%04x" % ord(c))
-        else:
-            out.append(c)
-    return "".join(out)
+    return text.translate(_ESCAPE_TABLE)
 
 
 _SAFE_LOCAL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_\-]*$")

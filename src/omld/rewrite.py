@@ -9,11 +9,14 @@ past the depth budget is reported as cyclic.
 Evaluation is plain 64-bit float arithmetic over the base environment
 (the seven arith1 operations by default); integers widen to float at
 application time.  Division by zero is an error, not infinity: in
-statistical data a zero denominator is a data bug worth surfacing.
+statistical data a zero denominator is a data bug worth surfacing.  So is
+every other step without a finite real value: an overflow, an infinity or
+NaN, or the complex power of a negative base.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from decimal import Decimal
@@ -30,7 +33,7 @@ from .annotations import (
 )
 from .cd import ContentDictionary, DefinitionalFMP, find_definition, parse_cd_xml
 from .config import DEFAULT_VOCAB, StatVocab
-from .errors import ToolkitError
+from .errors import ToolkitError, read_utf8
 from .om import (
     DEFAULT_CDBASE,
     OMApplication,
@@ -95,6 +98,10 @@ class NonNumericLeafError(ToolkitError):
     pass
 
 
+class NonFiniteResultError(ToolkitError):
+    """An evaluation step whose value is not a finite real float."""
+
+
 class NoComputableRegionError(ToolkitError):
     pass
 
@@ -131,8 +138,7 @@ class CdStore:
         """Parse every .ocd file in a directory into the store."""
         count = 0
         for file in sorted(Path(path).glob("*.ocd")):
-            text = file.read_text(encoding="utf-8")
-            self.add(parse_cd_xml(text, source_url=file.resolve().as_uri()))
+            self.add(parse_cd_xml(read_utf8(file), source_url=file.resolve().as_uri()))
             count += 1
         return count
 
@@ -354,10 +360,17 @@ def residual_symbols(obj: OMObject, base: BaseEnv) -> list[str]:
 
 
 def evaluate(obj: OMObject, base: BaseEnv) -> float:
-    """Evaluate a closed, fully-expanded term to a 64-bit float."""
+    """Evaluate a closed, fully-expanded term to a finite 64-bit float."""
     if isinstance(obj, OMInteger):
-        return float(obj.value)
+        try:
+            return float(obj.value)
+        except OverflowError:
+            raise NonFiniteResultError(
+                f"a {obj.value.bit_length()}-bit integer is too large for a float"
+            ) from None
     if isinstance(obj, OMFloat):
+        if not math.isfinite(obj.value):
+            raise NonFiniteResultError(f"{obj.value!r} is not a finite number")
         return obj.value
     if isinstance(obj, OMVariable):
         raise FreeVariableError(obj.name)
@@ -372,9 +385,16 @@ def evaluate(obj: OMObject, base: BaseEnv) -> float:
         if op.arity is not None and len(args) != op.arity:
             raise ArityMismatchError(symbol_iri(head).value, op.arity, len(args))
         try:
-            return op.apply(args)
+            value = op.apply(args)
         except ZeroDivisionError:
             raise DivisionByZeroError(serialize_om_xml(obj)) from None
+        except OverflowError:
+            raise NonFiniteResultError(f"overflow in {serialize_om_xml(obj)}") from None
+        if not isinstance(value, float) or not math.isfinite(value):
+            raise NonFiniteResultError(
+                f"{value!r} is not a finite real number, in {serialize_om_xml(obj)}"
+            )
+        return value
     if isinstance(obj, OMSymbol):
         if base.contains(obj):
             raise NonNumericLeafError(f"bare operation {obj.cd}#{obj.name} is not a number")

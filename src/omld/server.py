@@ -25,6 +25,7 @@ from .cd import (
     parse_cd_xml,
     serialize_cd_xml,
 )
+from .errors import read_utf8
 from .om import OPENMATH_XML_MIME, om_element_text
 from .rdf import XSD_NS, Graph, Iri, Literal, Triple, serialize_turtle
 
@@ -231,11 +232,10 @@ class CdApp:
 def load_cd_directory(directory: str | Path) -> dict[str, _LoadedCd]:
     cds: dict[str, _LoadedCd] = {}
     for file in sorted(Path(directory).glob("*.ocd")):
-        raw = file.read_bytes()
-        cd = parse_cd_xml(raw.decode("utf-8"), source_url=file.resolve().as_uri())
+        cd = parse_cd_xml(read_utf8(file), source_url=file.resolve().as_uri())
         if cd.cdname in cds:
             raise ValueError(f"two CD files define {cd.cdname!r}")
-        cds[cd.cdname] = _LoadedCd(cd=cd, raw=raw)
+        cds[cd.cdname] = _LoadedCd(cd=cd, raw=file.read_bytes())
     return cds
 
 

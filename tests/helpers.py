@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import re
 import sys
 from contextlib import contextmanager
 from typing import Iterator, Mapping
@@ -16,7 +17,21 @@ from omld.annotations import (
 )
 from omld.cd import DefinitionalFMP, find_definition
 from omld.om import OMApplication, OMBinding, OMObject, OMSymbol, symbol_from_iri
-from omld.rdf import BlankNode, Graph, Triple, term_key
+from omld.rdf import (
+    _DECIMAL_RE,
+    _DOUBLE_RE,
+    _ESCAPES,
+    _INTEGER_RE,
+    XSD_DECIMAL,
+    XSD_DOUBLE,
+    XSD_INTEGER,
+    BlankNode,
+    Graph,
+    Triple,
+    TurtleSyntaxError,
+    _Token,
+    term_key,
+)
 from omld.rewrite import BaseEnv, CdStore, _replace
 
 
@@ -233,3 +248,187 @@ def isomorphic(g1: Graph, g2: Graph) -> bool:
         return False
 
     return assign(0, {}, set())
+
+
+# The character-at-a-time Turtle tokenizer that ``omld.rdf._tokenize`` replaced,
+# kept unchanged as the reference for the differential tokenizer test.
+
+_PNAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
+_NUMBER_START = set("0123456789+-.")
+
+
+class _Tokenizer:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.line = 1
+        self.col = 1
+
+    def error(self, expected: str) -> TurtleSyntaxError:
+        return TurtleSyntaxError(self.line, self.col, expected)
+
+    def _peek(self, offset: int = 0) -> str | None:
+        j = self.pos + offset
+        return self.text[j] if j < len(self.text) else None
+
+    def _advance(self) -> str:
+        c = self.text[self.pos]
+        self.pos += 1
+        if c == "\n":
+            self.line += 1
+            self.col = 1
+        else:
+            self.col += 1
+        return c
+
+    def tokens(self) -> list[_Token]:
+        out: list[_Token] = []
+        while True:
+            tok = self._next()
+            out.append(tok)
+            if tok.kind == "EOF":
+                return out
+
+    def _next(self) -> _Token:
+        while True:
+            c = self._peek()
+            if c is None:
+                return _Token("EOF", None, self.line, self.col)
+            if c in " \t\r\n":
+                self._advance()
+                continue
+            if c == "#":
+                while self._peek() not in (None, "\n"):
+                    self._advance()
+                continue
+            break
+
+        line, col = self.line, self.col
+        c = self._peek()
+
+        if c == "<":
+            return self._iriref(line, col)
+        if c == '"':
+            return self._string(line, col)
+        if c == "@":
+            return self._at_word(line, col)
+        if c == "^":
+            self._advance()
+            if self._peek() == "^":
+                self._advance()
+                return _Token("HATHAT", None, line, col)
+            raise self.error("'^^'")
+        punct = {";": "SEMI", ",": "COMMA", "[": "LBRACKET", "]": "RBRACKET"}
+        if c in punct:
+            self._advance()
+            return _Token(punct[c], None, line, col)
+        if c == ".":
+            # A dot only starts a number when a digit follows (e.g. ".5e0").
+            nxt = self._peek(1)
+            if nxt is None or not nxt.isdigit():
+                self._advance()
+                return _Token("DOT", None, line, col)
+            return self._number(line, col)
+        if c == "_" and self._peek(1) == ":":
+            return self._blank_label(line, col)
+        if c in _NUMBER_START:
+            return self._number(line, col)
+        if c in _PNAME_CHARS or c == ":":
+            return self._pname_or_keyword(line, col)
+        raise self.error(f"a Turtle token (got {c!r})")
+
+    def _iriref(self, line: int, col: int) -> _Token:
+        self._advance()  # '<'
+        chars: list[str] = []
+        while True:
+            c = self._peek()
+            if c is None or c in "\n<":
+                raise TurtleSyntaxError(line, col, "'>' closing the IRI")
+            self._advance()
+            if c == ">":
+                break
+            chars.append(c)
+        return _Token("IRIREF", "".join(chars), line, col)
+
+    def _string(self, line: int, col: int) -> _Token:
+        self._advance()  # opening quote
+        chars: list[str] = []
+        while True:
+            c = self._peek()
+            if c is None or c == "\n":
+                raise TurtleSyntaxError(line, col, "closing '\"' (multiline strings unsupported)")
+            self._advance()
+            if c == '"':
+                break
+            if c == "\\":
+                esc = self._peek()
+                if esc is None:
+                    raise TurtleSyntaxError(self.line, self.col, "an escape character")
+                self._advance()
+                if esc in _ESCAPES:
+                    chars.append(_ESCAPES[esc])
+                elif esc in "uU":
+                    width = 4 if esc == "u" else 8
+                    digits = ""
+                    for _ in range(width):
+                        d = self._peek()
+                        if d is None or d not in "0123456789abcdefABCDEF":
+                            raise TurtleSyntaxError(self.line, self.col, f"{width} hex digits")
+                        digits += self._advance()
+                    chars.append(chr(int(digits, 16)))
+                else:
+                    raise TurtleSyntaxError(self.line, self.col, f"a valid escape (got \\{esc})")
+            else:
+                chars.append(c)
+        return _Token("STRING", "".join(chars), line, col)
+
+    def _at_word(self, line: int, col: int) -> _Token:
+        self._advance()  # '@'
+        word = ""
+        while (c := self._peek()) is not None and (c.isalnum() or c == "-"):
+            word += self._advance()
+        if word == "prefix":
+            return _Token("PREFIX_KW", None, line, col)
+        if word == "base":
+            raise TurtleSyntaxError(line, col, "no '@base' (unsupported directive)")
+        if re.fullmatch(r"[A-Za-z]+(-[A-Za-z0-9]+)*", word):
+            return _Token("LANGTAG", word, line, col)
+        raise TurtleSyntaxError(line, col, "a language tag or '@prefix'")
+
+    def _blank_label(self, line: int, col: int) -> _Token:
+        self._advance()
+        self._advance()  # '_:'
+        label = ""
+        while (c := self._peek()) is not None and c in _PNAME_CHARS:
+            label += self._advance()
+        if not label:
+            raise TurtleSyntaxError(line, col, "a blank node label after '_:'")
+        return _Token("BLANK", label, line, col)
+
+    def _number(self, line: int, col: int) -> _Token:
+        chars = ""
+        while (c := self._peek()) is not None and (c in "0123456789+-.eE"):
+            # '+'/'-' are only legal at the start or right after an exponent marker.
+            if c in "+-" and chars and chars[-1] not in "eE":
+                break
+            chars += self._advance()
+        if _DOUBLE_RE.fullmatch(chars):
+            return _Token("NUMBER", (chars, XSD_DOUBLE), line, col)
+        if _DECIMAL_RE.fullmatch(chars):
+            return _Token("NUMBER", (chars, XSD_DECIMAL), line, col)
+        if _INTEGER_RE.fullmatch(chars):
+            return _Token("NUMBER", (chars, XSD_INTEGER), line, col)
+        raise TurtleSyntaxError(line, col, f"a numeric literal (got {chars!r})")
+
+    def _pname_or_keyword(self, line: int, col: int) -> _Token:
+        chars = ""
+        while (c := self._peek()) is not None and (c in _PNAME_CHARS or c == ":"):
+            chars += self._advance()
+        if ":" in chars:
+            prefix, local = chars.split(":", 1)
+            if ":" in local:
+                raise TurtleSyntaxError(line, col, "a prefixed name with a single ':'")
+            return _Token("PNAME", (prefix, local), line, col)
+        if chars == "a":
+            return _Token("A", None, line, col)
+        raise TurtleSyntaxError(line, col, f"a prefixed name (got bare {chars!r})")

@@ -54,6 +54,24 @@ def bnodes() -> st.SearchStrategy[BlankNode]:
     return st.integers(0, 7).map(lambda n: BlankNode(f"n{n}"))
 
 
+# Pieces of Turtle, of broken Turtle and of escapes, some naming no Unicode
+# scalar value; joined at random they reach every token kind and error.
+TURTLE_FRAGMENTS = (
+    "@prefix", "@base", "@en-US", "@", "<", ">", "<http://x.org/a>", '"', '"s"', "'", "\\",
+    "u00e4", "uD800", "U0000DFFF", "U00110000", "UFFFFFFFF", "U0010FFFF", "\\U00110000",
+    "\\uD800", "\\u00e4", "\\u00", "\\U00e4", "t", "^", "^^",
+    "_:", "_:b", "_", ":", "a", "a:", "ab", ".", ".5", ".²", "3e-2", "-", "+", "1", "e",
+    "ab:cd:ef", ";", ",", "[", "]", "#c", " ", "\t", "\n", "\r", "\f", "é", "²", "٣", "½",
+)
+
+
+def turtle_fragments() -> st.SearchStrategy[str]:
+    """Random joins of TURTLE_FRAGMENTS, also inside a string, or text over their characters."""
+    joined = st.lists(st.sampled_from(TURTLE_FRAGMENTS), max_size=16).map("".join)
+    alphabet = sorted(set("".join(TURTLE_FRAGMENTS)))
+    return st.one_of(joined, joined.map(lambda t: '"' + t), st.text(alphabet=alphabet, max_size=24))
+
+
 @st.composite
 def triples(draw) -> Triple:
     subject = draw(st.one_of(iris(), bnodes()))

@@ -16,7 +16,7 @@ from omld.om import OPENMATH_XML_MIME, parse_om_xml, serialize_om_xml
 from omld.rdf import RDF_VALUE, Iri, parse_turtle
 
 from .conftest import CD_DIR, FIXTURES, fixture_text
-from .helpers import chain_turtle, recursion_limit
+from .helpers import DATASET_PREFIXES, chain_turtle, point_turtle, recursion_limit
 
 
 @pytest.fixture
@@ -71,6 +71,36 @@ class TestVerifyCommand:
         assert code == 2
         assert "UNCOMPUTABLE" in capsys.readouterr().out
 
+    def test_non_utf8_dataset_exits_2(self, tmp_path, capsys, config_file):
+        dataset = tmp_path / "latin.ttl"
+        dataset.write_bytes(b"\xff\xfe" + fixture_text("geese.ttl").encode("utf-8"))
+        code = main(["verify", str(dataset), "--config", config_file])
+        assert code == 2
+        assert f"{dataset}: not UTF-8" in capsys.readouterr().err
+
+    def test_escape_naming_no_character_exits_2(self, tmp_path, capsys, config_file):
+        dataset = tmp_path / "escape.ttl"
+        dataset.write_text(
+            '@prefix ex: <http://example.org/> .\nex:s ex:p "\\UFFFFFFFF" .\n', encoding="utf-8"
+        )
+        code = main(["verify", str(dataset), "--config", config_file])
+        assert code == 2
+        assert "line 2, column 12: expected a Unicode scalar value" in capsys.readouterr().err
+
+    def test_overflow_is_uncomputable_and_the_run_goes_on(self, tmp_path, capsys, config_file):
+        dataset = tmp_path / "overflow.ttl"
+        dataset.write_text(
+            DATASET_PREFIXES
+            + point_turtle("A", "10.5")
+            + point_turtle("B", 1, "power", ("ahs:A", '"400"^^xsd:decimal'))
+            + point_turtle("C", 21, "times", ("ahs:A", '"2"^^xsd:decimal'))
+        )
+        code = main(["verify", str(dataset), "--config", config_file])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "UNCOMPUTABLE http://example.org/ns/ahs#B reason=NonFiniteResultError" in out
+        assert "MATCH http://example.org/ns/ahs#C" in out
+
 
 class TestRecomputeCommand:
     def test_edited_base_value(self, tmp_path, config_file):
@@ -116,6 +146,18 @@ class TestRecomputeCommand:
         assert code == 2
         assert "cyclic" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("base, exponent", [("1e200", "2"), ("-8", "0.5")])
+    def test_infinite_or_complex_value_exits_2(self, tmp_path, capsys, config_file, base, exponent):
+        dataset = tmp_path / "power.ttl"
+        dataset.write_text(
+            DATASET_PREFIXES
+            + point_turtle("A", base)
+            + point_turtle("B", 1, "power", ("ahs:A", f'"{exponent}"^^xsd:decimal'))
+        )
+        code = main(["recompute", str(dataset), "--config", config_file])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("omld: ")
+
 
 class TestExpandCommand:
     HDI_XML = (
@@ -157,6 +199,13 @@ class TestExpandCommand:
         captured = capsys.readouterr()
         assert 'name="sin"' in captured.out
         assert "residual: http://www.openmath.org/cd/transc1#sin" in captured.err
+
+    def test_non_utf8_openmath_file_exits_2(self, tmp_path, capsys):
+        source = tmp_path / "latin.om"
+        source.write_bytes(b"<OMOBJ><OMSTR>\xe9</OMSTR></OMOBJ>")
+        code = main(["expand", str(source)])
+        assert code == 2
+        assert f"{source}: not UTF-8" in capsys.readouterr().err
 
     def test_bad_source_exits_64(self, tmp_path):
         source = tmp_path / "x.om"

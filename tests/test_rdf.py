@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import re
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from omld.errors import ToolkitError
 
 from omld.rdf import (
     RDF_TYPE,
@@ -16,12 +22,14 @@ from omld.rdf import (
     Triple,
     TurtleSyntaxError,
     UnknownPrefixError,
+    _tokenize,
     parse_turtle,
     serialize_turtle,
 )
 
+from . import helpers
 from .helpers import isomorphic
-from .strategies import graphs
+from .strategies import graphs, turtle_fragments
 
 AHS = "http://example.org/ns/ahs#"
 SL = "http://example.org/ns/sl#"
@@ -180,6 +188,80 @@ class TestSerialization:
             for term in (t.subject, t.predicate, t.object):
                 if isinstance(term, Iri):
                     assert "://" in term.value or term.value.startswith("urn:")
+
+
+class TestUnicodeEscapes:
+    @pytest.mark.parametrize("escape", ["\\UFFFFFFFF", "\\U00110000", "\\uD800", "\\U0000DFFF"])
+    def test_escape_naming_no_scalar_value_rejected_at_the_escape(self, escape):
+        text = f'<http://x.org/s> <http://x.org/p>\n  "ab{escape}" .'
+        with pytest.raises(TurtleSyntaxError) as err:
+            parse_turtle(text)
+        assert (err.value.line, err.value.column) == (2, 6)
+        assert err.value.expected == f"a Unicode scalar value (got {escape})"
+
+    def test_escapes_at_the_scalar_value_bounds_parse(self):
+        g = parse_turtle('<http://x.org/s> <http://x.org/p> "\\uD7FF\\uE000\\U0010FFFF" .')
+        (t,) = g.triples
+        assert t.object.lexical == "\ud7ff\ue000\U0010ffff"
+
+
+class _NotAScalarValue(Exception):
+    pass
+
+
+def _strict_chr(code: int) -> str:
+    if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+        raise _NotAScalarValue
+    return chr(code)
+
+
+def _reference_tokens(text: str):
+    """The old tokenizer's tokens or error, with the escape check the new one adds.
+
+    The reference decodes every escape with ``chr``, which dies on values above
+    0x10FFFF and accepts surrogates.  Where it decodes an escape naming no
+    Unicode scalar value, the expected result is a syntax error at that escape.
+    """
+    tokenizer = helpers._Tokenizer(text)
+    with mock.patch.object(helpers, "chr", _strict_chr, create=True):
+        try:
+            return [(t.kind, t.value, t.line, t.column) for t in tokenizer.tokens()]
+        except TurtleSyntaxError as exc:
+            return (exc.line, exc.column, exc.expected)
+        except _NotAScalarValue:
+            escape = re.search(r"\\(u\w{4}|U\w{8})$", text[: tokenizer.pos]).group()
+            expected = f"a Unicode scalar value (got {escape})"
+            return (tokenizer.line, tokenizer.col - len(escape), expected)
+
+
+def _tokens(text: str):
+    try:
+        return [(t.kind, t.value, t.line, t.column) for t in _tokenize(text)]
+    except TurtleSyntaxError as exc:
+        return (exc.line, exc.column, exc.expected)
+
+
+class TestTokenizerDifferential:
+    @settings(max_examples=1500, deadline=None)
+    @given(turtle_fragments())
+    def test_same_tokens_and_errors_as_reference(self, text):
+        assert _tokens(text) == _reference_tokens(text)
+
+    def test_bad_escape_wins_over_a_later_error(self):
+        # chr() dies on the first escape and accepts the surrogate in the second.
+        for text, column, escape in [('"\\U00110000', 2, "\\U00110000"), ('ex:x "\\uD800', 7, "\\uD800")]:
+            expected = (1, column, f"a Unicode scalar value (got {escape})")
+            assert _tokens(text) == _reference_tokens(text) == expected
+
+
+class TestParseFuzz:
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(st.text(), turtle_fragments()))
+    def test_only_toolkit_errors_escape(self, text):
+        try:
+            parse_turtle(text)
+        except ToolkitError:
+            pass
 
 
 class TestRoundTripProperty:

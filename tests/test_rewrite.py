@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from omld.annotations import CyclicDerivationError, extract_data_points, extract_derivations
 from omld.cd import parse_cd_xml
+from omld.errors import ToolkitError
 from omld.om import (
     OMApplication,
     OMBinding,
@@ -29,6 +30,7 @@ from omld.rewrite import (
     DivisionByZeroError,
     FreeVariableError,
     NoComputableRegionError,
+    NonFiniteResultError,
     NonNumericLeafError,
     UnboundVariableError,
     UnknownSymbolError,
@@ -56,6 +58,7 @@ from .strategies import derivation_dags
 DIVIDE = OMSymbol(cd="arith1", name="divide")
 PLUS = OMSymbol(cd="arith1", name="plus")
 TIMES = OMSymbol(cd="arith1", name="times")
+POWER = OMSymbol(cd="arith1", name="power")
 LAMBDA = OMSymbol(cd="fns1", name="lambda")
 HDI = OMSymbol(cd="statistics", name="hdi", cdbase="http://example.org")
 AHS = "http://example.org/ns/ahs#"
@@ -288,6 +291,21 @@ class TestEvaluate:
         with pytest.raises(ArityMismatchError):
             evaluate(term, arith1)
 
+    @pytest.mark.parametrize(
+        "term",
+        [
+            OMApplication(POWER, (OMFloat(10.5), OMInteger(400))),  # OverflowError
+            OMApplication(TIMES, (OMFloat(1e200), OMFloat(1e200))),  # inf
+            OMApplication(POWER, (OMInteger(-8), OMFloat(0.5))),  # complex
+            OMApplication(PLUS, (OMInteger(10**400), OMInteger(1))),  # int too large
+            OMApplication(PLUS, (OMFloat(float("nan")), OMInteger(1))),
+            OMFloat(float("inf")),
+        ],
+    )
+    def test_no_finite_real_value_is_a_typed_error(self, term, arith1):
+        with pytest.raises(NonFiniteResultError):
+            evaluate(term, arith1)
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
@@ -338,6 +356,11 @@ class TestCdStore:
         count = store.load_directory(CD_DIR)
         assert count >= 4
         assert store.lookup("http://example.org", "statistics") is not None
+
+    def test_load_directory_with_non_utf8_file(self, tmp_path):
+        (tmp_path / "bad.ocd").write_bytes(b"\xff\xfe<CD/>")
+        with pytest.raises(ToolkitError, match="bad.ocd: not UTF-8"):
+            CdStore().load_directory(tmp_path)
 
     def test_load_relative_directory(self, monkeypatch):
         monkeypatch.chdir(CD_DIR.parent)
@@ -446,6 +469,25 @@ class TestVerify:
         report = verify_dataset(parse_turtle(text), local_store, arith1, tolerance=1e-9)
         assert [r.point_id.value.rsplit("#")[-1] for r in report.results] == ["C", "R"]
 
+    def test_values_without_a_finite_real_value_are_uncomputable(self, local_store, arith1):
+        text = DATASET_PREFIXES + "".join(
+            [
+                point_turtle("A", "10.5"),
+                point_turtle("B", "1e200"),
+                point_turtle("N", -8),
+                point_turtle("P", 1, "power", ("ahs:A", '"400"^^xsd:decimal')),
+                point_turtle("Q", 1, "times", ("ahs:B", "ahs:B")),
+                point_turtle("R", 1, "power", ("ahs:N", '"0.5"^^xsd:decimal')),
+                point_turtle("S", 21, "times", ("ahs:A", '"2"^^xsd:decimal')),
+            ]
+        )
+        report = verify_dataset(parse_turtle(text), local_store, arith1, tolerance=1e-9)
+        status = {r.point_id.value.rsplit("#")[-1]: (r.status, r.reason) for r in report.results}
+        for pid in "PQR":
+            assert status[pid][0] == "uncomputable"
+            assert status[pid][1].startswith("NonFiniteResultError")
+        assert status["S"] == ("match", None)
+
     def test_report_serializations(self, geese_graph, local_store, arith1):
         report = verify_dataset(geese_graph, local_store, arith1, tolerance=1e-9)
         assert "MATCH" in report.to_text()
@@ -516,6 +558,13 @@ class TestRecompute:
         for i in (1, depth // 2, depth):
             (value,) = result.match(Iri(AHS + f"D{i}"), Iri(RDF_VALUE), None)
             assert value.object.lexical == str(depth - i + 2)
+
+    def test_overflow_raises_a_typed_error(self, local_store, arith1):
+        text = DATASET_PREFIXES + point_turtle("A", "1e200") + point_turtle(
+            "B", 1, "times", ("ahs:A", "ahs:A")
+        )
+        with pytest.raises(NonFiniteResultError):
+            recompute(parse_turtle(text), local_store, arith1)
 
     def test_cycle_detected(self, local_store, arith1):
         text = fixture_text("listing2.ttl") + (

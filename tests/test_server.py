@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from omld.cd import ContentDictionary, parse_cd_xml
+from omld.errors import ToolkitError
 from omld.om import OPENMATH_XML_MIME, parse_symbol_uri
 from omld.rdf import Iri, Literal, parse_turtle
 from omld.resolver import CdResolver, negotiate_fetch
@@ -162,6 +163,14 @@ class TestCdToRdf:
                 uri = parse_symbol_uri(value)
                 assert uri.cdbase == BASE
                 assert uri.cd == "statistics"
+
+
+class TestLoadCdDirectory:
+    def test_non_utf8_file_is_a_toolkit_error(self, tmp_path):
+        shutil.copy(CD_DIR / "statistics.ocd", tmp_path)
+        (tmp_path / "latin.ocd").write_bytes(b"<CD><CDName>caf\xe9</CDName></CD>")
+        with pytest.raises(ToolkitError, match="latin.ocd: not UTF-8"):
+            load_cd_directory(tmp_path)
 
 
 class TestLiveServer:
