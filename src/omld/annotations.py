@@ -21,7 +21,7 @@ from decimal import Decimal, InvalidOperation
 from typing import Callable, Mapping
 
 from .config import DEFAULT_VOCAB, StatVocab
-from .errors import ToolkitError
+from .errors import NonFiniteResultError, ToolkitError
 from .om import (
     OMApplication,
     OMFloat,
@@ -230,7 +230,13 @@ def extract_derivations(graph: Graph, vocab: StatVocab = DEFAULT_VOCAB) -> list[
 
 
 def decimal_to_om(value: Decimal) -> OMInteger | OMFloat:
-    """Integer-valued decimals become OMI, everything else OMF."""
+    """Integer-valued decimals become OMI, everything else OMF.
+
+    A value of 1e309 or more in magnitude raises NonFiniteResultError, as no
+    float holds it; this also spares ``int()`` a huge exponent.
+    """
+    if value.adjusted() > 308:
+        raise NonFiniteResultError(f"{value} is beyond the float range")
     if value == value.to_integral_value():
         return OMInteger(int(value))
     return OMFloat(float(value))
@@ -241,7 +247,8 @@ def derivation_to_om(derivation: Derivation, inputs: Mapping[str, Decimal | floa
 
     ``inputs`` maps each source point's IRI string to its number: a Decimal
     becomes OMI or OMF as ``decimal_to_om`` decides, a computed value becomes
-    OMF.  A source missing from ``inputs`` raises UnresolvedArgumentError.
+    OMF.  A source missing from ``inputs`` raises UnresolvedArgumentError,
+    a Decimal beyond the float range NonFiniteResultError.
     """
     om_args: list[OMObject] = []
     for arg in derivation.args:

@@ -11,6 +11,10 @@ class ToolkitError(Exception):
     pass
 
 
+class NonFiniteResultError(ToolkitError):
+    """An evaluation step whose value is not a finite real float."""
+
+
 def read_utf8(path: Path) -> str:
     """The text of a UTF-8 file; a file that is not UTF-8 is a ToolkitError naming it."""
     try:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ToolkitError
 
@@ -119,16 +120,37 @@ def _triple_key(t: Triple) -> tuple[str, str, str]:
 
 @dataclass(frozen=True)
 class Graph:
-    """An immutable set of triples plus the prefix map seen at parse time."""
+    """An immutable set of triples plus the prefix map seen at parse time.
+
+    Iteration and ``match`` return triples in ``term_key`` order of subject,
+    predicate, then object.  The sorted triples and the indexes that ``match``
+    reads (by predicate, and by subject and predicate) are built lazily: once
+    per graph, on the first iteration or ``match``, so a graph that is never
+    queried pays nothing for them.
+    """
 
     triples: frozenset[Triple] = frozenset()
     prefixes: dict[str, str] = field(default_factory=dict)
+
+    @cached_property
+    def _sorted(self) -> tuple[Triple, ...]:
+        return tuple(sorted(self.triples, key=_triple_key))
+
+    @cached_property
+    def _index(self) -> tuple[dict[Iri, list[Triple]], dict[tuple[Term, Iri], list[Triple]]]:
+        """The predicate and (subject, predicate) buckets, each in ``term_key`` order."""
+        by_p: dict[Iri, list[Triple]] = {}
+        by_sp: dict[tuple[Term, Iri], list[Triple]] = {}
+        for t in self._sorted:
+            by_p.setdefault(t.predicate, []).append(t)
+            by_sp.setdefault((t.subject, t.predicate), []).append(t)
+        return by_p, by_sp
 
     def __len__(self) -> int:
         return len(self.triples)
 
     def __iter__(self):
-        return iter(sorted(self.triples, key=_triple_key))
+        return iter(self._sorted)
 
     def __contains__(self, triple: Triple) -> bool:
         return triple in self.triples
@@ -139,16 +161,20 @@ class Graph:
         predicate: Iri | None = None,
         object: Term | None = None,
     ) -> list[Triple]:
-        """All triples matching the bound positions; None is a wildcard."""
-        found = [
+        """All triples matching the bound positions, in ``term_key`` order; None is a wildcard."""
+        if predicate is None:
+            candidates = self._sorted
+        elif subject is None:
+            candidates = self._index[0].get(predicate, ())
+        else:
+            candidates = self._index[1].get((subject, predicate), ())
+            subject = None  # the bucket holds only this subject
+        return [
             t
-            for t in self.triples
+            for t in candidates
             if (subject is None or t.subject == subject)
-            and (predicate is None or t.predicate == predicate)
             and (object is None or t.object == object)
         ]
-        found.sort(key=_triple_key)
-        return found
 
     def objects(self, subject: Iri | BlankNode, predicate: Iri) -> list[Term]:
         return [t.object for t in self.match(subject, predicate)]

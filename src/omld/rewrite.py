@@ -33,7 +33,7 @@ from .annotations import (
 )
 from .cd import ContentDictionary, DefinitionalFMP, find_definition, parse_cd_xml
 from .config import DEFAULT_VOCAB, StatVocab
-from .errors import ToolkitError, read_utf8
+from .errors import NonFiniteResultError, ToolkitError, read_utf8
 from .om import (
     DEFAULT_CDBASE,
     OMApplication,
@@ -96,10 +96,6 @@ class FreeVariableError(ToolkitError):
 
 class NonNumericLeafError(ToolkitError):
     pass
-
-
-class NonFiniteResultError(ToolkitError):
-    """An evaluation step whose value is not a finite real float."""
 
 
 class NoComputableRegionError(ToolkitError):
@@ -556,7 +552,8 @@ def verify_dataset(
     A point matches when |stored - computed| <= tolerance * max(1, |stored|).
     Every stored value is taken as given where it is an input, so only
     derived inputs without a stored value are computed, each once.  A failed
-    input makes every point that uses it fail with the same reason.
+    input makes every point that uses it fail with the same reason.  A stored
+    value beyond the float range makes its point uncomputable.
     Failures never abort the run; they are reported per point.
     """
     if tolerance < 0:
@@ -574,6 +571,11 @@ def verify_dataset(
             results.append(PointResult(point_id, "uncomputable", reason="no stored value"))
             continue
         value, outcome = float(stored[pid]), computed[pid]
+        if not math.isfinite(value):
+            lexical = graph.objects(point_id, vocab.value)[0].lexical
+            reason = f"stored value {lexical!r} is beyond the float range"
+            results.append(PointResult(point_id, "uncomputable", reason=reason))
+            continue
         if isinstance(outcome, ToolkitError):
             reason = f"{type(outcome).__name__}: {outcome}"
             results.append(PointResult(point_id, "uncomputable", stored=value, reason=reason))
@@ -586,8 +588,6 @@ def verify_dataset(
 
 def canonical_decimal(value: float) -> str:
     """Shortest exact decimal form, without exponent notation."""
-    import math
-
     if not math.isfinite(value):
         raise ValueError(f"cannot serialize non-finite value {value!r}")
     if value == int(value) and abs(value) < 1e16:

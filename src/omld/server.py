@@ -13,6 +13,7 @@ requests can run concurrently and a reload just swaps the snapshot.
 from __future__ import annotations
 
 import html
+import sys
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -25,7 +26,7 @@ from .cd import (
     parse_cd_xml,
     serialize_cd_xml,
 )
-from .errors import read_utf8
+from .errors import ToolkitError, read_utf8
 from .om import OPENMATH_XML_MIME, om_element_text
 from .rdf import XSD_NS, Graph, Iri, Literal, Triple, serialize_turtle
 
@@ -230,11 +231,12 @@ class CdApp:
 
 
 def load_cd_directory(directory: str | Path) -> dict[str, _LoadedCd]:
+    """Every ``*.ocd`` file by CD name; two files with one CD name are a ToolkitError."""
     cds: dict[str, _LoadedCd] = {}
     for file in sorted(Path(directory).glob("*.ocd")):
         cd = parse_cd_xml(read_utf8(file), source_url=file.resolve().as_uri())
         if cd.cdname in cds:
-            raise ValueError(f"two CD files define {cd.cdname!r}")
+            raise ToolkitError(f"{file}: another CD file already defines {cd.cdname!r}")
         cds[cd.cdname] = _LoadedCd(cd=cd, raw=file.read_bytes())
     return cds
 
@@ -269,6 +271,7 @@ class CdServer:
         link_predicates=DEFAULT_LINK_PREDICATES,
     ):
         self.cd_directory = str(cd_directory)
+        cds = load_cd_directory(self.cd_directory)
         self._httpd = ThreadingHTTPServer((bind_address, port), _Handler)
         self._httpd.daemon_threads = True
         actual_port = self._httpd.server_address[1]
@@ -277,11 +280,11 @@ class CdServer:
         self._default_representation = default_representation
         self._link_predicates = link_predicates
         self._thread: threading.Thread | None = None
-        self._httpd.app = self._build_app()  # type: ignore[attr-defined]
+        self._httpd.app = self._build_app(cds)  # type: ignore[attr-defined]
 
-    def _build_app(self) -> CdApp:
+    def _build_app(self, cds: dict[str, _LoadedCd]) -> CdApp:
         return CdApp(
-            load_cd_directory(self.cd_directory),
+            cds,
             self.base_iri,
             self._default_representation,
             self._link_predicates,
@@ -297,8 +300,17 @@ class CdServer:
         return self
 
     def reload(self) -> None:
-        """Re-scan the CD directory and swap the snapshot atomically."""
-        self._httpd.app = self._build_app()  # type: ignore[attr-defined]
+        """Re-scan the CD directory and swap the snapshot atomically.
+
+        A directory that fails to load keeps the old snapshot and logs one
+        line to stderr, so a bad reload never stops the server.
+        """
+        try:
+            cds = load_cd_directory(self.cd_directory)
+        except (ToolkitError, OSError) as exc:
+            print(f"omld: reload failed, still serving the old CDs: {exc}", file=sys.stderr)
+            return
+        self._httpd.app = self._build_app(cds)  # type: ignore[attr-defined]
 
     def serve_forever(self) -> None:
         self._httpd.serve_forever()

@@ -46,6 +46,16 @@ DATASET_PREFIXES = """\
 """
 
 
+class CountingTriples(frozenset):
+    """A triple set that counts the full passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
 def point_turtle(name: str, value=None, function: str | None = None, args=()) -> str:
     """One data point ``ahs:<name>`` as Turtle.
 

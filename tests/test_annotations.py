@@ -14,11 +14,13 @@ from omld.annotations import (
     MissingFunctionError,
     NotAnApplicationError,
     UnresolvedArgumentError,
+    decimal_to_om,
     derivation_to_om,
     extract_data_points,
     extract_derivations,
     om_to_derivation,
 )
+from omld.errors import NonFiniteResultError
 from omld.om import OMApplication, OMFloat, OMInteger, OMSymbol
 from omld.rdf import Graph, Iri, parse_turtle
 
@@ -203,6 +205,14 @@ class TestDerivationToOm:
         )
         obj = derivation_to_om(derivation, {})
         assert obj.args == (OMFloat(1.5), OMInteger(693))
+
+    @pytest.mark.parametrize("lexical", ["1e1000000", "-1E+309", "123456789e301"])
+    def test_beyond_float_range_is_non_finite(self, lexical):
+        with pytest.raises(NonFiniteResultError, match="beyond the float range"):
+            decimal_to_om(Decimal(lexical))
+
+    def test_largest_exponent_below_the_bound_is_exact(self):
+        assert decimal_to_om(Decimal("9e308")) == OMInteger(9 * 10**308)
 
 
 class TestOmToDerivation:

@@ -101,6 +101,27 @@ class TestVerifyCommand:
         assert "UNCOMPUTABLE http://example.org/ns/ahs#B reason=NonFiniteResultError" in out
         assert "MATCH http://example.org/ns/ahs#C" in out
 
+    def test_json_report_has_no_non_finite_numbers(self, tmp_path, capsys, config_file):
+        dataset = tmp_path / "huge.ttl"
+        dataset.write_text(
+            DATASET_PREFIXES
+            + point_turtle("A", 2)
+            + point_turtle("B", "1e400", "times", ("ahs:A", '"1"^^xsd:decimal'))
+            + point_turtle("C", 2, "times", ("ahs:A", '"1"^^xsd:decimal'))
+        )
+        code = main(["verify", str(dataset), "--config", config_file, "--json"])
+        assert code == 2
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        records = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert [(r["status"], r["stored"]) for r in records] == [
+            ("uncomputable", None),
+            ("match", 2.0),
+        ]
+        assert "'1e400'" in records[0]["reason"]
+
 
 class TestRecomputeCommand:
     def test_edited_base_value(self, tmp_path, config_file):
@@ -273,6 +294,14 @@ class TestServeCommand:
     def test_missing_dir_exits_64(self):
         assert main(["serve", "--dir", "/no/such/dir"]) == 64
         assert main(["serve"]) == 64
+
+    def test_duplicate_cd_name_exits_2(self, tmp_path, capsys):
+        directory = tmp_path / "cds"
+        directory.mkdir()
+        (directory / "one.ocd").write_text(fixture_text("cds/statistics.ocd"))
+        (directory / "two.ocd").write_text(fixture_text("cds/statistics.ocd"))
+        assert main(["serve", "--dir", str(directory), "--port", "0"]) == 2
+        assert "another CD file already defines 'statistics'" in capsys.readouterr().err
 
     def test_serve_and_reload_via_subprocess(self, tmp_path):
         directory = tmp_path / "cds"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import re
 from unittest import mock
 
@@ -23,12 +24,13 @@ from omld.rdf import (
     TurtleSyntaxError,
     UnknownPrefixError,
     _tokenize,
+    _triple_key,
     parse_turtle,
     serialize_turtle,
 )
 
 from . import helpers
-from .helpers import isomorphic
+from .helpers import CountingTriples, isomorphic
 from .strategies import graphs, turtle_fragments
 
 AHS = "http://example.org/ns/ahs#"
@@ -155,6 +157,70 @@ class TestMatch:
 
     def test_deterministic_order(self, geese_graph):
         assert geese_graph.match() == geese_graph.match()
+
+
+# A few terms, so that random triples share subjects, predicates and objects.
+_IRIS = [Iri(AHS + name) for name in ("a", "b", "c")]
+_NODES = [*_IRIS, BlankNode("b0"), BlankNode("b1")]
+_TERMS = [
+    *_NODES,
+    Literal("a"),
+    Literal("a", language="en"),
+    Literal("1", datatype=Iri(XSD_INTEGER)),
+    Literal("1", datatype=Iri(XSD_DECIMAL)),
+]
+_SMALL_TRIPLES = st.builds(
+    Triple, st.sampled_from(_NODES), st.sampled_from(_IRIS), st.sampled_from(_TERMS)
+)
+
+
+class TestMatchDifferential:
+    """The indexed match against a full scan of the triples, sorted."""
+
+    @staticmethod
+    def scan(triples, s, p, o):
+        return sorted(
+            (
+                t
+                for t in triples
+                if (s is None or t.subject == s)
+                and (p is None or t.predicate == p)
+                and (o is None or t.object == o)
+            ),
+            key=_triple_key,
+        )
+
+    @given(
+        st.frozensets(_SMALL_TRIPLES, max_size=30),
+        st.sampled_from(_NODES),
+        st.sampled_from(_IRIS),
+        st.sampled_from(_TERMS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_pattern_equals_a_sorted_scan(self, triples, s, p, o):
+        graph = Graph(triples)
+        assert list(graph) == sorted(triples, key=_triple_key)
+        for bound in itertools.product((False, True), repeat=3):
+            pattern = [term if keep else None for term, keep in zip((s, p, o), bound)]
+            expected = self.scan(triples, *pattern)
+            found = graph.match(*pattern)
+            assert found == expected
+            found.append(Triple(s, p, o))
+            found.reverse()
+            assert graph.match(*pattern) == expected
+
+    def test_index_is_built_once_on_first_use(self, geese_graph):
+        triples = CountingTriples(geese_graph.triples)
+        graph = Graph(triples, geese_graph.prefixes)
+        assert triples.passes == 0
+        assert len(graph) == len(geese_graph)
+        assert triples.passes == 0
+        subject = next(iter(geese_graph)).subject
+        graph.match(subject, Iri(RDF_VALUE))
+        graph.match(None, Iri(RDF_VALUE))
+        graph.match(subject)
+        assert list(graph) == list(geese_graph)
+        assert triples.passes == 1
 
 
 class TestSerialization:

@@ -47,6 +47,7 @@ from omld.rewrite import (
 from .conftest import CD_DIR, fixture_text
 from .helpers import (
     DATASET_PREFIXES,
+    CountingTriples,
     chain_turtle,
     expand_outermost,
     inline,
@@ -488,6 +489,39 @@ class TestVerify:
             assert status[pid][1].startswith("NonFiniteResultError")
         assert status["S"] == ("match", None)
 
+    def test_stored_value_beyond_float_range_is_uncomputable(self, local_store, arith1):
+        text = DATASET_PREFIXES + "".join(
+            [
+                point_turtle("A", 2),
+                point_turtle("B", "1e400", "times", ("ahs:A", '"1"^^xsd:decimal')),
+                point_turtle("C", "-1E+309", "times", ("ahs:A", '"1"^^xsd:decimal')),
+                point_turtle("D", 4, "times", ("ahs:B", '"1"^^xsd:decimal')),
+            ]
+        )
+        report = verify_dataset(parse_turtle(text), local_store, arith1, tolerance=1e-9)
+        by_name = {r.point_id.value.rsplit("#")[-1]: r for r in report.results}
+        for name, lexical in (("B", "1e400"), ("C", "-1E+309")):
+            result = by_name[name]
+            assert result.status == "uncomputable"
+            assert result.stored is None
+            assert result.reason == f"stored value {lexical!r} is beyond the float range"
+        assert by_name["D"].status == "uncomputable"
+        assert by_name["D"].reason.startswith("NonFiniteResultError")
+
+    def test_huge_exponent_input_is_uncomputable(self, local_store, arith1):
+        text = DATASET_PREFIXES + "".join(
+            [
+                point_turtle("A", "1e1000000"),
+                point_turtle("B", 2, "times", ("ahs:A", '"1"^^xsd:decimal')),
+                point_turtle("C", 2, "plus", ('"1e1000000"^^xsd:decimal', '"1"^^xsd:decimal')),
+            ]
+        )
+        report = verify_dataset(parse_turtle(text), local_store, arith1, tolerance=1e-9)
+        assert [r.status for r in report.results] == ["uncomputable", "uncomputable"]
+        for result in report.results:
+            assert result.reason.startswith("NonFiniteResultError")
+            assert "beyond the float range" in result.reason
+
     def test_report_serializations(self, geese_graph, local_store, arith1):
         report = verify_dataset(geese_graph, local_store, arith1, tolerance=1e-9)
         assert "MATCH" in report.to_text()
@@ -709,3 +743,30 @@ class TestQueryMax:
             query_max_increase(
                 Graph(), self.METRIC, self.REGION, self.T1, self.T2, local_store, arith1
             )
+
+
+class TestFullPasses:
+    """verify, recompute and query-max each read graph.triples a fixed number of times."""
+
+    def passes(self, regions: int, store, base) -> list[int]:
+        text = regions_turtle({f"r{i}": (str(10 + i), str(20 + 2 * i)) for i in range(regions)})
+        parsed = parse_turtle(text)
+        q = TestQueryMax
+        runs = (
+            lambda graph: verify_dataset(graph, store, base, tolerance=1e-9),
+            lambda graph: recompute(graph, store, base),
+            lambda graph: query_max_increase(graph, q.METRIC, q.REGION, q.T1, q.T2, store, base),
+        )
+        counts = []
+        for run in runs:
+            triples = CountingTriples(parsed.triples)
+            run(Graph(triples, parsed.prefixes))
+            counts.append(triples.passes)
+        return counts
+
+    def test_constant_in_dataset_size(self, local_store, arith1):
+        # 6 points per region: 60 and 240 points.
+        small = self.passes(10, local_store, arith1)
+        large = self.passes(40, local_store, arith1)
+        assert small == large
+        assert max(small) <= 2

@@ -207,8 +207,32 @@ class TestLiveServer:
         directory.mkdir()
         shutil.copy(CD_DIR / "statistics.ocd", directory / "one.ocd")
         shutil.copy(CD_DIR / "statistics.ocd", directory / "two.ocd")
-        with pytest.raises(ValueError):
+        with pytest.raises(ToolkitError, match="two.ocd: another CD file already defines"):
             load_cd_directory(directory)
+
+    def test_failed_reload_keeps_the_old_snapshot(self, tmp_path, capsys):
+        directory = tmp_path / "cds"
+        directory.mkdir()
+        shutil.copy(CD_DIR / "statistics.ocd", directory / "statistics.ocd")
+        server = CdServer(directory, port=0).start()
+        try:
+            shutil.copy(CD_DIR / "statistics.ocd", directory / "twin.ocd")
+            shutil.copy(CD_DIR / "elementary.ocd", directory / "elementary.ocd")
+            server.reload()
+            err = capsys.readouterr().err
+            assert err.startswith("omld: reload failed, still serving the old CDs: ")
+            assert err.count("\n") == 1
+            result = negotiate_fetch(f"{server.base_iri}/statistics", [OPENMATH_XML_MIME])
+            assert result.status == 200
+            status, _, _ = server.app.route("GET", "/elementary", OPENMATH_XML_MIME)
+            assert status == 404
+            # Once the directory loads again, the next reload takes it.
+            (directory / "twin.ocd").unlink()
+            server.reload()
+            status, _, _ = server.app.route("GET", "/elementary", OPENMATH_XML_MIME)
+            assert status == 200
+        finally:
+            server.close()
 
     def test_relative_directory(self, monkeypatch):
         monkeypatch.chdir(CD_DIR.parent)
