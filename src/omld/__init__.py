@@ -7,112 +7,4 @@ results, and verify or recompute the stored values.  The package also ships
 the publishing side: a content-negotiating HTTP server for CD directories.
 """
 
-from .errors import ToolkitError
-from .rdf import BlankNode, Graph, Iri, Literal, Triple, parse_turtle, serialize_turtle
-from .om import (
-    OPENMATH_XML_MIME,
-    OMApplication,
-    OMBinding,
-    OMFloat,
-    OMInteger,
-    OMObject,
-    OMString,
-    OMSymbol,
-    OMVariable,
-    SymbolUri,
-    parse_om_xml,
-    parse_symbol_uri,
-    render_symbol_uri,
-    serialize_om_xml,
-)
-from .cd import (
-    ContentDictionary,
-    DefinitionalFMP,
-    DefinitionLookup,
-    SymbolDefinition,
-    TypedLink,
-    extract_links,
-    find_definition,
-    parse_cd_xml,
-    serialize_cd_xml,
-)
-from .annotations import (
-    DataPoint,
-    Derivation,
-    DerivationArg,
-    derivation_to_om,
-    extract_data_points,
-    extract_derivations,
-    om_to_derivation,
-)
-from .rewrite import (
-    BaseEnv,
-    CdStore,
-    VerificationReport,
-    evaluate,
-    expand,
-    query_max_increase,
-    recompute,
-    substitute,
-    verify_dataset,
-)
-from .resolver import CdResolver, FetchResult, negotiate_fetch
-from .server import CdServer, cd_to_rdf, render_cd_html
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BaseEnv",
-    "BlankNode",
-    "CdResolver",
-    "CdServer",
-    "CdStore",
-    "ContentDictionary",
-    "DataPoint",
-    "DefinitionLookup",
-    "DefinitionalFMP",
-    "Derivation",
-    "DerivationArg",
-    "FetchResult",
-    "Graph",
-    "Iri",
-    "Literal",
-    "OMApplication",
-    "OMBinding",
-    "OMFloat",
-    "OMInteger",
-    "OMObject",
-    "OMString",
-    "OMSymbol",
-    "OMVariable",
-    "OPENMATH_XML_MIME",
-    "SymbolDefinition",
-    "SymbolUri",
-    "ToolkitError",
-    "Triple",
-    "TypedLink",
-    "VerificationReport",
-    "cd_to_rdf",
-    "derivation_to_om",
-    "evaluate",
-    "expand",
-    "extract_data_points",
-    "extract_derivations",
-    "extract_links",
-    "find_definition",
-    "negotiate_fetch",
-    "om_to_derivation",
-    "parse_cd_xml",
-    "parse_om_xml",
-    "parse_symbol_uri",
-    "parse_turtle",
-    "query_max_increase",
-    "recompute",
-    "render_cd_html",
-    "render_symbol_uri",
-    "serialize_cd_xml",
-    "serialize_om_xml",
-    "serialize_turtle",
-    "substitute",
-    "verify_dataset",
-]

@@ -9,8 +9,8 @@ positions must be exactly 1..n.
 Translation to OpenMath is one level deep: it applies the function symbol
 (parsed from its URI) to the argument numbers in position order, taking each
 source's number from the caller.  Following a chain of derived sources is
-the evaluator's job (``rewrite``).  The reverse direction emits the same
-blank-node shape the extractor reads, so the two form a round trip.
+the evaluator's job (``rewrite``).  Annotations are only read here, never
+written.
 """
 
 from __future__ import annotations
@@ -18,34 +18,14 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .config import DEFAULT_VOCAB, StatVocab
 from .errors import NonFiniteResultError, ToolkitError
-from .om import (
-    OMApplication,
-    OMFloat,
-    OMInteger,
-    OMObject,
-    OMSymbol,
-    symbol_from_iri,
-    symbol_iri,
-)
-from .rdf import (
-    RDF_VALUE,
-    XSD_NS,
-    BlankNode,
-    Graph,
-    Iri,
-    Literal,
-    Term,
-    Triple,
-    term_key,
-)
+from .om import OMApplication, OMFloat, OMInteger, OMObject, symbol_from_iri
+from .rdf import BlankNode, Graph, Iri, Literal, Term, term_key
 
 log = logging.getLogger(__name__)
-
-XSD_INT = XSD_NS + "int"
 
 
 class BadValueLiteralError(ToolkitError):
@@ -76,10 +56,6 @@ class CyclicDerivationError(ToolkitError):
     def __init__(self, chain: list[str]):
         self.chain = chain
         super().__init__("cyclic derivation: " + " -> ".join(chain))
-
-
-class NotAnApplicationError(ToolkitError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -257,52 +233,3 @@ def derivation_to_om(derivation: Derivation, inputs: Mapping[str, Decimal | floa
         value = arg.literal if arg.source is None else inputs[arg.source.value]
         om_args.append(decimal_to_om(value) if isinstance(value, Decimal) else OMFloat(value))
     return OMApplication(symbol_from_iri(derivation.function_uri), tuple(om_args))
-
-
-def om_to_derivation(
-    point_id: Iri,
-    obj: OMObject,
-    source_of: Callable[[OMObject], Iri | None],
-    vocab: StatVocab = DEFAULT_VOCAB,
-) -> frozenset[Triple]:
-    """Emit the computed-from triples for an application.
-
-    ``source_of`` maps an argument back to the data point it came from;
-    returning None stores the argument as an inline numeric constant.
-    """
-    if not isinstance(obj, OMApplication) or not isinstance(obj.head, OMSymbol):
-        raise NotAnApplicationError(f"cannot annotate a non-application: {type(obj).__name__}")
-
-    triples: set[Triple] = set()
-    derivation_node = BlankNode("d0")
-    triples.add(Triple(point_id, vocab.computed_from, derivation_node))
-    triples.add(Triple(derivation_node, vocab.function, symbol_iri(obj.head)))
-
-    for index, arg in enumerate(obj.args, start=1):
-        arg_node = BlankNode(f"a{index}")
-        triples.add(Triple(derivation_node, vocab.arguments, arg_node))
-        triples.add(
-            Triple(arg_node, vocab.arg_position, Literal(str(index), datatype=Iri(XSD_INT)))
-        )
-        source = source_of(arg)
-        if source is not None:
-            triples.add(Triple(arg_node, vocab.arg_value, source))
-        elif isinstance(arg, OMInteger):
-            triples.add(
-                Triple(
-                    arg_node,
-                    vocab.arg_value,
-                    Literal(str(arg.value), datatype=Iri(XSD_NS + "integer")),
-                )
-            )
-        elif isinstance(arg, OMFloat):
-            triples.add(
-                Triple(
-                    arg_node,
-                    vocab.arg_value,
-                    Literal(repr(arg.value), datatype=Iri(XSD_NS + "double")),
-                )
-            )
-        else:
-            raise UnresolvedArgumentError(f"argument {index} is neither a number nor a known point")
-    return frozenset(triples)

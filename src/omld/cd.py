@@ -14,10 +14,10 @@ both ends denote IRIs.
 
 from __future__ import annotations
 
-import enum
 import logging
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ToolkitError
 from .om import (
@@ -84,6 +84,30 @@ class ContentDictionary:
     def symbol_uri(self, name: str) -> Iri:
         return symbol_iri(self.symbol(name))
 
+    @cached_property
+    def definitional(self) -> dict[str, DefinitionalFMP]:
+        """Each defined symbol's definitional FMP by name, built on first use.
+
+        The first definitional FMP in document order wins; a symbol without
+        one is absent.
+        """
+        table: dict[str, DefinitionalFMP] = {}
+        for definition in self.definitions:
+            own = self.symbol(definition.name)
+            for fmp in definition.fmps:
+                found = _as_definitional(fmp, own)
+                if found is None:
+                    continue
+                if definition.name in table:
+                    log.warning(
+                        "%s#%s has more than one definitional FMP; keeping the first",
+                        self.cdname,
+                        definition.name,
+                    )
+                    break
+                table[definition.name] = found
+        return table
+
 
 @dataclass(frozen=True)
 class DefinitionalFMP:
@@ -94,11 +118,6 @@ class DefinitionalFMP:
     @property
     def arity(self) -> int:
         return len(self.params)
-
-
-class DefinitionLookup(enum.Enum):
-    NOT_DEFINITIONAL = "not definitional"
-    NO_SUCH_SYMBOL = "no such symbol"
 
 
 @dataclass(frozen=True)
@@ -200,31 +219,6 @@ def _as_definitional(fmp: OMObject, own: OMSymbol) -> DefinitionalFMP | None:
     if not free_variables(rhs) <= {p.name for p in params}:
         return None
     return DefinitionalFMP(symbol=own, params=params, body=rhs)
-
-
-def find_definition(
-    cd: ContentDictionary, name: str
-) -> DefinitionalFMP | DefinitionLookup:
-    """The symbol's definitional FMP, if any; first in document order wins."""
-    definition = cd.definition(name)
-    if definition is None:
-        return DefinitionLookup.NO_SUCH_SYMBOL
-    own = cd.symbol(name)
-    found: DefinitionalFMP | None = None
-    for fmp in definition.fmps:
-        candidate = _as_definitional(fmp, own)
-        if candidate is None:
-            continue
-        if found is None:
-            found = candidate
-        else:
-            log.warning(
-                "%s#%s has more than one definitional FMP; keeping the first",
-                cd.cdname,
-                name,
-            )
-            break
-    return found if found is not None else DefinitionLookup.NOT_DEFINITIONAL
 
 
 def _link_end(obj: OMObject) -> Iri | None:

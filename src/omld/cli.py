@@ -28,7 +28,6 @@ from .rewrite import (
     residual_symbols,
     verify_dataset,
 )
-from .server import CdServer
 
 EX_OK = 0
 EX_MISMATCH = 1
@@ -190,6 +189,8 @@ def _cmd_fetch(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    from .server import CdServer  # only serving needs http.server
+
     cfg = _load_config(args)
     directory = args.dir or cfg.cd_directory
     if not directory:

@@ -1,11 +1,11 @@
-"""Dereference CD and symbol URIs over HTTP.
+"""Fetch Content Dictionaries over HTTP.
 
-Hash symbol URIs are resolved by stripping the fragment and fetching the
-whole CD (fragments never reach the server), then locating the definition by
-name.  Slash URIs try the per-symbol document first and fall back to the CD
-on a 404.  Fetched CDs are cached with a TTL keyed by the fragment-stripped
-URL, so every symbol of a hash CD shares one cache entry; duplicate in-flight
-fetches of one key are coalesced behind a per-key lock.
+A CD is fetched whole from its URL; a hash symbol URI's fragment is stripped
+first, as fragments never reach the server.  Fetched CDs are cached with a
+TTL keyed by the fragment-stripped URL, so every symbol of a hash CD shares
+one cache entry; duplicate in-flight fetches of one key are coalesced behind
+a per-key lock.  A CdStore reaches the resolver through ``cd_fetcher``, and
+finds a symbol's definition in the fetched CD's table.
 
 The transport is injectable, which is how tests count requests and simulate
 broken servers.
@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from typing import Callable
 from urllib.parse import urljoin, urlsplit, urlunsplit
 
-from .cd import ContentDictionary, SymbolDefinition, parse_cd_xml
+from .cd import ContentDictionary, parse_cd_xml
 from .errors import ToolkitError
-from .om import OPENMATH_XML_MIME, SymbolUri, UriScheme
+from .om import OPENMATH_XML_MIME
 from .rdf import Iri
 
 # transport(url, headers) -> (status, lowercase header dict, body bytes)
@@ -44,13 +44,6 @@ class TooManyRedirectsError(ToolkitError):
         self.url = url
         self.chain = chain
         super().__init__(f"redirect limit exceeded fetching {url}: {' -> '.join(chain)}")
-
-
-class SymbolNotInCdError(ToolkitError):
-    def __init__(self, name: str, cdname: str):
-        self.name = name
-        self.cdname = cdname
-        super().__init__(f"CD {cdname!r} does not define {name!r}")
 
 
 class UnparseableBodyError(ToolkitError):
@@ -212,31 +205,6 @@ class CdResolver:
             with self._gate:
                 self._cache[key] = CacheEntry(cd, self._clock() + self.cache_ttl)
             return cd
-
-    def dereference_symbol(self, uri: SymbolUri, store=None) -> SymbolDefinition:
-        """Resolve a symbol URI to its definition entry.
-
-        ``store`` (a CdStore) is filled with the fetched CD when given.
-        """
-        cd_url = f"{uri.cdbase.rstrip('/')}/{uri.cd}"
-        full_cd = None
-        if uri.scheme is UriScheme.HASH:
-            cd = full_cd = self.fetch_cd(cd_url)
-        else:
-            try:
-                cd = self.fetch_cd(f"{cd_url}/{uri.name}")
-            except FetchError as exc:
-                if exc.status != 404:
-                    raise
-                cd = full_cd = self.fetch_cd(cd_url)
-        # Only a whole CD goes into the store; a per-symbol fragment would
-        # shadow the complete dictionary under the same key.
-        if store is not None and full_cd is not None:
-            store.add(full_cd)
-        definition = cd.definition(uri.name)
-        if definition is None:
-            raise SymbolNotInCdError(uri.name, cd.cdname)
-        return definition
 
     def cd_fetcher(self) -> Callable[[str, str], ContentDictionary]:
         """A (cdbase, cdname) -> ContentDictionary hook for a CdStore."""

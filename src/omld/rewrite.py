@@ -31,7 +31,7 @@ from .annotations import (
     extract_data_points,
     extract_derivations,
 )
-from .cd import ContentDictionary, DefinitionalFMP, find_definition, parse_cd_xml
+from .cd import ContentDictionary, DefinitionalFMP, parse_cd_xml
 from .config import DEFAULT_VOCAB, StatVocab
 from .errors import NonFiniteResultError, ToolkitError, read_utf8
 from .om import (
@@ -111,8 +111,9 @@ class CdStore:
     """CDs by (cdbase, cdname), with an optional fetch hook for misses.
 
     A stored CD is never silently replaced; re-adding an identical CD is a
-    no-op, a conflicting one is an error.  Failed fetches are remembered so a
-    run stays deterministic and does not hammer an unreachable host.
+    no-op, a conflicting one is a ToolkitError.  Failed fetches are
+    remembered so a run stays deterministic and does not hammer an
+    unreachable host.
     """
 
     def __init__(self, fetch: Callable[[str, str], ContentDictionary] | None = None):
@@ -128,7 +129,7 @@ class CdStore:
             if existing is None:
                 self._cds[key] = cd
             elif existing != cd:
-                raise ValueError(f"CD already stored for {key}; refusing to replace it")
+                raise ToolkitError(f"a different CD is already stored for {key}")
 
     def load_directory(self, path: str | Path) -> int:
         """Parse every .ocd file in a directory into the store."""
@@ -154,6 +155,11 @@ class CdStore:
         with self._lock:
             self._cds.setdefault(key, cd)
             return self._cds[key]
+
+    def definition(self, sym: OMSymbol) -> DefinitionalFMP | None:
+        """The symbol's definitional FMP from its CD's table, or None."""
+        cd = self.lookup(sym.cdbase, sym.cd)
+        return None if cd is None else cd.definitional.get(sym.name)
 
     def fetch_error(self, cdbase: str, cdname: str) -> Exception | None:
         return self._fetch_errors.get((cdbase.rstrip("/"), cdname))
@@ -284,14 +290,6 @@ def substitute(body: OMObject, bindings: dict[str, OMObject]) -> OMObject:
 # ---------------------------------------------------------------------------
 
 
-def _definition_for(sym: OMSymbol, store: CdStore) -> DefinitionalFMP | None:
-    cd = store.lookup(sym.cdbase, sym.cd)
-    if cd is None:
-        return None
-    found = find_definition(cd, sym.name)
-    return found if isinstance(found, DefinitionalFMP) else None
-
-
 def _rewrite_pass(
     obj: OMObject, store: CdStore, base: BaseEnv, rewritten: list[str]
 ) -> OMObject:
@@ -301,7 +299,7 @@ def _rewrite_pass(
         head = obj.head
         if isinstance(head, OMSymbol):
             if not base.contains(head):
-                defn = _definition_for(head, store)
+                defn = store.definition(head)
                 if defn is not None:
                     if defn.arity != len(new_args):
                         raise ArityMismatchError(
@@ -314,7 +312,7 @@ def _rewrite_pass(
             head = _rewrite_pass(head, store, base, rewritten)
         return OMApplication(head, new_args)
     if isinstance(obj, OMSymbol) and not base.contains(obj):
-        defn = _definition_for(obj, store)
+        defn = store.definition(obj)
         if defn is not None and defn.arity == 0:
             rewritten.append(symbol_iri(obj).value)
             return defn.body
@@ -553,8 +551,9 @@ def verify_dataset(
     Every stored value is taken as given where it is an input, so only
     derived inputs without a stored value are computed, each once.  A failed
     input makes every point that uses it fail with the same reason.  A stored
-    value beyond the float range makes its point uncomputable.
-    Failures never abort the run; they are reported per point.
+    value beyond the float range makes its point uncomputable; a difference
+    beyond it is a mismatch without a delta.  Failures never abort the run;
+    they are reported per point.
     """
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
@@ -582,6 +581,8 @@ def verify_dataset(
             continue
         delta = abs(value - outcome)
         status = "match" if delta <= tolerance * max(1.0, abs(value)) else "mismatch"
+        if not math.isfinite(delta):  # finite values of opposite sign near the float limit
+            delta = None
         results.append(PointResult(point_id, status, value, outcome, delta))
     return VerificationReport(tuple(results))
 

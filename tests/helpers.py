@@ -6,7 +6,7 @@ import inspect
 import re
 import sys
 from contextlib import contextmanager
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from omld.annotations import (
     CyclicDerivationError,
@@ -15,8 +15,17 @@ from omld.annotations import (
     UnresolvedArgumentError,
     decimal_to_om,
 )
-from omld.cd import DefinitionalFMP, find_definition
-from omld.om import OMApplication, OMBinding, OMObject, OMSymbol, symbol_from_iri
+from omld.config import DEFAULT_VOCAB, StatVocab
+from omld.om import (
+    OMApplication,
+    OMBinding,
+    OMFloat,
+    OMInteger,
+    OMObject,
+    OMSymbol,
+    symbol_from_iri,
+    symbol_iri,
+)
 from omld.rdf import (
     _DECIMAL_RE,
     _DOUBLE_RE,
@@ -25,8 +34,11 @@ from omld.rdf import (
     XSD_DECIMAL,
     XSD_DOUBLE,
     XSD_INTEGER,
+    XSD_NS,
     BlankNode,
     Graph,
+    Iri,
+    Literal,
     Triple,
     TurtleSyntaxError,
     _Token,
@@ -103,20 +115,12 @@ def recursion_limit(frames: int) -> Iterator[int]:
         sys.setrecursionlimit(old)
 
 
-def _definition(sym: OMSymbol, store: CdStore) -> DefinitionalFMP | None:
-    cd = store.lookup(sym.cdbase, sym.cd)
-    if cd is None:
-        return None
-    found = find_definition(cd, sym.name)
-    return found if isinstance(found, DefinitionalFMP) else None
-
-
 def _outermost_pass(obj: OMObject, store: CdStore, base: BaseEnv, hits: list) -> OMObject:
     """Rewrite outermost redexes first; a rewritten node is not re-entered."""
     if isinstance(obj, OMApplication):
         head = obj.head
         if isinstance(head, OMSymbol) and not base.contains(head):
-            defn = _definition(head, store)
+            defn = store.definition(head)
             if defn is not None and defn.arity == len(obj.args):
                 hits.append(head)
                 mapping = {p.name: a for p, a in zip(defn.params, obj.args)}
@@ -124,7 +128,7 @@ def _outermost_pass(obj: OMObject, store: CdStore, base: BaseEnv, hits: list) ->
         new_head = head if isinstance(head, OMSymbol) else _outermost_pass(head, store, base, hits)
         return OMApplication(new_head, tuple(_outermost_pass(a, store, base, hits) for a in obj.args))
     if isinstance(obj, OMSymbol) and not base.contains(obj):
-        defn = _definition(obj, store)
+        defn = store.definition(obj)
         if defn is not None and defn.arity == 0:
             hits.append(obj)
             return defn.body
@@ -179,6 +183,37 @@ def inline(
         return OMApplication(symbol_from_iri(d.function_uri), tuple(om_args))
 
     return translate(derivation, ())
+
+
+def om_to_derivation(
+    point_id: Iri,
+    obj: OMApplication,
+    source_of: Callable[[OMObject], Iri | None],
+    vocab: StatVocab = DEFAULT_VOCAB,
+) -> frozenset[Triple]:
+    """The computed-from triples for an application, in the shape the extractor reads.
+
+    ``source_of`` maps an argument back to the data point it came from;
+    returning None stores the argument, a number, as an inline constant.
+    """
+    derivation_node = BlankNode("d0")
+    triples = {
+        Triple(point_id, vocab.computed_from, derivation_node),
+        Triple(derivation_node, vocab.function, symbol_iri(obj.head)),
+    }
+    for index, arg in enumerate(obj.args, start=1):
+        arg_node = BlankNode(f"a{index}")
+        triples.add(Triple(derivation_node, vocab.arguments, arg_node))
+        triples.add(Triple(arg_node, vocab.arg_position, Literal(str(index), Iri(XSD_NS + "int"))))
+        value = source_of(arg)
+        if value is None and isinstance(arg, OMInteger):
+            value = Literal(str(arg.value), Iri(XSD_INTEGER))
+        elif value is None and isinstance(arg, OMFloat):
+            value = Literal(repr(arg.value), Iri(XSD_DOUBLE))
+        elif value is None:
+            raise ValueError(f"argument {index} is neither a number nor a known point")
+        triples.add(Triple(arg_node, vocab.arg_value, value))
+    return frozenset(triples)
 
 
 def _bnode_signature(node: BlankNode, triples: frozenset[Triple]) -> tuple:

@@ -12,19 +12,17 @@ from omld.annotations import (
     Derivation,
     DerivationArg,
     MissingFunctionError,
-    NotAnApplicationError,
     UnresolvedArgumentError,
     decimal_to_om,
     derivation_to_om,
     extract_data_points,
     extract_derivations,
-    om_to_derivation,
 )
 from omld.errors import NonFiniteResultError
 from omld.om import OMApplication, OMFloat, OMInteger, OMSymbol
 from omld.rdf import Graph, Iri, parse_turtle
 
-from .helpers import inline, isomorphic
+from .helpers import inline, isomorphic, om_to_derivation
 from .strategies import derivations
 
 AHS = "http://example.org/ns/ahs#"
@@ -221,10 +219,6 @@ class TestOmToDerivation:
         sources = iter([Iri(AHS + "EH100"), Iri(AHS + "AR100")])
         triples = om_to_derivation(Iri(AHS + "PD100"), obj, lambda arg: next(sources))
         assert isomorphic(Graph(frozenset(triples)), Graph(listing2_graph.triples))
-
-    def test_not_an_application(self):
-        with pytest.raises(NotAnApplicationError):
-            om_to_derivation(Iri(AHS + "X"), OMInteger(5), lambda arg: None)
 
     def test_round_trip_with_literal(self):
         obj = OMApplication(DIVIDE, (OMInteger(10), OMFloat(2.5)))

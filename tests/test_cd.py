@@ -6,12 +6,10 @@ import pytest
 
 from omld.cd import (
     DefinitionalFMP,
-    DefinitionLookup,
     DuplicateSymbolError,
     MissingElementError,
     TypedLink,
     extract_links,
-    find_definition,
     parse_cd_xml,
     serialize_cd_xml,
 )
@@ -76,8 +74,10 @@ class TestParsing:
 
 
 class TestFindDefinition:
+    """A symbol's definition is its entry in the CD's table; no entry, no definition."""
+
     def test_hdi_is_definitional_with_arity_4(self, statistics_cd):
-        found = find_definition(statistics_cd, "hdi")
+        found = statistics_cd.definitional["hdi"]
         assert isinstance(found, DefinitionalFMP)
         assert found.arity == 4
         assert [p.name for p in found.params] == ["LE", "ALI", "GEI", "GDP"]
@@ -91,39 +91,39 @@ class TestFindDefinition:
             f"<OMA>{OWN}<OMV name='x'/></OMA></OMA>"
         )
         cd = parse_cd_xml(cd_with_fmps(fmp))
-        assert find_definition(cd, "sym") is DefinitionLookup.NOT_DEFINITIONAL
+        assert "sym" not in cd.definitional
 
     def test_constant_definition_has_arity_0(self):
         fmp = f"<OMA>{EQ}{OWN}<OMF dec='6.283185307179586'/></OMA>"
         cd = parse_cd_xml(cd_with_fmps(fmp))
-        found = find_definition(cd, "sym")
+        found = cd.definitional["sym"]
         assert isinstance(found, DefinitionalFMP)
         assert found.arity == 0
 
     def test_no_such_symbol(self, statistics_cd):
-        assert find_definition(statistics_cd, "nope") is DefinitionLookup.NO_SUCH_SYMBOL
+        assert "nope" not in statistics_cd.definitional
 
     def test_repeated_parameters_not_definitional(self):
         fmp = f"<OMA>{EQ}<OMA>{OWN}<OMV name='x'/><OMV name='x'/></OMA><OMV name='x'/></OMA>"
         cd = parse_cd_xml(cd_with_fmps(fmp))
-        assert find_definition(cd, "sym") is DefinitionLookup.NOT_DEFINITIONAL
+        assert "sym" not in cd.definitional
 
     def test_free_variable_leak_not_definitional(self):
         fmp = f"<OMA>{EQ}<OMA>{OWN}<OMV name='x'/></OMA><OMV name='y'/></OMA>"
         cd = parse_cd_xml(cd_with_fmps(fmp))
-        assert find_definition(cd, "sym") is DefinitionLookup.NOT_DEFINITIONAL
+        assert "sym" not in cd.definitional
 
     def test_non_variable_arguments_not_definitional(self):
         fmp = f"<OMA>{EQ}<OMA>{OWN}<OMI>1</OMI></OMA><OMI>1</OMI></OMA>"
         cd = parse_cd_xml(cd_with_fmps(fmp))
-        assert find_definition(cd, "sym") is DefinitionLookup.NOT_DEFINITIONAL
+        assert "sym" not in cd.definitional
 
     def test_first_definitional_fmp_wins(self, caplog):
         first = f"<OMA>{EQ}<OMA>{OWN}<OMV name='x'/></OMA><OMI>1</OMI></OMA>"
         second = f"<OMA>{EQ}<OMA>{OWN}<OMV name='x'/></OMA><OMI>2</OMI></OMA>"
         cd = parse_cd_xml(cd_with_fmps(first, second))
         with caplog.at_level(logging.WARNING):
-            found = find_definition(cd, "sym")
+            found = cd.definitional["sym"]
         assert isinstance(found, DefinitionalFMP)
         assert found.body.value == 1
         assert "more than one definitional" in caplog.text
@@ -132,14 +132,21 @@ class TestFindDefinition:
         bad = f"<OMA>{EQ}<OMA>{OWN}<OMV name='x'/></OMA><OMV name='leak'/></OMA>"
         good = f"<OMA>{EQ}<OMA>{OWN}<OMV name='x'/></OMA><OMV name='x'/></OMA>"
         cd = parse_cd_xml(cd_with_fmps(bad, good))
-        found = find_definition(cd, "sym")
+        found = cd.definitional["sym"]
         assert isinstance(found, DefinitionalFMP)
         assert found.body == OMVariable("x")
 
     def test_deterministic(self, statistics_cd):
         text = fixture_text("cds/statistics.ocd")
-        results = {str(find_definition(parse_cd_xml(text), "hdi")) for _ in range(5)}
+        results = {str(parse_cd_xml(text).definitional["hdi"]) for _ in range(5)}
         assert len(results) == 1
+
+    def test_table_built_on_first_use_and_kept(self, statistics_cd):
+        assert "definitional" not in vars(statistics_cd)
+        table = statistics_cd.definitional
+        assert statistics_cd.definitional is table
+        # The table is a cache, not a field: a CD with it still equals one without.
+        assert statistics_cd == parse_cd_xml(fixture_text("cds/statistics.ocd"))
 
 
 class TestLinks:

@@ -103,24 +103,35 @@ class TestVerifyCommand:
 
     def test_json_report_has_no_non_finite_numbers(self, tmp_path, capsys, config_file):
         dataset = tmp_path / "huge.ttl"
-        dataset.write_text(
-            DATASET_PREFIXES
-            + point_turtle("A", 2)
-            + point_turtle("B", "1e400", "times", ("ahs:A", '"1"^^xsd:decimal'))
-            + point_turtle("C", 2, "times", ("ahs:A", '"1"^^xsd:decimal'))
-        )
-        code = main(["verify", str(dataset), "--config", config_file, "--json"])
-        assert code == 2
 
         def reject(constant):
             raise ValueError(f"not JSON: {constant}")
 
-        records = json.loads(capsys.readouterr().out, parse_constant=reject)
+        def verify(points: str) -> tuple[int, list[dict]]:
+            dataset.write_text(DATASET_PREFIXES + points)
+            code = main(["verify", str(dataset), "--config", config_file, "--json"])
+            return code, json.loads(capsys.readouterr().out, parse_constant=reject)
+
+        code, records = verify(
+            point_turtle("A", 2)
+            + point_turtle("B", "1e400", "times", ("ahs:A", '"1"^^xsd:decimal'))
+            + point_turtle("C", 2, "times", ("ahs:A", '"1"^^xsd:decimal'))
+        )
+        assert code == 2
         assert [(r["status"], r["stored"]) for r in records] == [
             ("uncomputable", None),
             ("match", 2.0),
         ]
         assert "'1e400'" in records[0]["reason"]
+
+        # Finite values whose difference overflows: a mismatch without a delta.
+        code, records = verify(
+            point_turtle("H", "1.7e308") + point_turtle("N", "1.7e308", "unary_minus", ("ahs:H",))
+        )
+        assert code == 1
+        assert [(r["status"], r["stored"], r["computed"], r["delta"]) for r in records] == [
+            ("mismatch", 1.7e308, -1.7e308, None)
+        ]
 
 
 class TestRecomputeCommand:
@@ -338,9 +349,54 @@ class TestServeCommand:
             proc.stderr.close()
 
 
+ENV = "http://example.org/ns/env#"
+
+
+class TestConflictingCds:
+    @pytest.mark.parametrize("command", ["verify", "recompute", "query-max", "expand"])
+    def test_two_dirs_defining_one_cd_differently_exit_2(self, tmp_path, capsys, command):
+        dirs = []
+        for description in ("one", "two"):
+            directory = tmp_path / description
+            directory.mkdir()
+            (directory / "demo.ocd").write_text(
+                "<CD><CDName>demo</CDName><CDBase>http://example.org</CDBase>"
+                "<Description>d</Description><CDDefinition><Name>fn</Name>"
+                f"<Description>{description}</Description></CDDefinition></CD>"
+            )
+            dirs.append(str(directory))
+        config = tmp_path / "omld.json"
+        config.write_text(json.dumps({"cd_dirs": dirs}))
+        dataset = tmp_path / "data.ttl"
+        dataset.write_text(DATASET_PREFIXES + point_turtle("A", 1))
+        term = tmp_path / "term.om"
+        term.write_text("<OMOBJ><OMI>1</OMI></OMOBJ>")
+        args = {
+            "verify": [str(dataset)],
+            "recompute": [str(dataset)],
+            "query-max": [str(dataset), ENV + "metric", ENV + "t1", ENV + "t2"],
+            "expand": [str(term)],
+        }[command]
+        assert main([command, *args, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err == "omld: a different CD is already stored for ('http://example.org', 'demo')\n"
+
+
 class TestUsage:
     def test_no_command_exits_64(self):
         assert main([]) == 64
 
     def test_unknown_command_exits_64(self):
         assert main(["fly"]) == 64
+
+    def test_cli_import_does_not_load_the_server(self):
+        # Only ``omld serve`` needs the HTTP server; the batch commands start without it.
+        probe = (
+            "import sys, omld.cli; "
+            "print('omld.server' in sys.modules, 'http.server' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.split() == ["False", "False"]

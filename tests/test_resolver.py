@@ -7,11 +7,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from omld.cd import serialize_cd_xml
-from omld.om import OPENMATH_XML_MIME, SymbolUri
+from omld.om import OPENMATH_XML_MIME, OMSymbol
 from omld.resolver import (
     CdResolver,
     FetchError,
-    SymbolNotInCdError,
     TooManyRedirectsError,
     UnparseableBodyError,
     accept_header,
@@ -85,64 +84,40 @@ class TestNegotiateFetch:
 class TestDereference:
     def test_hash_fetches_whole_cd_once(self, cd_server):
         resolver = CdResolver()
-        uri = SymbolUri.hash(cd_server.base_iri, "statistics", "hdi")
-        definition = resolver.dereference_symbol(uri)
-        assert definition.name == "hdi"
-        assert len(definition.fmps) == 1
+        cd = resolver.fetch_cd(f"{cd_server.base_iri}/statistics#hdi")
+        assert cd.cdname == "statistics"
+        assert len(cd.definition("hdi").fmps) == 1
         assert resolver.request_count == 1
 
     def test_warm_cache_issues_no_requests(self, cd_server):
         resolver = CdResolver()
-        uri = SymbolUri.hash(cd_server.base_iri, "statistics", "hdi")
-        resolver.dereference_symbol(uri)
+        url = f"{cd_server.base_iri}/statistics#hdi"
+        cd = resolver.fetch_cd(url)
         assert resolver.request_count == 1
-        again = resolver.dereference_symbol(uri)
-        assert again.name == "hdi"
+        assert resolver.fetch_cd(url) is cd
         assert resolver.request_count == 1
 
     def test_cache_key_ignores_fragment(self, cd_server):
         # Two hash symbols of one CD share the cache entry.
         resolver = CdResolver()
-        resolver.dereference_symbol(SymbolUri.hash(cd_server.base_iri, "chain", "c1"))
-        resolver.dereference_symbol(SymbolUri.hash(cd_server.base_iri, "chain", "c2"))
+        first = resolver.fetch_cd(f"{cd_server.base_iri}/chain#c1")
+        second = resolver.fetch_cd(f"{cd_server.base_iri}/chain#c2")
+        assert second is first
         assert resolver.request_count == 1
-
-    def test_slash_uses_per_symbol_document(self, cd_server):
-        resolver = CdResolver()
-        uri = SymbolUri.slash(cd_server.base_iri, "statistics", "hdi")
-        definition = resolver.dereference_symbol(uri)
-        assert definition.name == "hdi"
-        assert resolver.request_count == 1
-
-    def test_slash_falls_back_to_cd_on_404(self, statistics_cd):
-        cd_body = serialize_cd_xml(statistics_cd).encode()
-        requests = []
-
-        def transport(url, headers):
-            requests.append(url)
-            if url.endswith("/statistics/hdi"):
-                return 404, {}, b""
-            return 200, {"content-type": OPENMATH_XML_MIME}, cd_body
-
-        resolver = CdResolver(transport=transport)
-        uri = SymbolUri.slash("http://cds.example", "statistics", "hdi")
-        definition = resolver.dereference_symbol(uri)
-        assert definition.name == "hdi"
-        assert requests == [
-            "http://cds.example/statistics/hdi",
-            "http://cds.example/statistics",
-        ]
 
     def test_symbol_not_in_cd(self, cd_server):
         resolver = CdResolver()
-        with pytest.raises(SymbolNotInCdError):
-            resolver.dereference_symbol(SymbolUri.hash(cd_server.base_iri, "statistics", "nope"))
+        store = CdStore(fetch=resolver.cd_fetcher())
+        assert store.definition(OMSymbol("statistics", "nope", cd_server.base_iri)) is None
+        assert store.definition(OMSymbol("statistics", "hdi", cd_server.base_iri)) is not None
+        assert resolver.request_count == 1
 
     def test_store_filled_on_hash_dereference(self, cd_server):
         resolver = CdResolver()
         store = CdStore()
-        resolver.dereference_symbol(SymbolUri.hash(cd_server.base_iri, "statistics", "hdi"), store)
-        assert store.lookup("http://example.org", "statistics") is not None
+        store.add(resolver.fetch_cd(f"{cd_server.base_iri}/statistics#hdi"))
+        definition = store.definition(OMSymbol("statistics", "hdi", "http://example.org"))
+        assert definition is not None and definition.arity == 4
 
     def test_wrong_content_type_rejected(self):
         def transport(url, headers):

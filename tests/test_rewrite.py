@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 from decimal import Decimal
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omld import cd as cd_module
 from omld.annotations import CyclicDerivationError, extract_data_points, extract_derivations
 from omld.cd import parse_cd_xml
 from omld.errors import ToolkitError
@@ -336,7 +338,7 @@ class TestCdStore:
         from dataclasses import replace
 
         changed = replace(statistics_cd, description="different")
-        with pytest.raises(ValueError):
+        with pytest.raises(ToolkitError, match="'http://example.org', 'statistics'"):
             store.add(changed)
 
     def test_fetch_hook_called_once_per_key(self):
@@ -770,3 +772,62 @@ class TestFullPasses:
         large = self.passes(40, local_store, arith1)
         assert small == large
         assert max(small) <= 2
+
+
+def demo_cd(cdname: str, *fmps: str) -> str:
+    """A CD at http://example.org whose one symbol ``f`` has the given FMP bodies."""
+    own = f'<OMS cdbase="http://example.org" cd="{cdname}" name="f"/>'
+    fmp_xml = "".join(
+        f'<FMP><OMOBJ><OMA><OMS cd="relation1" name="eq"/><OMA>{own}<OMV name="x"/></OMA>'
+        f"{body}</OMA></OMOBJ></FMP>"
+        for body in fmps
+    )
+    return (
+        f"<CD><CDName>{cdname}</CDName><CDBase>http://example.org</CDBase>"
+        f"<Description>d</Description><CDDefinition><Name>f</Name>{fmp_xml}"
+        "</CDDefinition></CD>"
+    )
+
+
+class TestDefinitionTable:
+    def test_each_fmp_read_once_per_cd(self, monkeypatch, arith1):
+        calls = []
+        original = cd_module._as_definitional
+
+        def counting(fmp, own):
+            calls.append(own)
+            return original(fmp, own)
+
+        monkeypatch.setattr(cd_module, "_as_definitional", counting)
+        store = CdStore()
+        store.load_directory(CD_DIR)
+        hdi_xml = '<OMS cdbase="http://example.org" cd="statistics" name="hdi"/>'
+        x_xml = '<OMV name="x"/>'
+        store.add(parse_cd_xml(demo_cd("wrap", f"<OMA>{hdi_xml}{x_xml * 4}</OMA>")))
+        wrap = OMSymbol(cd="wrap", name="f", cdbase="http://example.org")
+        # wrap#f(i) becomes hdi(i, i, i, i) in one pass, which expands in the next.
+        term = OMApplication(
+            PLUS,
+            tuple(
+                OMApplication(wrap, (OMInteger(i),)) if i % 2 else hdi_application(i, i, i, i)
+                for i in range(40)
+            ),
+        )
+        for _ in range(3):
+            expanded = expand(term, store, arith1)
+        assert residual_symbols(expanded, arith1) == []
+        # Only the two CDs the term uses are read, each FMP once.
+        used = [store.lookup("http://example.org", name) for name in ("statistics", "wrap")]
+        assert len(calls) == sum(len(d.fmps) for cd in used for d in cd.definitions)
+
+    def test_duplicate_definition_warned_once_per_cd(self, caplog, arith1):
+        store = CdStore()
+        store.add(parse_cd_xml(demo_cd("twice", '<OMV name="x"/>', "<OMI>2</OMI>")))
+        dataset = DATASET_PREFIXES + point_turtle("A", 1)
+        for i in range(5):
+            dataset += point_turtle(f"P{i}", 1, "http://example.org/twice#f", ("ahs:A",))
+        with caplog.at_level(logging.WARNING, logger="omld.cd"):
+            report = verify_dataset(parse_turtle(dataset), store, arith1, tolerance=1e-9)
+        assert report.all_match and len(report.results) == 5
+        warned = [r for r in caplog.records if "more than one definitional" in r.getMessage()]
+        assert len(warned) == 1
