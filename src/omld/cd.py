@@ -33,6 +33,7 @@ from .om import (
     om_element_text,
     om_from_element,
     symbol_iri,
+    xml_escape,
 )
 from .rdf import Iri
 
@@ -259,18 +260,16 @@ def extract_links(
 
 def serialize_cd_xml(cd: ContentDictionary) -> str:
     """Encode a CD back to XML; re-parsing yields an equal dictionary."""
-    from xml.sax.saxutils import escape
-
     parts = ["<CD>"]
-    parts.append(f"  <CDName>{escape(cd.cdname)}</CDName>")
-    parts.append(f"  <CDBase>{escape(cd.cdbase)}</CDBase>")
-    parts.append(f"  <Description>{escape(cd.description)}</Description>")
+    parts.append(f"  <CDName>{xml_escape(cd.cdname)}</CDName>")
+    parts.append(f"  <CDBase>{xml_escape(cd.cdbase)}</CDBase>")
+    parts.append(f"  <Description>{xml_escape(cd.description)}</Description>")
     for d in cd.definitions:
         parts.append("  <CDDefinition>")
-        parts.append(f"    <Name>{escape(d.name)}</Name>")
-        parts.append(f"    <Description>{escape(d.description)}</Description>")
+        parts.append(f"    <Name>{xml_escape(d.name)}</Name>")
+        parts.append(f"    <Description>{xml_escape(d.description)}</Description>")
         for cmp_text in d.cmps:
-            parts.append(f"    <CMP>{escape(cmp_text)}</CMP>")
+            parts.append(f"    <CMP>{xml_escape(cmp_text)}</CMP>")
         for fmp in d.fmps:
             parts.append(f"    <FMP><OMOBJ>{om_element_text(fmp)}</OMOBJ></FMP>")
         parts.append("  </CDDefinition>")

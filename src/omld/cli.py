@@ -18,7 +18,7 @@ from .config import ConfigError, ToolkitConfig, load_config, with_overrides
 from .errors import ToolkitError, read_utf8
 from .om import OPENMATH_XML_MIME, parse_om_xml, serialize_om_xml
 from .rdf import Graph, Iri, parse_turtle, serialize_turtle
-from .resolver import CdResolver, negotiate_fetch
+from .resolver import fetch_named_cd, negotiate_fetch, strip_fragment
 from .rewrite import (
     BaseEnv,
     CdStore,
@@ -111,15 +111,8 @@ def _read_graph(path: str, cfg: ToolkitConfig) -> Graph:
     return parse_turtle(read_utf8(p))
 
 
-def _base_env(cfg: ToolkitConfig) -> BaseEnv:
-    if cfg.base_env != "arith1":
-        raise ConfigError(f"unknown base environment: {cfg.base_env!r}")
-    return BaseEnv.arith1()
-
-
 def _build_store(cfg: ToolkitConfig) -> CdStore:
-    resolver = CdResolver(cache_ttl=cfg.cache_ttl)
-    store = CdStore(fetch=resolver.cd_fetcher())
+    store = CdStore(fetch=fetch_named_cd)
     for directory in cfg.cd_dirs:
         if not Path(directory).is_dir():
             raise _UsageError(f"CD directory not found: {directory}")
@@ -131,7 +124,7 @@ def _cmd_verify(args) -> int:
     cfg = _load_config(args)
     graph = _read_graph(args.dataset, cfg)
     report = verify_dataset(
-        graph, _build_store(cfg), _base_env(cfg), cfg.tolerance, cfg.vocab, cfg.max_depth
+        graph, _build_store(cfg), BaseEnv.arith1(), cfg.tolerance, cfg.vocab, cfg.max_depth
     )
     if args.json:
         print(json.dumps(report.to_records(), indent=2))
@@ -147,7 +140,7 @@ def _cmd_verify(args) -> int:
 def _cmd_recompute(args) -> int:
     cfg = _load_config(args)
     graph = _read_graph(args.dataset, cfg)
-    result = recompute(graph, _build_store(cfg), _base_env(cfg), cfg.vocab, cfg.max_depth)
+    result = recompute(graph, _build_store(cfg), BaseEnv.arith1(), cfg.vocab, cfg.max_depth)
     text = serialize_turtle(result)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -163,17 +156,22 @@ def _cmd_expand(args) -> int:
         raise _UsageError(f"OpenMath file not found: {args.omxml}")
     obj = parse_om_xml(read_utf8(path))
 
-    resolver = CdResolver(cache_ttl=cfg.cache_ttl)
-    store = CdStore(fetch=resolver.cd_fetcher())
-    for source in list(cfg.cd_dirs) + args.sources:
+    store = _build_store(cfg)
+    for source in args.sources:
         if source.startswith("http://") or source.startswith("https://"):
-            store.add(resolver.fetch_cd(source))
+            # Fetched through the store, so the URL's own (cdbase, cdname) is
+            # remembered; also stored under the CD's declared cdbase.
+            cdbase, _, cdname = strip_fragment(source).rpartition("/")
+            cd = store.lookup(cdbase, cdname)
+            if cd is None:
+                raise store.fetch_error(cdbase, cdname)
+            store.add(cd)
         elif Path(source).is_dir():
             store.load_directory(source)
         else:
             raise _UsageError(f"not a CD directory or URL: {source}")
 
-    base = _base_env(cfg)
+    base = BaseEnv.arith1()
     expanded = expand(obj, store, base, cfg.max_depth)
     print(serialize_om_xml(expanded))
     for uri in residual_symbols(expanded, base):
@@ -182,7 +180,7 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_fetch(args) -> int:
-    result = negotiate_fetch(args.uri, [args.accept])
+    result = negotiate_fetch(args.uri, args.accept)
     sys.stdout.buffer.write(result.body)
     sys.stdout.buffer.flush()
     return EX_OK
@@ -224,7 +222,7 @@ def _cmd_query_max(args) -> int:
         Iri(args.t1),
         Iri(args.t2),
         _build_store(cfg),
-        _base_env(cfg),
+        BaseEnv.arith1(),
         cfg.vocab,
         cfg.max_depth,
     )

@@ -73,8 +73,6 @@ class ToolkitConfig:
     prefixes: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_PREFIXES))
     tolerance: float = 1e-9
     max_depth: int = 32
-    cache_ttl: float = 300.0
-    base_env: str = "arith1"
     link_predicates: tuple[str, ...] = (RDFS_SEE_ALSO,)
     region_type: str = DEFAULT_REGION_TYPE
     cd_dirs: tuple[str, ...] = ()
@@ -90,8 +88,6 @@ class ToolkitConfig:
             raise ConfigError("tolerance must be >= 0")
         if self.max_depth < 1:
             raise ConfigError("max_depth must be >= 1")
-        if self.cache_ttl <= 0:
-            raise ConfigError("cache_ttl must be > 0")
         for prefix, iri in self.prefixes.items():
             if not _SCHEME_RE.match(iri):
                 raise ConfigError(f"prefix {prefix!r} maps to a non-absolute IRI: {iri!r}")

@@ -18,7 +18,6 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from urllib.parse import urlsplit
-from xml.sax.saxutils import escape, quoteattr
 
 from .errors import ToolkitError
 from .rdf import Iri
@@ -236,19 +235,32 @@ def _float_repr(value: float) -> str:
     return repr(value)
 
 
+def xml_escape(text: str) -> str:
+    """Escape character data: ``&``, ``<`` and ``>``."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _quote_attr(value: str) -> str:
+    """A double-quoted attribute value.  Whitespace other than the space is
+    written as a character reference, as a parser normalizes a literal one."""
+    value = xml_escape(value).replace('"', "&quot;")
+    value = value.replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    return f'"{value}"'
+
+
 def om_element_text(obj: OMObject) -> str:
     """Encode one object (without the OMOBJ wrapper)."""
     if isinstance(obj, OMSymbol):
-        base = "" if obj.cdbase == DEFAULT_CDBASE else f" cdbase={quoteattr(obj.cdbase)}"
-        return f"<OMS{base} cd={quoteattr(obj.cd)} name={quoteattr(obj.name)}/>"
+        base = "" if obj.cdbase == DEFAULT_CDBASE else f" cdbase={_quote_attr(obj.cdbase)}"
+        return f"<OMS{base} cd={_quote_attr(obj.cd)} name={_quote_attr(obj.name)}/>"
     if isinstance(obj, OMInteger):
         return f"<OMI>{obj.value}</OMI>"
     if isinstance(obj, OMFloat):
-        return f"<OMF dec={quoteattr(_float_repr(obj.value))}/>"
+        return f"<OMF dec={_quote_attr(_float_repr(obj.value))}/>"
     if isinstance(obj, OMVariable):
-        return f"<OMV name={quoteattr(obj.name)}/>"
+        return f"<OMV name={_quote_attr(obj.name)}/>"
     if isinstance(obj, OMString):
-        return f"<OMSTR>{escape(obj.value)}</OMSTR>"
+        return f"<OMSTR>{xml_escape(obj.value)}</OMSTR>"
     if isinstance(obj, OMApplication):
         inner = om_element_text(obj.head) + "".join(om_element_text(a) for a in obj.args)
         return f"<OMA>{inner}</OMA>"

@@ -111,9 +111,10 @@ class CdStore:
     """CDs by (cdbase, cdname), with an optional fetch hook for misses.
 
     A stored CD is never silently replaced; re-adding an identical CD is a
-    no-op, a conflicting one is a ToolkitError.  Failed fetches are
-    remembered so a run stays deterministic and does not hammer an
-    unreachable host.
+    no-op, a conflicting one is a ToolkitError.  The store is the only cache
+    of fetched CDs: each fetched CD, and each failed fetch, is remembered
+    under the key it was asked for, so a run requests each key at most once,
+    stays deterministic and does not hammer an unreachable host.
     """
 
     def __init__(self, fetch: Callable[[str, str], ContentDictionary] | None = None):
@@ -590,7 +591,7 @@ def verify_dataset(
 def canonical_decimal(value: float) -> str:
     """Shortest exact decimal form, without exponent notation."""
     if not math.isfinite(value):
-        raise ValueError(f"cannot serialize non-finite value {value!r}")
+        raise NonFiniteResultError(f"cannot serialize non-finite value {value!r}")
     if value == int(value) and abs(value) < 1e16:
         return str(int(value))
     text = repr(value)

@@ -83,13 +83,19 @@ def negotiate(header: str | None, default: str) -> str | None:
     return None
 
 
+def _symbol_names(cd: ContentDictionary) -> dict[Iri, str]:
+    """Each defined symbol's IRI under the CD's own cdbase, to its name."""
+    return {cd.symbol_uri(d.name): d.name for d in cd.definitions}
+
+
 def render_cd_html(cd: ContentDictionary, link_predicates=DEFAULT_LINK_PREDICATES) -> str:
     """A human-readable page with machine-readable about/property hooks."""
+    names = _symbol_names(cd)
     links_by_symbol: dict[str, list] = {}
     for link in extract_links(cd, link_predicates):
-        for definition in cd.definitions:
-            if link.subject == cd.symbol_uri(definition.name):
-                links_by_symbol.setdefault(definition.name, []).append(link)
+        name = names.get(link.subject)
+        if name is not None:
+            links_by_symbol.setdefault(name, []).append(link)
 
     cd_uri = f"{cd.cdbase.rstrip('/')}/{cd.cdname}"
     out = [
@@ -144,12 +150,10 @@ def cd_to_rdf(
         triples.add(Triple(symbol, name_pred, Literal(definition.name)))
         triples.add(Triple(symbol, desc_pred, Literal(definition.description)))
         triples.add(Triple(symbol, contained_pred, cd_resource))
+    names = _symbol_names(cd)
     for link in extract_links(cd, link_predicates):
-        subject = link.subject
-        for definition in cd.definitions:
-            if subject == cd.symbol_uri(definition.name):
-                subject = Iri(f"{base}/{cd.cdname}#{definition.name}")
-                break
+        name = names.get(link.subject)
+        subject = link.subject if name is None else Iri(f"{base}/{cd.cdname}#{name}")
         triples.add(Triple(subject, link.predicate, link.object))
     prefixes = {"xsd": XSD_NS, "v": vocab}
     return Graph(triples=frozenset(triples), prefixes=prefixes)

@@ -16,7 +16,9 @@ from omld.annotations import (
     decimal_to_om,
 )
 from omld.config import DEFAULT_VOCAB, StatVocab
+from omld import resolver
 from omld.om import (
+    OPENMATH_XML_MIME,
     OMApplication,
     OMBinding,
     OMFloat,
@@ -101,6 +103,27 @@ def chain_turtle(depth: int, top_value=None) -> str:
         value = top_value if i == 1 else None
         lines.append(point_turtle(f"D{i}", value, "plus", (below, '"1"^^xsd:decimal')))
     return "".join(lines)
+
+
+class CountingTransport:
+    """An HTTP transport that records each requested URL.
+
+    It serves ``cds`` (URL to CD XML bytes) and answers 404 for any other URL,
+    or, without ``cds``, defers to the real transport.
+    """
+
+    def __init__(self, cds: Mapping[str, bytes] | None = None):
+        self.urls: list[str] = []
+        self._cds = cds
+        self._real = resolver._default_transport
+
+    def __call__(self, url: str, headers: dict[str, str]):
+        self.urls.append(url)
+        if self._cds is None:
+            return self._real(url, headers)
+        if url in self._cds:
+            return 200, {"content-type": OPENMATH_XML_MIME}, self._cds[url]
+        return 404, {}, b""
 
 
 @contextmanager

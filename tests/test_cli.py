@@ -11,12 +11,19 @@ from pathlib import Path
 
 import pytest
 
+from omld import resolver
 from omld.cli import main
 from omld.om import OPENMATH_XML_MIME, parse_om_xml, serialize_om_xml
 from omld.rdf import RDF_VALUE, Iri, parse_turtle
 
 from .conftest import CD_DIR, FIXTURES, fixture_text
-from .helpers import DATASET_PREFIXES, chain_turtle, point_turtle, recursion_limit
+from .helpers import (
+    DATASET_PREFIXES,
+    CountingTransport,
+    chain_turtle,
+    point_turtle,
+    recursion_limit,
+)
 
 
 @pytest.fixture
@@ -49,9 +56,11 @@ class TestVerifyCommand:
 
     def test_unknown_config_key_exits_64(self, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"tollerance": 1}')
-        code = main(["verify", str(FIXTURES / "geese.ttl"), "--config", str(bad)])
-        assert code == 64
+        # A typo, and two keys that no longer exist.
+        for text in ('{"tollerance": 1}', '{"base_env": "arith1"}', '{"cache_ttl": 300}'):
+            bad.write_text(text)
+            code = main(["verify", str(FIXTURES / "geese.ttl"), "--config", str(bad)])
+            assert code == 64
 
     def test_json_report(self, capsys, config_file):
         code = main(["verify", str(FIXTURES / "geese.ttl"), "--config", config_file, "--json"])
@@ -70,6 +79,36 @@ class TestVerifyCommand:
         code = main(["verify", str(broken), "--config", config_file])
         assert code == 2
         assert "UNCOMPUTABLE" in capsys.readouterr().out
+
+    def test_two_symbols_of_one_remote_cd_cost_one_request(self, tmp_path, capsys, monkeypatch):
+        # chain#c9(x) = 2x + 1 and chain#c10(x) = 2x, served from cds.example.
+        cd = fixture_text("cds/chain.ocd").replace("http://example.org", "http://cds.example")
+        transport = CountingTransport({"http://cds.example/chain": cd.encode()})
+        monkeypatch.setattr(resolver, "_default_transport", transport)
+        dataset = tmp_path / "remote.ttl"
+        dataset.write_text(
+            DATASET_PREFIXES
+            + point_turtle("L", 1)
+            + point_turtle("A", 3, "http://cds.example/chain#c9", ["ahs:L"])
+            + point_turtle("B", 2, "http://cds.example/chain#c10", ["ahs:L"])
+        )
+        assert main(["verify", str(dataset)]) == 0
+        assert capsys.readouterr().out.count("MATCH") == 2
+        assert transport.urls == ["http://cds.example/chain"]
+
+    def test_unreachable_cd_requested_once(self, tmp_path, capsys, monkeypatch):
+        transport = CountingTransport(cds={})
+        monkeypatch.setattr(resolver, "_default_transport", transport)
+        dataset = tmp_path / "void.ttl"
+        dataset.write_text(
+            DATASET_PREFIXES
+            + point_turtle("L", 1)
+            + point_turtle("A", 3, "http://cds.example/void#f", ["ahs:L"])
+            + point_turtle("B", 2, "http://cds.example/void#g", ["ahs:L"])
+        )
+        assert main(["verify", str(dataset)]) == 2
+        assert capsys.readouterr().out.count("UNCOMPUTABLE") == 2
+        assert transport.urls == ["http://cds.example/void"]
 
     def test_non_utf8_dataset_exits_2(self, tmp_path, capsys, config_file):
         dataset = tmp_path / "latin.ttl"
@@ -239,6 +278,23 @@ class TestExpandCommand:
         assert code == 2
         assert f"{source}: not UTF-8" in capsys.readouterr().err
 
+    def test_url_source_is_fetched_once(self, tmp_path, capsys, cd_server, monkeypatch):
+        # The term names the CD under the URL's own cdbase, not its declared one.
+        transport = CountingTransport()
+        monkeypatch.setattr(resolver, "_default_transport", transport)
+        source = tmp_path / "hdi.om"
+        source.write_text(self.HDI_XML.replace("http://example.org", cd_server.base_iri))
+        url = f"{cd_server.base_iri}/statistics"
+        assert main(["expand", str(source), url]) == 0
+        assert capsys.readouterr().err == ""
+        assert transport.urls == [url]
+
+    def test_unreachable_url_source_exits_2(self, tmp_path, capsys):
+        source = tmp_path / "x.om"
+        source.write_text("<OMOBJ><OMI>1</OMI></OMOBJ>")
+        assert main(["expand", str(source), "http://127.0.0.1:1/statistics"]) == 2
+        assert capsys.readouterr().err.startswith("omld: fetch of http://127.0.0.1:1/statistics")
+
     def test_bad_source_exits_64(self, tmp_path):
         source = tmp_path / "x.om"
         source.write_text("<OMOBJ><OMI>1</OMI></OMOBJ>")
@@ -263,6 +319,11 @@ class TestFetchCommand:
     def test_unreachable_host_exits_2(self):
         code = main(["fetch", "http://127.0.0.1:1/statistics"])
         assert code == 2
+
+    def test_body_over_the_cap_exits_2(self, cd_server, capsys, monkeypatch):
+        monkeypatch.setattr(resolver, "MAX_BODY_BYTES", 100)
+        assert main(["fetch", f"{cd_server.base_iri}/statistics"]) == 2
+        assert "response body exceeds 100 bytes" in capsys.readouterr().err
 
 
 class TestQueryMaxCommand:
@@ -390,13 +451,12 @@ class TestUsage:
         assert main(["fly"]) == 64
 
     def test_cli_import_does_not_load_the_server(self):
-        # Only ``omld serve`` needs the HTTP server; the batch commands start without it.
-        probe = (
-            "import sys, omld.cli; "
-            "print('omld.server' in sys.modules, 'http.server' in sys.modules)"
-        )
+        # Only ``omld serve`` needs the HTTP server, and only a fetch an HTTP
+        # client; the batch commands start without either.
+        modules = ("omld.server", "http.server", "http.client", "urllib.request")
+        probe = f"import sys, omld.cli; print([m for m in {modules!r} if m in sys.modules])"
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
         out = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         ).stdout
-        assert out.split() == ["False", "False"]
+        assert out.strip() == "[]"

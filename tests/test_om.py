@@ -142,8 +142,14 @@ class TestSerialize:
         assert parse_om_xml(serialize_om_xml(obj)) == obj
 
     def test_string_escaping(self):
-        obj = OMString('<&"> om')
-        assert parse_om_xml(serialize_om_xml(obj)) == obj
+        awkward = '" & < > \n \t om'
+        for obj in (
+            OMString('<&"> om'),
+            OMString(awkward),
+            OMVariable(awkward + "\r"),
+            OMSymbol("arith1", "plus", cdbase=awkward + "\r"),
+        ):
+            assert parse_om_xml(serialize_om_xml(obj)) == obj
 
 
 class TestRoundTripProperty:

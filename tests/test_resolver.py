@@ -1,54 +1,37 @@
 from __future__ import annotations
 
-import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from functools import partial
 
 import pytest
 
-from omld.cd import serialize_cd_xml
+from omld import resolver
 from omld.om import OPENMATH_XML_MIME, OMSymbol
 from omld.resolver import (
-    CdResolver,
     FetchError,
     TooManyRedirectsError,
     UnparseableBodyError,
-    accept_header,
+    fetch_cd,
+    fetch_named_cd,
     negotiate_fetch,
     strip_fragment,
 )
 from omld.rewrite import CdStore
 
-from .conftest import fixture_text
-
-
-class TestAcceptHeader:
-    def test_q_values_descend(self):
-        header = accept_header(["application/openmath+xml", "text/html", "text/turtle"])
-        assert header == (
-            "application/openmath+xml;q=1.0, text/html;q=0.9, text/turtle;q=0.8"
-        )
-
-    def test_q_floor(self):
-        header = accept_header([f"t/{i}" for i in range(12)])
-        assert "q=0.1" in header
-        assert "q=0.0" not in header
+from .helpers import CountingTransport
 
 
 class TestNegotiateFetch:
     def test_xml_fetch(self, cd_server):
-        result = negotiate_fetch(f"{cd_server.base_iri}/statistics", [OPENMATH_XML_MIME])
-        assert result.status == 200
+        url = f"{cd_server.base_iri}/statistics"
+        result = negotiate_fetch(url, OPENMATH_XML_MIME)
         assert result.content_type == OPENMATH_XML_MIME
         assert b"<CDName>statistics</CDName>" in result.body
-        assert result.redirect_chain == ()
+        assert result.final_url == url
 
     def test_html_follows_303(self, cd_server):
-        result = negotiate_fetch(f"{cd_server.base_iri}/statistics", ["text/html"])
-        assert result.status == 200
+        result = negotiate_fetch(f"{cd_server.base_iri}/statistics", "text/html")
         assert result.content_type.startswith("text/html")
         assert b'id="hdi"' in result.body
-        assert len(result.redirect_chain) == 1
         assert result.final_url.endswith("/statistics.xhtml")
 
     def test_redirect_loop(self):
@@ -56,7 +39,7 @@ class TestNegotiateFetch:
             return 303, {"location": url}, b""
 
         with pytest.raises(TooManyRedirectsError):
-            negotiate_fetch("http://loop.example/cd", [OPENMATH_XML_MIME], transport=loopy)
+            negotiate_fetch("http://loop.example/cd", OPENMATH_XML_MIME, transport=loopy)
 
     def test_fragment_stripped_from_requests(self):
         seen = []
@@ -66,56 +49,78 @@ class TestNegotiateFetch:
             return 404, {}, b""
 
         with pytest.raises(FetchError):
-            negotiate_fetch("http://x.example/cd#symbol", [OPENMATH_XML_MIME], transport=transport)
+            negotiate_fetch("http://x.example/cd#symbol", OPENMATH_XML_MIME, transport=transport)
         assert seen == ["http://x.example/cd"]
-        assert all("#" not in url for url in seen)
 
     def test_error_status(self, cd_server):
         with pytest.raises(FetchError) as err:
-            negotiate_fetch(f"{cd_server.base_iri}/no-such-cd", [OPENMATH_XML_MIME])
+            negotiate_fetch(f"{cd_server.base_iri}/no-such-cd", OPENMATH_XML_MIME)
         assert err.value.status == 404
 
     def test_unreachable_host(self):
         # A port in the dynamic range with nothing listening.
         with pytest.raises(FetchError):
-            negotiate_fetch("http://127.0.0.1:1/cd", [OPENMATH_XML_MIME])
+            negotiate_fetch("http://127.0.0.1:1/cd", OPENMATH_XML_MIME)
+
+    def test_body_over_the_cap_is_a_fetch_error(self, cd_server, monkeypatch):
+        url = f"{cd_server.base_iri}/statistics"
+        size = len(negotiate_fetch(url, OPENMATH_XML_MIME).body)
+        monkeypatch.setattr(resolver, "MAX_BODY_BYTES", size)
+        assert fetch_cd(url).cdname == "statistics"
+        monkeypatch.setattr(resolver, "MAX_BODY_BYTES", size - 1)
+        with pytest.raises(FetchError, match=f"exceeds {size - 1} bytes"):
+            fetch_cd(url)
 
 
 class TestDereference:
+    """The CdStore is the only cache of fetched CDs; count what reaches the wire."""
+
+    @staticmethod
+    def _store(transport) -> CdStore:
+        return CdStore(fetch=partial(fetch_named_cd, transport=transport))
+
     def test_hash_fetches_whole_cd_once(self, cd_server):
-        resolver = CdResolver()
-        cd = resolver.fetch_cd(f"{cd_server.base_iri}/statistics#hdi")
+        transport = CountingTransport()
+        cd = fetch_cd(f"{cd_server.base_iri}/statistics#hdi", transport)
         assert cd.cdname == "statistics"
         assert len(cd.definition("hdi").fmps) == 1
-        assert resolver.request_count == 1
-
-    def test_warm_cache_issues_no_requests(self, cd_server):
-        resolver = CdResolver()
-        url = f"{cd_server.base_iri}/statistics#hdi"
-        cd = resolver.fetch_cd(url)
-        assert resolver.request_count == 1
-        assert resolver.fetch_cd(url) is cd
-        assert resolver.request_count == 1
+        assert transport.urls == [f"{cd_server.base_iri}/statistics"]
 
     def test_cache_key_ignores_fragment(self, cd_server):
-        # Two hash symbols of one CD share the cache entry.
-        resolver = CdResolver()
-        first = resolver.fetch_cd(f"{cd_server.base_iri}/chain#c1")
-        second = resolver.fetch_cd(f"{cd_server.base_iri}/chain#c2")
-        assert second is first
-        assert resolver.request_count == 1
+        # Two hash symbols of one CD cost one request.
+        transport = CountingTransport()
+        store = self._store(transport)
+        assert store.definition(OMSymbol("chain", "c1", cd_server.base_iri)) is not None
+        assert store.definition(OMSymbol("chain", "c2", cd_server.base_iri)) is not None
+        assert transport.urls == [f"{cd_server.base_iri}/chain"]
+
+    def test_warm_cache_issues_no_requests(self, cd_server):
+        transport = CountingTransport()
+        store = self._store(transport)
+        cd = store.lookup(cd_server.base_iri, "statistics")
+        assert len(transport.urls) == 1
+        assert store.lookup(cd_server.base_iri, "statistics") is cd
+        assert store.definition(OMSymbol("statistics", "hdi", cd_server.base_iri)) is not None
+        assert len(transport.urls) == 1
+
+    def test_unreachable_cd_requested_once(self):
+        transport = CountingTransport(cds={})
+        store = self._store(transport)
+        for name in ("f", "g", "f"):
+            assert store.definition(OMSymbol("void", name, "http://cds.example")) is None
+        assert transport.urls == ["http://cds.example/void"]
+        assert isinstance(store.fetch_error("http://cds.example", "void"), FetchError)
 
     def test_symbol_not_in_cd(self, cd_server):
-        resolver = CdResolver()
-        store = CdStore(fetch=resolver.cd_fetcher())
+        transport = CountingTransport()
+        store = self._store(transport)
         assert store.definition(OMSymbol("statistics", "nope", cd_server.base_iri)) is None
         assert store.definition(OMSymbol("statistics", "hdi", cd_server.base_iri)) is not None
-        assert resolver.request_count == 1
+        assert len(transport.urls) == 1
 
     def test_store_filled_on_hash_dereference(self, cd_server):
-        resolver = CdResolver()
         store = CdStore()
-        store.add(resolver.fetch_cd(f"{cd_server.base_iri}/statistics#hdi"))
+        store.add(fetch_cd(f"{cd_server.base_iri}/statistics#hdi"))
         definition = store.definition(OMSymbol("statistics", "hdi", "http://example.org"))
         assert definition is not None and definition.arity == 4
 
@@ -123,70 +128,22 @@ class TestDereference:
         def transport(url, headers):
             return 200, {"content-type": "text/plain"}, b"hello"
 
-        resolver = CdResolver(transport=transport)
         with pytest.raises(UnparseableBodyError):
-            resolver.fetch_cd("http://x.example/cd")
+            fetch_cd("http://x.example/cd", transport)
 
     def test_garbage_body_rejected(self):
         def transport(url, headers):
             return 200, {"content-type": OPENMATH_XML_MIME}, b"<not-a-cd/>"
 
-        resolver = CdResolver(transport=transport)
         with pytest.raises(UnparseableBodyError):
-            resolver.fetch_cd("http://x.example/cd")
-
-    def test_ttl_expiry_refetches(self, statistics_cd):
-        cd_body = serialize_cd_xml(statistics_cd).encode()
-        counter = {"n": 0}
-
-        def transport(url, headers):
-            counter["n"] += 1
-            return 200, {"content-type": OPENMATH_XML_MIME}, cd_body
-
-        now = {"t": 0.0}
-        resolver = CdResolver(cache_ttl=300.0, transport=transport, clock=lambda: now["t"])
-        resolver.fetch_cd("http://cds.example/statistics")
-        now["t"] = 100.0
-        resolver.fetch_cd("http://cds.example/statistics")
-        assert counter["n"] == 1
-        now["t"] = 301.0
-        resolver.fetch_cd("http://cds.example/statistics")
-        assert counter["n"] == 2
-
-    def test_concurrent_fetches_coalesce(self, statistics_cd):
-        cd_body = serialize_cd_xml(statistics_cd).encode()
-        counter = {"n": 0}
-        release = threading.Event()
-
-        def slow_transport(url, headers):
-            counter["n"] += 1
-            release.wait(timeout=5)
-            return 200, {"content-type": OPENMATH_XML_MIME}, cd_body
-
-        resolver = CdResolver(transport=slow_transport)
-        results = []
-
-        def work():
-            results.append(resolver.fetch_cd("http://cds.example/statistics"))
-
-        threads = [threading.Thread(target=work) for _ in range(2)]
-        for t in threads:
-            t.start()
-        time.sleep(0.2)  # let both threads reach the fetch path
-        release.set()
-        for t in threads:
-            t.join(timeout=5)
-        assert counter["n"] == 1
-        assert len(results) == 2
-        assert results[0] == results[1]
+            fetch_cd("http://x.example/cd", transport)
 
     def test_cd_fetcher_hook(self, cd_server):
-        resolver = CdResolver()
-        store = CdStore(fetch=resolver.cd_fetcher())
-        cd = store.lookup(cd_server.base_iri, "statistics")
+        transport = CountingTransport()
+        cd = self._store(transport).lookup(cd_server.base_iri + "/", "statistics")
         assert cd is not None
         assert cd.cdname == "statistics"
-        assert resolver.request_count == 1
+        assert transport.urls == [f"{cd_server.base_iri}/statistics"]
 
 
 class TestStripFragment:

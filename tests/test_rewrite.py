@@ -626,8 +626,9 @@ class TestCanonicalDecimal:
         assert float(text) == 1.5e-7
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            canonical_decimal(float("inf"))
+        for value in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(NonFiniteResultError):
+                canonical_decimal(value)
 
 
 def regions_turtle(populations: dict[str, tuple[str, str]], area: str = "10") -> str:
