@@ -63,7 +63,6 @@ class DataPoint:
     id: Iri
     dimensions: tuple[Iri, ...]
     value: Decimal | None = None
-    dataset: Iri | None = None
 
 
 @dataclass(frozen=True)
@@ -120,19 +119,7 @@ def extract_data_points(graph: Graph, vocab: StatVocab = DEFAULT_VOCAB) -> list[
                 value = _decimal(first.lexical)
             except InvalidOperation:
                 raise BadValueLiteralError(subject, first.lexical) from None
-        dataset = None
-        for o in graph.objects(subject, vocab.dataset):
-            if isinstance(o, Iri):
-                dataset = o
-                break
-        points.append(
-            DataPoint(
-                id=subject,
-                dimensions=tuple(Iri(d) for d in dims),
-                value=value,
-                dataset=dataset,
-            )
-        )
+        points.append(DataPoint(id=subject, dimensions=tuple(Iri(d) for d in dims), value=value))
     return points
 
 

@@ -8,7 +8,7 @@ variables not bound on the left, are skipped.  CMPs are stored verbatim and
 never interpreted.
 
 Typed links are FMPs of the shape ``pred(subject, object)`` where the
-predicate's symbol URI is in a configured set (rdfs:seeAlso by default) and
+predicate's symbol URI is in ``DEFAULT_LINK_PREDICATES`` (rdfs:seeAlso) and
 both ends denote IRIs.
 """
 
@@ -233,10 +233,7 @@ def _link_end(obj: OMObject) -> Iri | None:
     return None
 
 
-def extract_links(
-    cd: ContentDictionary,
-    link_predicates: frozenset[str] = DEFAULT_LINK_PREDICATES,
-) -> list[TypedLink]:
+def extract_links(cd: ContentDictionary) -> list[TypedLink]:
     """Typed links encoded as ``pred(subject, object)`` FMPs, document order."""
     links: list[TypedLink] = []
     for definition in cd.definitions:
@@ -246,7 +243,7 @@ def extract_links(
                 continue
             if not isinstance(fmp.head, OMSymbol):
                 continue
-            if symbol_iri(fmp.head).value not in link_predicates:
+            if symbol_iri(fmp.head).value not in DEFAULT_LINK_PREDICATES:
                 continue
             subj = _link_end(fmp.args[0])
             obj = _link_end(fmp.args[1])

@@ -12,15 +12,15 @@ import argparse
 import json
 import signal
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, ToolkitConfig, load_config, with_overrides
+from .config import ConfigError, ToolkitConfig, load_config
 from .errors import ToolkitError, read_utf8
 from .om import OPENMATH_XML_MIME, parse_om_xml, serialize_om_xml
 from .rdf import Graph, Iri, parse_turtle, serialize_turtle
 from .resolver import fetch_named_cd, negotiate_fetch, strip_fragment
 from .rewrite import (
-    BaseEnv,
     CdStore,
     expand,
     query_max_increase,
@@ -51,7 +51,6 @@ def _build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--config", help="path to a JSON config file")
-        p.add_argument("--max-depth", type=int, dest="max_depth", help="maximum rewrite passes")
 
     p = sub.add_parser("verify", help="check stored derived values against recomputation")
     p.add_argument("dataset", help="Turtle dataset file")
@@ -97,11 +96,9 @@ def _load_config(args) -> ToolkitConfig:
         cfg = load_config(args.config)
     else:
         cfg = ToolkitConfig()
-    return with_overrides(
-        cfg,
-        tolerance=getattr(args, "tolerance", None),
-        max_depth=getattr(args, "max_depth", None),
-    )
+    if getattr(args, "tolerance", None) is not None:  # only verify has --tolerance
+        cfg = replace(cfg, tolerance=args.tolerance)
+    return cfg
 
 
 def _read_graph(path: str, cfg: ToolkitConfig) -> Graph:
@@ -123,9 +120,7 @@ def _build_store(cfg: ToolkitConfig) -> CdStore:
 def _cmd_verify(args) -> int:
     cfg = _load_config(args)
     graph = _read_graph(args.dataset, cfg)
-    report = verify_dataset(
-        graph, _build_store(cfg), BaseEnv.arith1(), cfg.tolerance, cfg.vocab, cfg.max_depth
-    )
+    report = verify_dataset(graph, _build_store(cfg), cfg.tolerance, cfg.vocab)
     if args.json:
         print(json.dumps(report.to_records(), indent=2))
     else:
@@ -140,7 +135,7 @@ def _cmd_verify(args) -> int:
 def _cmd_recompute(args) -> int:
     cfg = _load_config(args)
     graph = _read_graph(args.dataset, cfg)
-    result = recompute(graph, _build_store(cfg), BaseEnv.arith1(), cfg.vocab, cfg.max_depth)
+    result = recompute(graph, _build_store(cfg), cfg.vocab)
     text = serialize_turtle(result)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -171,10 +166,9 @@ def _cmd_expand(args) -> int:
         else:
             raise _UsageError(f"not a CD directory or URL: {source}")
 
-    base = BaseEnv.arith1()
-    expanded = expand(obj, store, base, cfg.max_depth)
+    expanded = expand(obj, store)
     print(serialize_om_xml(expanded))
-    for uri in residual_symbols(expanded, base):
+    for uri in residual_symbols(expanded):
         print(f"residual: {uri}", file=sys.stderr)
     return EX_OK
 
@@ -200,8 +194,6 @@ def _cmd_serve(args) -> int:
         port=args.port if args.port is not None else cfg.port,
         bind_address=cfg.bind_address,
         base_iri=args.base_iri or cfg.base_iri,
-        default_representation=cfg.default_representation,
-        link_predicates=frozenset(cfg.link_predicates),
     )
     signal.signal(signal.SIGHUP, lambda signum, frame: server.reload())
     print(f"serving {directory} at {server.base_iri} (SIGHUP reloads)", file=sys.stderr)
@@ -222,9 +214,7 @@ def _cmd_query_max(args) -> int:
         Iri(args.t1),
         Iri(args.t2),
         _build_store(cfg),
-        BaseEnv.arith1(),
         cfg.vocab,
-        cfg.max_depth,
     )
     print(f"{region.value}\t{increase!r}")
     return EX_OK

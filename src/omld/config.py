@@ -1,4 +1,4 @@
-"""Toolkit configuration: prefix table, vocabulary IRIs, and knobs.
+"""Toolkit configuration: prefixes, vocabulary IRIs, tolerance, CD directories, server.
 
 The statistical vocabularies in the example datasets are abbreviated; the
 actual namespace IRIs are a local choice and live here (or in a user config
@@ -10,11 +10,9 @@ minted under example.org.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
-from .cd import RDFS_SEE_ALSO
 from .errors import ToolkitError
-from .om import OPENMATH_XML_MIME
 from .rdf import RDF_NS, RDFS_NS, XSD_NS, Iri, _SCHEME_RE
 
 DEFAULT_PREFIXES: dict[str, str] = {
@@ -45,7 +43,6 @@ class StatVocab:
     arg_position: Iri
     arg_value: Iri
     dimension: Iri
-    dataset: Iri
     value: Iri
 
     @classmethod
@@ -60,7 +57,6 @@ class StatVocab:
             arg_position=Iri(sl + "argPosition"),
             arg_value=Iri(sl + "argValue"),
             dimension=Iri(scv + "dimension"),
-            dataset=Iri(scv + "dataset"),
             value=Iri(rdf + "value"),
         )
 
@@ -72,8 +68,6 @@ DEFAULT_VOCAB = StatVocab.from_prefixes(DEFAULT_PREFIXES)
 class ToolkitConfig:
     prefixes: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_PREFIXES))
     tolerance: float = 1e-9
-    max_depth: int = 32
-    link_predicates: tuple[str, ...] = (RDFS_SEE_ALSO,)
     region_type: str = DEFAULT_REGION_TYPE
     cd_dirs: tuple[str, ...] = ()
     # server settings
@@ -81,19 +75,13 @@ class ToolkitConfig:
     port: int = 8080
     cd_directory: str | None = None
     base_iri: str | None = None
-    default_representation: str = OPENMATH_XML_MIME
 
     def __post_init__(self):
         if self.tolerance < 0:
             raise ConfigError("tolerance must be >= 0")
-        if self.max_depth < 1:
-            raise ConfigError("max_depth must be >= 1")
         for prefix, iri in self.prefixes.items():
             if not _SCHEME_RE.match(iri):
                 raise ConfigError(f"prefix {prefix!r} maps to a non-absolute IRI: {iri!r}")
-        for iri in self.link_predicates:
-            if not _SCHEME_RE.match(iri):
-                raise ConfigError(f"link predicate is not an absolute IRI: {iri!r}")
         if self.base_iri is not None and self.base_iri.endswith("#"):
             raise ConfigError("base_iri must not end with '#'")
 
@@ -125,16 +113,9 @@ def load_config(path: str) -> ToolkitConfig:
         merged = dict(DEFAULT_PREFIXES)
         merged.update(kwargs["prefixes"])
         kwargs["prefixes"] = merged
-    for key in ("link_predicates", "cd_dirs"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
+    if "cd_dirs" in kwargs:
+        kwargs["cd_dirs"] = tuple(kwargs["cd_dirs"])
     try:
         return ToolkitConfig(**kwargs)
     except TypeError as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc
-
-
-def with_overrides(cfg: ToolkitConfig, **overrides) -> ToolkitConfig:
-    """Apply CLI flag overrides; None values mean 'keep the config value'."""
-    changes = {k: v for k, v in overrides.items() if v is not None}
-    return replace(cfg, **changes) if changes else cfg

@@ -23,7 +23,6 @@ from .errors import ToolkitError
 from .rdf import Iri
 
 OPENMATH_XML_MIME = "application/openmath+xml"
-OM_NS = "http://www.openmath.org/OpenMath"
 DEFAULT_CDBASE = "http://www.openmath.org/cd"
 
 _NCNAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*$")
@@ -231,10 +230,6 @@ def parse_om_xml(text: str) -> OMObject:
     return om_from_element(children[0], cdbase)
 
 
-def _float_repr(value: float) -> str:
-    return repr(value)
-
-
 def xml_escape(text: str) -> str:
     """Escape character data: ``&``, ``<`` and ``>``."""
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
@@ -256,7 +251,7 @@ def om_element_text(obj: OMObject) -> str:
     if isinstance(obj, OMInteger):
         return f"<OMI>{obj.value}</OMI>"
     if isinstance(obj, OMFloat):
-        return f"<OMF dec={_quote_attr(_float_repr(obj.value))}/>"
+        return f"<OMF dec={_quote_attr(repr(obj.value))}/>"
     if isinstance(obj, OMVariable):
         return f"<OMV name={_quote_attr(obj.name)}/>"
     if isinstance(obj, OMString):

@@ -23,6 +23,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
+from operator import attrgetter
 
 from .errors import ToolkitError
 
@@ -571,7 +573,8 @@ def serialize_turtle(graph: Graph) -> str:
     """Render a Graph as Turtle that re-parses to an isomorphic graph.
 
     Blank nodes come out with explicit ``_:bN`` labels; triples are grouped
-    by subject and emitted in sorted order, so output is deterministic.
+    by subject and emitted in the graph's iteration order, so output is
+    deterministic.
     """
     lines: list[str] = []
     for prefix in sorted(graph.prefixes):
@@ -579,13 +582,8 @@ def serialize_turtle(graph: Graph) -> str:
     if lines:
         lines.append("")
 
-    by_subject: dict[str, list[Triple]] = {}
-    for t in graph.triples:
-        by_subject.setdefault(term_key(t.subject), []).append(t)
-
-    for key in sorted(by_subject):
-        group = sorted(by_subject[key], key=_triple_key)
-        subject_text = _render_term(group[0].subject, graph.prefixes)
+    for subject, group in groupby(graph, key=attrgetter("subject")):
+        subject_text = _render_term(subject, graph.prefixes)
         parts = []
         for t in group:
             pred = "a" if t.predicate.value == RDF_TYPE else _render_term(t.predicate, graph.prefixes)

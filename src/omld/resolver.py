@@ -57,7 +57,10 @@ class FetchResult:
 
 
 def strip_fragment(url: str) -> str:
-    parts = urlsplit(url)
+    try:
+        parts = urlsplit(url)
+    except ValueError as exc:  # an unclosed IPv6 bracket, say
+        raise FetchError(url, str(exc)) from None
     return urlunsplit((parts.scheme, parts.netloc, parts.path, parts.query, ""))
 
 
@@ -67,8 +70,13 @@ def _default_transport(url: str, headers: dict[str, str]) -> tuple[int, dict[str
     parts = urlsplit(url)
     if parts.scheme not in ("http", "https"):
         raise FetchError(url, f"unsupported scheme {parts.scheme!r}")
+    if not parts.hostname:
+        raise FetchError(url, "no host")
     conn_cls = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
-    conn = conn_cls(parts.hostname, parts.port, timeout=10)
+    try:
+        conn = conn_cls(parts.hostname, parts.port, timeout=10)
+    except (ValueError, http.client.InvalidURL) as exc:  # a bad port, or a bad character in the host
+        raise FetchError(url, str(exc)) from None
     # The request line carries only path and query; the fragment stays local.
     path = parts.path or "/"
     if parts.query:
@@ -83,6 +91,8 @@ def _default_transport(url: str, headers: dict[str, str]) -> tuple[int, dict[str
         return response.status, resp_headers, body
     except OSError as exc:
         raise FetchError(url, str(exc)) from exc
+    except http.client.HTTPException as exc:  # repr keeps a malformed status line on one line
+        raise FetchError(url, repr(exc)) from exc
     finally:
         conn.close()
 
@@ -104,7 +114,10 @@ def negotiate_fetch(url: str, accept: str, transport: Transport | None = None) -
             chain.append(current)
             if len(chain) > MAX_REDIRECTS:
                 raise TooManyRedirectsError(current, chain)
-            current = strip_fragment(urljoin(current, location))
+            try:
+                current = strip_fragment(urljoin(current, location))
+            except ValueError as exc:  # urljoin rejects an unclosed IPv6 bracket
+                raise FetchError(current, f"bad Location {location!r}: {exc}", status=status) from None
             continue
         raise FetchError(current, f"HTTP status {status}", status=status)
 

@@ -1,22 +1,23 @@
 """Definition expansion, arithmetic evaluation, and dataset verification.
 
 Expansion rewrites every application whose head has a definitional FMP in its
-CD, innermost first, pass by pass until nothing changes.  Head symbols in the
-base environment are never expanded; symbols without a definition stay in
-place and show up in the residual set.  A definition-set that keeps changing
-past the depth budget is reported as cyclic.
+CD, innermost first, pass by pass until nothing changes.  The base
+operations, the seven arith1 operations under the default cdbase, are never
+expanded; symbols without a definition stay in place and show up in the
+residual set.  A definition-set that still rewrites after ``MAX_PASSES``
+passes is reported as cyclic.
 
-Evaluation is plain 64-bit float arithmetic over the base environment
-(the seven arith1 operations by default); integers widen to float at
-application time.  Division by zero is an error, not infinity: in
-statistical data a zero denominator is a data bug worth surfacing.  So is
-every other step without a finite real value: an overflow, an infinity or
-NaN, or the complex power of a negative base.
+Evaluation is plain 64-bit float arithmetic over the base operations;
+integers widen to float at application time.  Division by zero is an error,
+not infinity: in statistical data a zero denominator is a data bug worth
+surfacing.  So is every other step without a finite real value: an overflow,
+an infinity or NaN, or the complex power of a negative base.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from decimal import Decimal
@@ -50,12 +51,6 @@ from .om import (
     symbol_iri,
 )
 from .rdf import RDF_TYPE, XSD_DECIMAL, Graph, Iri, Literal, Triple
-
-
-class UnboundVariableError(ToolkitError):
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"unbound variable: {name}")
 
 
 class DepthExceededError(ToolkitError):
@@ -167,53 +162,41 @@ class CdStore:
 
 
 # ---------------------------------------------------------------------------
-# Base environment
+# Base operations
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class BaseOp:
-    name: str
-    arity: int | None  # None: n-ary, at least one argument
-    apply: Callable[[list[float]], float]
+MAX_PASSES = 32  # changing rewrite passes before expansion is reported as cyclic
 
 
-class BaseEnv:
-    """Numeric meaning for the base symbols expansion must not rewrite."""
+def _fold(fn: Callable[[float, float], float]) -> Callable[[list[float]], float]:
+    def apply(args: list[float]) -> float:
+        acc = args[0]
+        for a in args[1:]:
+            acc = fn(acc, a)
+        return acc
 
-    def __init__(self, ops: dict[tuple[str, str, str], BaseOp]):
-        self._ops = ops
+    return apply
 
-    def contains(self, sym: OMSymbol) -> bool:
-        return (sym.cdbase.rstrip("/"), sym.cd, sym.name) in self._ops
 
-    def op_for(self, sym: OMSymbol) -> BaseOp | None:
-        return self._ops.get((sym.cdbase.rstrip("/"), sym.cd, sym.name))
+# (arity, apply); arity None is n-ary, at least one argument.
+_Operation = tuple[int | None, Callable[[list[float]], float]]
 
-    @classmethod
-    def arith1(cls) -> "BaseEnv":
-        def k(name: str) -> tuple[str, str, str]:
-            return (DEFAULT_CDBASE, "arith1", name)
+_ARITH1: dict[str, _Operation] = {
+    "plus": (None, _fold(operator.add)),
+    "times": (None, _fold(operator.mul)),
+    "minus": (2, lambda a: a[0] - a[1]),
+    "divide": (2, lambda a: a[0] / a[1]),
+    "power": (2, lambda a: a[0] ** a[1]),
+    "unary_minus": (1, lambda a: -a[0]),
+    "abs": (1, lambda a: abs(a[0])),
+}
 
-        def fold(fn):
-            def apply(args: list[float]) -> float:
-                acc = args[0]
-                for a in args[1:]:
-                    acc = fn(acc, a)
-                return acc
 
-            return apply
-
-        ops = {
-            k("plus"): BaseOp("plus", None, fold(lambda a, b: a + b)),
-            k("times"): BaseOp("times", None, fold(lambda a, b: a * b)),
-            k("minus"): BaseOp("minus", 2, lambda a: a[0] - a[1]),
-            k("divide"): BaseOp("divide", 2, lambda a: a[0] / a[1]),
-            k("power"): BaseOp("power", 2, lambda a: a[0] ** a[1]),
-            k("unary_minus"): BaseOp("unary_minus", 1, lambda a: -a[0]),
-            k("abs"): BaseOp("abs", 1, lambda a: abs(a[0])),
-        }
-        return cls(ops)
+def _base_op(sym: OMSymbol) -> _Operation | None:
+    """The base operation a symbol names, or None: it may be expanded."""
+    if sym.cd != "arith1" or sym.cdbase.rstrip("/") != DEFAULT_CDBASE:
+        return None
+    return _ARITH1.get(sym.name)
 
 
 # ---------------------------------------------------------------------------
@@ -278,28 +261,18 @@ def _replace(obj: OMObject, mapping: dict[str, OMObject], bound: frozenset[str])
     return obj
 
 
-def substitute(body: OMObject, bindings: dict[str, OMObject]) -> OMObject:
-    """Capture-avoiding substitution; every free variable must be bound."""
-    missing = sorted(free_variables(body) - set(bindings))
-    if missing:
-        raise UnboundVariableError(missing[0])
-    return _replace(body, dict(bindings), frozenset())
-
-
 # ---------------------------------------------------------------------------
 # Expansion
 # ---------------------------------------------------------------------------
 
 
-def _rewrite_pass(
-    obj: OMObject, store: CdStore, base: BaseEnv, rewritten: list[str]
-) -> OMObject:
+def _rewrite_pass(obj: OMObject, store: CdStore, rewritten: list[str]) -> OMObject:
     """One innermost-first pass; substituted bodies wait for the next pass."""
     if isinstance(obj, OMApplication):
-        new_args = tuple(_rewrite_pass(a, store, base, rewritten) for a in obj.args)
+        new_args = tuple(_rewrite_pass(a, store, rewritten) for a in obj.args)
         head = obj.head
         if isinstance(head, OMSymbol):
-            if not base.contains(head):
+            if _base_op(head) is None:
                 defn = store.definition(head)
                 if defn is not None:
                     if defn.arity != len(new_args):
@@ -310,9 +283,9 @@ def _rewrite_pass(
                     mapping = {p.name: a for p, a in zip(defn.params, new_args)}
                     return _replace(defn.body, mapping, frozenset())
         else:
-            head = _rewrite_pass(head, store, base, rewritten)
+            head = _rewrite_pass(head, store, rewritten)
         return OMApplication(head, new_args)
-    if isinstance(obj, OMSymbol) and not base.contains(obj):
+    if isinstance(obj, OMSymbol) and _base_op(obj) is None:
         defn = store.definition(obj)
         if defn is not None and defn.arity == 0:
             rewritten.append(symbol_iri(obj).value)
@@ -320,33 +293,31 @@ def _rewrite_pass(
         return obj
     if isinstance(obj, OMBinding):
         return OMBinding(
-            _rewrite_pass(obj.binder, store, base, rewritten),
+            _rewrite_pass(obj.binder, store, rewritten),
             obj.variables,
-            _rewrite_pass(obj.body, store, base, rewritten),
+            _rewrite_pass(obj.body, store, rewritten),
         )
     return obj
 
 
-def expand(obj: OMObject, store: CdStore, base: BaseEnv, max_depth: int = 32) -> OMObject:
-    """Rewrite to fixpoint with at most ``max_depth`` changing passes."""
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
+def expand(obj: OMObject, store: CdStore) -> OMObject:
+    """Rewrite to fixpoint with at most ``MAX_PASSES`` changing passes."""
     term = obj
     passes = 0
     while True:
         rewritten: list[str] = []
-        new_term = _rewrite_pass(term, store, base, rewritten)
-        if not rewritten and new_term == term:
+        new_term = _rewrite_pass(term, store, rewritten)
+        if not rewritten:  # a pass without a rewrite rebuilds an equal term
             return term
         passes += 1
-        if passes > max_depth:
-            raise DepthExceededError(max_depth, sorted(set(rewritten)))
+        if passes > MAX_PASSES:
+            raise DepthExceededError(MAX_PASSES, sorted(set(rewritten)))
         term = new_term
 
 
-def residual_symbols(obj: OMObject, base: BaseEnv) -> list[str]:
+def residual_symbols(obj: OMObject) -> list[str]:
     """Non-base symbols left in a term, as sorted hash URIs."""
-    return sorted({symbol_iri(s).value for s in iter_symbols(obj) if not base.contains(s)})
+    return sorted({symbol_iri(s).value for s in iter_symbols(obj) if _base_op(s) is None})
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +325,7 @@ def residual_symbols(obj: OMObject, base: BaseEnv) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def evaluate(obj: OMObject, base: BaseEnv) -> float:
+def evaluate(obj: OMObject) -> float:
     """Evaluate a closed, fully-expanded term to a finite 64-bit float."""
     if isinstance(obj, OMInteger):
         try:
@@ -373,14 +344,15 @@ def evaluate(obj: OMObject, base: BaseEnv) -> float:
         head = obj.head
         if not isinstance(head, OMSymbol):
             raise NonNumericLeafError("application head is not a symbol")
-        op = base.op_for(head)
+        op = _base_op(head)
         if op is None:
             raise UnknownSymbolError(symbol_iri(head).value)
-        args = [evaluate(a, base) for a in obj.args]
-        if op.arity is not None and len(args) != op.arity:
-            raise ArityMismatchError(symbol_iri(head).value, op.arity, len(args))
+        arity, apply = op
+        args = [evaluate(a) for a in obj.args]
+        if arity is not None and len(args) != arity:
+            raise ArityMismatchError(symbol_iri(head).value, arity, len(args))
         try:
-            value = op.apply(args)
+            value = apply(args)
         except ZeroDivisionError:
             raise DivisionByZeroError(serialize_om_xml(obj)) from None
         except OverflowError:
@@ -391,7 +363,7 @@ def evaluate(obj: OMObject, base: BaseEnv) -> float:
             )
         return value
     if isinstance(obj, OMSymbol):
-        if base.contains(obj):
+        if _base_op(obj) is not None:
             raise NonNumericLeafError(f"bare operation {obj.cd}#{obj.name} is not a number")
         raise UnknownSymbolError(symbol_iri(obj).value)
     raise NonNumericLeafError(f"cannot evaluate {type(obj).__name__}")
@@ -415,10 +387,6 @@ class PointResult:
 @dataclass(frozen=True)
 class VerificationReport:
     results: tuple[PointResult, ...]
-
-    @property
-    def all_match(self) -> bool:
-        return all(r.status == "match" for r in self.results)
 
     @property
     def any_mismatch(self) -> bool:
@@ -456,9 +424,9 @@ class VerificationReport:
         ]
 
 
-def _compute_term(term: OMObject, store: CdStore, base: BaseEnv, max_depth: int) -> float:
-    expanded = expand(term, store, base, max_depth=max_depth)
-    residual = residual_symbols(expanded, base)
+def _compute_term(term: OMObject, store: CdStore) -> float:
+    expanded = expand(term, store)
+    residual = residual_symbols(expanded)
     if residual:
         uri = residual[0]
         sym = parse_symbol_uri(uri)
@@ -468,7 +436,7 @@ def _compute_term(term: OMObject, store: CdStore, base: BaseEnv, max_depth: int)
                 raise fetch_exc
             raise ToolkitError(f"{type(fetch_exc).__name__}: {fetch_exc}")
         raise UnknownSymbolError(uri)
-    return evaluate(expanded, base)
+    return evaluate(expanded)
 
 
 def _extract(
@@ -486,8 +454,6 @@ def _compute_chains(
     derivations: Mapping[str, Derivation],
     fixed: Mapping[str, Decimal | float],
     store: CdStore,
-    base: BaseEnv,
-    max_depth: int,
 ) -> dict[str, float | ToolkitError]:
     """Compute each target and the derived inputs it needs, each point once.
 
@@ -516,7 +482,7 @@ def _compute_chains(
             if isinstance(value, ToolkitError):
                 return value
         try:
-            return _compute_term(derivation_to_om(derivations[pid], inputs), store, base, max_depth)
+            return _compute_term(derivation_to_om(derivations[pid], inputs), store)
         except ToolkitError as exc:
             return exc
 
@@ -541,10 +507,8 @@ def _compute_chains(
 def verify_dataset(
     graph: Graph,
     store: CdStore,
-    base: BaseEnv,
     tolerance: float,
     vocab: StatVocab = DEFAULT_VOCAB,
-    max_depth: int = 32,
 ) -> VerificationReport:
     """Recompute every derived point and compare against its stored value.
 
@@ -561,7 +525,7 @@ def verify_dataset(
     _, derivations, stored = _extract(graph, vocab)
     order = sorted(derivations)
     computed = _compute_chains(
-        [pid for pid in order if pid in stored], derivations, stored, store, base, max_depth
+        [pid for pid in order if pid in stored], derivations, stored, store
     )
 
     results = []
@@ -600,13 +564,7 @@ def canonical_decimal(value: float) -> str:
     return text
 
 
-def recompute(
-    graph: Graph,
-    store: CdStore,
-    base: BaseEnv,
-    vocab: StatVocab = DEFAULT_VOCAB,
-    max_depth: int = 32,
-) -> Graph:
+def recompute(graph: Graph, store: CdStore, vocab: StatVocab = DEFAULT_VOCAB) -> Graph:
     """Replace every derived point's stored value with a fresh computation.
 
     Only the values of underived points are taken as given: every derived
@@ -618,7 +576,7 @@ def recompute(
     _, derivations, stored = _extract(graph, vocab)
     fixed = {pid: value for pid, value in stored.items() if pid not in derivations}
     order = sorted(derivations)
-    computed = _compute_chains(order, derivations, fixed, store, base, max_depth)
+    computed = _compute_chains(order, derivations, fixed, store)
 
     new_values: dict[str, str] = {}
     for pid in order:
@@ -650,9 +608,7 @@ def query_max_increase(
     t1: Iri,
     t2: Iri,
     store: CdStore,
-    base: BaseEnv,
     vocab: StatVocab = DEFAULT_VOCAB,
-    max_depth: int = 32,
 ) -> tuple[Iri, float]:
     """The region whose computed metric grew the most between t1 and t2.
 
@@ -677,7 +633,7 @@ def query_max_increase(
         if time is not None and len(in_region) == 1:
             keys[pid] = (in_region[0].value, time.value)
 
-    computed = _compute_chains(keys, derivations, stored, store, base, max_depth)
+    computed = _compute_chains(keys, derivations, stored, store)
     values: dict[tuple[str, str], float] = {}
     for pid, key in keys.items():
         if not isinstance(computed[pid], ToolkitError):

@@ -19,13 +19,7 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from .cd import (
-    ContentDictionary,
-    DEFAULT_LINK_PREDICATES,
-    extract_links,
-    parse_cd_xml,
-    serialize_cd_xml,
-)
+from .cd import ContentDictionary, extract_links, parse_cd_xml, serialize_cd_xml
 from .errors import ToolkitError, read_utf8
 from .om import OPENMATH_XML_MIME, om_element_text
 from .rdf import XSD_NS, Graph, Iri, Literal, Triple, serialize_turtle
@@ -64,16 +58,19 @@ def parse_accept(header: str | None) -> list[tuple[str, float]]:
     return [(mime, q) for mime, q, _ in out]
 
 
-def negotiate(header: str | None, default: str) -> str | None:
-    """Pick a supported representation for an Accept header, or None for 406."""
+def negotiate(header: str | None) -> str | None:
+    """Pick a supported representation for an Accept header, or None for 406.
+
+    OpenMath XML is the default: without a header, and for ``*/*``.
+    """
     prefs = parse_accept(header)
     if not prefs:
-        return default
+        return OPENMATH_XML_MIME
     for mime, q in prefs:
         if q <= 0:
             continue
         if mime == "*/*":
-            return default
+            return OPENMATH_XML_MIME
         if mime in SUPPORTED_TYPES:
             return mime
         if mime == "application/*":
@@ -88,11 +85,11 @@ def _symbol_names(cd: ContentDictionary) -> dict[Iri, str]:
     return {cd.symbol_uri(d.name): d.name for d in cd.definitions}
 
 
-def render_cd_html(cd: ContentDictionary, link_predicates=DEFAULT_LINK_PREDICATES) -> str:
+def render_cd_html(cd: ContentDictionary) -> str:
     """A human-readable page with machine-readable about/property hooks."""
     names = _symbol_names(cd)
     links_by_symbol: dict[str, list] = {}
-    for link in extract_links(cd, link_predicates):
+    for link in extract_links(cd):
         name = names.get(link.subject)
         if name is not None:
             links_by_symbol.setdefault(name, []).append(link)
@@ -130,9 +127,7 @@ def render_cd_html(cd: ContentDictionary, link_predicates=DEFAULT_LINK_PREDICATE
     return "\n".join(out)
 
 
-def cd_to_rdf(
-    cd: ContentDictionary, base_iri: Iri | str, link_predicates=DEFAULT_LINK_PREDICATES
-) -> Graph:
+def cd_to_rdf(cd: ContentDictionary, base_iri: Iri | str) -> Graph:
     """A minimal RDF description: names, descriptions, containment, links."""
     base = (base_iri.value if isinstance(base_iri, Iri) else base_iri).rstrip("/")
     vocab = f"{base}/vocab#"
@@ -151,7 +146,7 @@ def cd_to_rdf(
         triples.add(Triple(symbol, desc_pred, Literal(definition.description)))
         triples.add(Triple(symbol, contained_pred, cd_resource))
     names = _symbol_names(cd)
-    for link in extract_links(cd, link_predicates):
+    for link in extract_links(cd):
         name = names.get(link.subject)
         subject = link.subject if name is None else Iri(f"{base}/{cd.cdname}#{name}")
         triples.add(Triple(subject, link.predicate, link.object))
@@ -162,23 +157,16 @@ def cd_to_rdf(
 class CdApp:
     """Pure request routing over an immutable snapshot of CDs."""
 
-    def __init__(
-        self,
-        cds: dict[str, _LoadedCd],
-        base_iri: str,
-        default_representation: str = OPENMATH_XML_MIME,
-        link_predicates=DEFAULT_LINK_PREDICATES,
-    ):
+    def __init__(self, cds: dict[str, _LoadedCd], base_iri: str):
         self.cds = cds
         self.base_iri = base_iri.rstrip("/")
-        self.default_representation = default_representation
-        self.link_predicates = link_predicates
 
     def route(
         self, method: str, path: str, accept: str | None
     ) -> tuple[int, dict[str, str], bytes]:
         if method != "GET":
             return 405, {"Content-Type": "text/plain", "Allow": "GET"}, b"GET only\n"
+        path = path.partition("?")[0]
         segments = [s for s in path.split("/") if s]
 
         if len(segments) == 1 and segments[0].endswith(".xhtml"):
@@ -186,7 +174,7 @@ class CdApp:
             loaded = self.cds.get(name)
             if loaded is None:
                 return self._not_found(path)
-            body = render_cd_html(loaded.cd, self.link_predicates).encode("utf-8")
+            body = render_cd_html(loaded.cd).encode("utf-8")
             return 200, {"Content-Type": f"{TEXT_HTML}; charset=utf-8"}, body
 
         if len(segments) == 1:
@@ -207,7 +195,7 @@ class CdApp:
         return 404, {"Content-Type": "text/plain"}, f"not found: {path}\n".encode()
 
     def _negotiated_cd(self, name: str, loaded: _LoadedCd, accept: str | None):
-        chosen = negotiate(accept, self.default_representation)
+        chosen = negotiate(accept)
         if chosen is None:
             body = "not acceptable; supported: " + ", ".join(SUPPORTED_TYPES) + "\n"
             return 406, {"Content-Type": "text/plain"}, body.encode()
@@ -216,7 +204,7 @@ class CdApp:
         if chosen == TEXT_HTML:
             location = f"{self.base_iri}/{name}.xhtml"
             return 303, {"Location": location, "Content-Type": "text/plain"}, b"see " + location.encode() + b"\n"
-        graph = cd_to_rdf(loaded.cd, self.base_iri, self.link_predicates)
+        graph = cd_to_rdf(loaded.cd, self.base_iri)
         return 200, {"Content-Type": TEXT_TURTLE}, serialize_turtle(graph).encode("utf-8")
 
     def _symbol_fragment(self, loaded: _LoadedCd, symbol: str):
@@ -271,8 +259,6 @@ class CdServer:
         port: int = 0,
         bind_address: str = "127.0.0.1",
         base_iri: str | None = None,
-        default_representation: str = OPENMATH_XML_MIME,
-        link_predicates=DEFAULT_LINK_PREDICATES,
     ):
         self.cd_directory = str(cd_directory)
         cds = load_cd_directory(self.cd_directory)
@@ -281,18 +267,8 @@ class CdServer:
         actual_port = self._httpd.server_address[1]
         self.base_iri = (base_iri or f"http://{bind_address}:{actual_port}").rstrip("/")
         self.port = actual_port
-        self._default_representation = default_representation
-        self._link_predicates = link_predicates
         self._thread: threading.Thread | None = None
-        self._httpd.app = self._build_app(cds)  # type: ignore[attr-defined]
-
-    def _build_app(self, cds: dict[str, _LoadedCd]) -> CdApp:
-        return CdApp(
-            cds,
-            self.base_iri,
-            self._default_representation,
-            self._link_predicates,
-        )
+        self._httpd.app = CdApp(cds, self.base_iri)  # type: ignore[attr-defined]
 
     @property
     def app(self) -> CdApp:
@@ -314,7 +290,7 @@ class CdServer:
         except (ToolkitError, OSError) as exc:
             print(f"omld: reload failed, still serving the old CDs: {exc}", file=sys.stderr)
             return
-        self._httpd.app = self._build_app(cds)  # type: ignore[attr-defined]
+        self._httpd.app = CdApp(cds, self.base_iri)  # type: ignore[attr-defined]
 
     def serve_forever(self) -> None:
         self._httpd.serve_forever()

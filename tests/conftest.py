@@ -6,7 +6,7 @@ import pytest
 
 from omld.rdf import parse_turtle
 from omld.cd import parse_cd_xml
-from omld.rewrite import BaseEnv, CdStore
+from omld.rewrite import CdStore
 from omld.server import CdServer
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -40,11 +40,6 @@ def regions_graph():
 @pytest.fixture
 def statistics_cd():
     return parse_cd_xml(fixture_text("cds/statistics.ocd"))
-
-
-@pytest.fixture
-def arith1():
-    return BaseEnv.arith1()
 
 
 @pytest.fixture

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import inspect
 import re
+import socket
 import sys
+import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator, Mapping
 
@@ -17,6 +19,7 @@ from omld.annotations import (
 )
 from omld.config import DEFAULT_VOCAB, StatVocab
 from omld import resolver
+from omld.errors import ToolkitError
 from omld.om import (
     OPENMATH_XML_MIME,
     OMApplication,
@@ -25,6 +28,7 @@ from omld.om import (
     OMInteger,
     OMObject,
     OMSymbol,
+    free_variables,
     symbol_from_iri,
     symbol_iri,
 )
@@ -46,7 +50,7 @@ from omld.rdf import (
     _Token,
     term_key,
 )
-from omld.rewrite import BaseEnv, CdStore, _replace
+from omld.rewrite import CdStore, _base_op, _replace
 
 
 ARITH1 = "http://www.openmath.org/cd/arith1#"
@@ -127,6 +131,43 @@ class CountingTransport:
 
 
 @contextmanager
+def one_shot_server(response: bytes) -> Iterator[str]:
+    """Yield the base URL of a loopback socket that answers one request with ``response``.
+
+    The bytes are sent as they are, so a test can serve a malformed response.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10)
+
+    def answer():
+        try:
+            conn, _ = listener.accept()
+        except OSError:
+            return
+        with conn:
+            request = b""
+            while b"\r\n\r\n" not in request:
+                chunk = conn.recv(4096)
+                if not chunk:
+                    break
+                request += chunk
+            conn.sendall(response)
+
+    thread = threading.Thread(target=answer, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}"
+    finally:
+        try:
+            listener.shutdown(socket.SHUT_RDWR)  # wakes an accept that is still waiting
+        except OSError:
+            pass
+        listener.close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+@contextmanager
 def recursion_limit(frames: int) -> Iterator[int]:
     """Allow only ``frames`` more stack frames than the caller has; yield the limit."""
     old = sys.getrecursionlimit()
@@ -138,19 +179,19 @@ def recursion_limit(frames: int) -> Iterator[int]:
         sys.setrecursionlimit(old)
 
 
-def _outermost_pass(obj: OMObject, store: CdStore, base: BaseEnv, hits: list) -> OMObject:
+def _outermost_pass(obj: OMObject, store: CdStore, hits: list) -> OMObject:
     """Rewrite outermost redexes first; a rewritten node is not re-entered."""
     if isinstance(obj, OMApplication):
         head = obj.head
-        if isinstance(head, OMSymbol) and not base.contains(head):
+        if isinstance(head, OMSymbol) and _base_op(head) is None:
             defn = store.definition(head)
             if defn is not None and defn.arity == len(obj.args):
                 hits.append(head)
                 mapping = {p.name: a for p, a in zip(defn.params, obj.args)}
                 return _replace(defn.body, mapping, frozenset())
-        new_head = head if isinstance(head, OMSymbol) else _outermost_pass(head, store, base, hits)
-        return OMApplication(new_head, tuple(_outermost_pass(a, store, base, hits) for a in obj.args))
-    if isinstance(obj, OMSymbol) and not base.contains(obj):
+        new_head = head if isinstance(head, OMSymbol) else _outermost_pass(head, store, hits)
+        return OMApplication(new_head, tuple(_outermost_pass(a, store, hits) for a in obj.args))
+    if isinstance(obj, OMSymbol) and _base_op(obj) is None:
         defn = store.definition(obj)
         if defn is not None and defn.arity == 0:
             hits.append(obj)
@@ -158,22 +199,40 @@ def _outermost_pass(obj: OMObject, store: CdStore, base: BaseEnv, hits: list) ->
         return obj
     if isinstance(obj, OMBinding):
         return OMBinding(
-            _outermost_pass(obj.binder, store, base, hits),
+            _outermost_pass(obj.binder, store, hits),
             obj.variables,
-            _outermost_pass(obj.body, store, base, hits),
+            _outermost_pass(obj.body, store, hits),
         )
     return obj
 
 
-def expand_outermost(obj: OMObject, store: CdStore, base: BaseEnv, max_passes: int = 64) -> OMObject:
+def expand_outermost(obj: OMObject, store: CdStore, max_passes: int = 64) -> OMObject:
     term = obj
     for _ in range(max_passes):
         hits: list = []
-        term2 = _outermost_pass(term, store, base, hits)
+        term2 = _outermost_pass(term, store, hits)
         if not hits:
             return term2
         term = term2
     raise AssertionError("outermost expansion did not reach a fixpoint")
+
+
+class UnboundVariableError(ToolkitError):
+    def __init__(self, name: str):
+        self.name = name
+        super().__init__(f"unbound variable: {name}")
+
+
+def substitute(body: OMObject, bindings: dict[str, OMObject]) -> OMObject:
+    """Capture-avoiding substitution; every free variable must be bound.
+
+    The test face of ``omld.rewrite._replace``, which expansion calls with
+    each definition's parameters.
+    """
+    missing = sorted(free_variables(body) - set(bindings))
+    if missing:
+        raise UnboundVariableError(missing[0])
+    return _replace(body, dict(bindings), frozenset())
 
 
 def inline(

@@ -45,7 +45,6 @@ class TestExtractDataPoints:
         (point,) = extract_data_points(listing1_graph)
         assert point.id == Iri(AHS + "EH100")
         assert point.value == Decimal("693")
-        assert point.dataset == Iri("http://example.org/ns/ahs2#livestock")
         assert [d.value for d in point.dimensions] == sorted(
             [ENV + "isle-of-wight", ENV + "year-2008", ENV + "geese"]
         )

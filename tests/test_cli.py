@@ -21,6 +21,7 @@ from .helpers import (
     DATASET_PREFIXES,
     CountingTransport,
     chain_turtle,
+    one_shot_server,
     point_turtle,
     recursion_limit,
 )
@@ -56,11 +57,25 @@ class TestVerifyCommand:
 
     def test_unknown_config_key_exits_64(self, tmp_path):
         bad = tmp_path / "bad.json"
-        # A typo, and two keys that no longer exist.
-        for text in ('{"tollerance": 1}', '{"base_env": "arith1"}', '{"cache_ttl": 300}'):
+        # A typo, and keys that no longer exist.
+        for text in (
+            '{"tollerance": 1}',
+            '{"base_env": "arith1"}',
+            '{"cache_ttl": 300}',
+            '{"max_depth": 32}',
+            '{"link_predicates": ["http://www.w3.org/2000/01/rdf-schema#seeAlso"]}',
+            '{"default_representation": "application/openmath+xml"}',
+        ):
             bad.write_text(text)
             code = main(["verify", str(FIXTURES / "geese.ttl"), "--config", str(bad)])
             assert code == 64
+
+    def test_max_depth_flag_is_gone(self, config_file, capsys):
+        code = main(
+            ["verify", str(FIXTURES / "geese.ttl"), "--config", config_file, "--max-depth", "3"]
+        )
+        assert code == 64
+        assert "--max-depth" in capsys.readouterr().err
 
     def test_json_report(self, capsys, config_file):
         code = main(["verify", str(FIXTURES / "geese.ttl"), "--config", config_file, "--json"])
@@ -295,6 +310,14 @@ class TestExpandCommand:
         assert main(["expand", str(source), "http://127.0.0.1:1/statistics"]) == 2
         assert capsys.readouterr().err.startswith("omld: fetch of http://127.0.0.1:1/statistics")
 
+    def test_bad_url_source_exits_2(self, tmp_path, capsys):
+        source = tmp_path / "x.om"
+        source.write_text("<OMOBJ><OMI>1</OMI></OMOBJ>")
+        assert main(["expand", str(source), "http://127.0.0.1:abc/statistics"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("omld: fetch of http://127.0.0.1:abc/statistics")
+        assert err.count("\n") == 1
+
     def test_bad_source_exits_64(self, tmp_path):
         source = tmp_path / "x.om"
         source.write_text("<OMOBJ><OMI>1</OMI></OMOBJ>")
@@ -319,6 +342,19 @@ class TestFetchCommand:
     def test_unreachable_host_exits_2(self):
         code = main(["fetch", "http://127.0.0.1:1/statistics"])
         assert code == 2
+
+    def test_bad_port_exits_2(self, capsys):
+        assert main(["fetch", "http://127.0.0.1:abc/x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("omld: fetch of http://127.0.0.1:abc/x failed")
+        assert err.count("\n") == 1
+
+    def test_malformed_response_exits_2(self, capsys):
+        with one_shot_server(b"garbage\r\n\r\n") as base:
+            assert main(["fetch", f"{base}/statistics"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"omld: fetch of {base}/statistics failed")
+        assert err.count("\n") == 1
 
     def test_body_over_the_cap_exits_2(self, cd_server, capsys, monkeypatch):
         monkeypatch.setattr(resolver, "MAX_BODY_BYTES", 100)

@@ -17,7 +17,7 @@ from omld.resolver import (
 )
 from omld.rewrite import CdStore
 
-from .helpers import CountingTransport
+from .helpers import CountingTransport, one_shot_server
 
 
 class TestNegotiateFetch:
@@ -61,6 +61,35 @@ class TestNegotiateFetch:
         # A port in the dynamic range with nothing listening.
         with pytest.raises(FetchError):
             negotiate_fetch("http://127.0.0.1:1/cd", OPENMATH_XML_MIME)
+
+    @pytest.mark.parametrize(
+        "url",
+        [
+            "http://127.0.0.1:abc/x",
+            "http://127.0.0.1:99999/x",
+            "http://[::1/x",
+            "http:///x",
+            "http://a b/x",
+        ],
+        ids=["non-numeric-port", "port-out-of-range", "unclosed-ipv6", "no-host", "space-in-host"],
+    )
+    def test_bad_url_is_a_fetch_error(self, url):
+        with pytest.raises(FetchError):
+            negotiate_fetch(url, OPENMATH_XML_MIME)
+
+    @pytest.mark.parametrize(
+        "response",
+        [
+            b"garbage\r\n\r\n",
+            b"HTTP/1.1 303 See Other\r\nLocation: http://127.0.0.1:abc/x\r\n\r\n",
+            b"HTTP/1.1 303 See Other\r\nLocation: http://[::1/x\r\n\r\n",
+        ],
+        ids=["bad-status-line", "location-bad-port", "location-bad-host"],
+    )
+    def test_malformed_response_is_a_fetch_error(self, response):
+        with one_shot_server(response) as base:
+            with pytest.raises(FetchError):
+                fetch_cd(f"{base}/cd")
 
     def test_body_over_the_cap_is_a_fetch_error(self, cd_server, monkeypatch):
         url = f"{cd_server.base_iri}/statistics"

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omld import cd as cd_module
+from omld import rewrite
 from omld.annotations import CyclicDerivationError, extract_data_points, extract_derivations
 from omld.cd import parse_cd_xml
 from omld.errors import ToolkitError
@@ -26,7 +27,6 @@ from omld.rdf import RDF_VALUE, Graph, Iri, Literal, parse_turtle
 from omld.resolver import FetchError
 from omld.rewrite import (
     ArityMismatchError,
-    BaseEnv,
     CdStore,
     DepthExceededError,
     DivisionByZeroError,
@@ -34,7 +34,6 @@ from omld.rewrite import (
     NoComputableRegionError,
     NonFiniteResultError,
     NonNumericLeafError,
-    UnboundVariableError,
     UnknownSymbolError,
     canonical_decimal,
     evaluate,
@@ -42,7 +41,6 @@ from omld.rewrite import (
     query_max_increase,
     recompute,
     residual_symbols,
-    substitute,
     verify_dataset,
 )
 
@@ -50,11 +48,13 @@ from .conftest import CD_DIR, fixture_text
 from .helpers import (
     DATASET_PREFIXES,
     CountingTriples,
+    UnboundVariableError,
     chain_turtle,
     expand_outermost,
     inline,
     point_turtle,
     recursion_limit,
+    substitute,
 )
 from .strategies import derivation_dags
 
@@ -118,18 +118,18 @@ class TestSubstitute:
 
 
 class TestExpand:
-    def test_hdi_expands_to_arith1_only(self, local_store, arith1):
+    def test_hdi_expands_to_arith1_only(self, local_store):
         term = hdi_application(0.8, 0.9, 0.7, 0.6)
-        expanded = expand(term, local_store, arith1)
-        assert residual_symbols(expanded, arith1) == []
+        expanded = expand(term, local_store)
+        assert residual_symbols(expanded) == []
         cds = {s.cd for s in _symbols(expanded)}
         assert cds == {"arith1"}
 
-    def test_hdi_expansion_structure(self, local_store, arith1):
+    def test_hdi_expansion_structure(self, local_store):
         term = OMApplication(
             HDI, (OMVariable("a"), OMVariable("b"), OMVariable("c"), OMVariable("d"))
         )
-        expanded = expand(term, local_store, arith1)
+        expanded = expand(term, local_store)
         third = OMApplication(DIVIDE, (OMInteger(1), OMInteger(3)))
         two_thirds = OMApplication(DIVIDE, (OMInteger(2), OMInteger(3)))
         expected = OMApplication(
@@ -149,54 +149,53 @@ class TestExpand:
         )
         assert expanded == expected
 
-    def test_base_term_is_fixpoint(self, local_store, arith1):
+    def test_base_term_is_fixpoint(self, local_store):
         term = OMApplication(DIVIDE, (OMInteger(693), OMInteger(380)))
-        assert expand(term, local_store, arith1) == term
+        assert expand(term, local_store) == term
 
-    def test_cycle_raises_depth_exceeded(self, local_store, arith1):
+    def test_cycle_raises_depth_exceeded(self, local_store):
         f = OMSymbol(cd="cyclic", name="f", cdbase="http://example.org")
         term = OMApplication(f, (OMInteger(1),))
         with pytest.raises(DepthExceededError) as err:
-            expand(term, local_store, arith1, max_depth=32)
+            expand(term, local_store)
         assert err.value.max_depth == 32
         assert err.value.chain
 
-    def test_ten_deep_chain_expands_fully(self, local_store, arith1):
+    def test_ten_deep_chain_expands_fully(self, local_store):
         c1 = OMSymbol(cd="chain", name="c1", cdbase="http://example.org")
         term = OMApplication(c1, (OMInteger(5),))
-        expanded = expand(term, local_store, arith1, max_depth=32)
-        assert residual_symbols(expanded, arith1) == []
+        expanded = expand(term, local_store)
+        assert residual_symbols(expanded) == []
         # c1(5) = 5*2 + 9 ones
-        assert evaluate(expanded, arith1) == 19.0
+        assert evaluate(expanded) == 19.0
 
-    def test_depth_budget_is_rewrite_passes(self, local_store, arith1):
+    def test_depth_budget_is_rewrite_passes(self, local_store, monkeypatch):
         c1 = OMSymbol(cd="chain", name="c1", cdbase="http://example.org")
         term = OMApplication(c1, (OMInteger(5),))
-        assert expand(term, local_store, arith1, max_depth=10) is not None
-        with pytest.raises(DepthExceededError):
-            expand(term, local_store, arith1, max_depth=9)
+        monkeypatch.setattr(rewrite, "MAX_PASSES", 10)
+        assert expand(term, local_store) is not None
+        monkeypatch.setattr(rewrite, "MAX_PASSES", 9)
+        with pytest.raises(DepthExceededError) as err:
+            expand(term, local_store)
+        assert err.value.max_depth == 9
 
-    def test_max_depth_must_be_positive(self, local_store, arith1):
-        with pytest.raises(ValueError):
-            expand(OMInteger(1), local_store, arith1, max_depth=0)
-
-    def test_undefined_symbol_left_in_place(self, local_store, arith1):
+    def test_undefined_symbol_left_in_place(self, local_store):
         sin = OMSymbol(cd="transc1", name="sin")
         term = OMApplication(sin, (OMInteger(1),))
-        expanded = expand(term, local_store, arith1)
+        expanded = expand(term, local_store)
         assert expanded == term
-        assert residual_symbols(expanded, arith1) == [
+        assert residual_symbols(expanded) == [
             "http://www.openmath.org/cd/transc1#sin"
         ]
 
-    def test_arity_mismatch(self, local_store, arith1):
+    def test_arity_mismatch(self, local_store):
         term = OMApplication(HDI, (OMInteger(1), OMInteger(2), OMInteger(3)))
         with pytest.raises(ArityMismatchError) as err:
-            expand(term, local_store, arith1)
+            expand(term, local_store)
         assert err.value.expected == 4
         assert err.value.got == 3
 
-    def test_constant_definition_expands_bare_symbol(self, arith1):
+    def test_constant_definition_expands_bare_symbol(self):
         cd = parse_cd_xml(
             "<CD><CDName>consts</CDName><CDBase>http://example.org</CDBase>"
             "<Description>d</Description><CDDefinition><Name>tau</Name>"
@@ -209,11 +208,11 @@ class TestExpand:
         store.add(cd)
         tau = OMSymbol(cd="consts", name="tau", cdbase="http://example.org")
         term = OMApplication(TIMES, (tau, OMInteger(2)))
-        assert expand(term, store, arith1) == OMApplication(
+        assert expand(term, store) == OMApplication(
             TIMES, (OMFloat(6.283185307179586), OMInteger(2))
         )
 
-    def test_innermost_equals_outermost_on_fixtures(self, local_store, arith1):
+    def test_innermost_equals_outermost_on_fixtures(self, local_store):
         c1 = OMSymbol(cd="chain", name="c1", cdbase="http://example.org")
         terms = [
             hdi_application(0.8, 0.9, 0.7, 0.6),
@@ -224,8 +223,8 @@ class TestExpand:
             ),
         ]
         for term in terms:
-            inner = expand(term, local_store, arith1)
-            outer = expand_outermost(term, local_store, arith1)
+            inner = expand(term, local_store)
+            outer = expand_outermost(term, local_store)
             assert inner == outer
 
 
@@ -236,63 +235,63 @@ def _symbols(obj):
 
 
 class TestEvaluate:
-    def test_divide_against_decimal_oracle(self, arith1):
+    def test_divide_against_decimal_oracle(self):
         term = OMApplication(DIVIDE, (OMInteger(693), OMInteger(380)))
-        value = evaluate(term, arith1)
+        value = evaluate(term)
         assert value == 1.8236842105263158
         assert abs(value - float(Decimal(693) / Decimal(380))) < 1e-15
 
-    def test_hdi_all_ones_is_exactly_one(self, local_store, arith1):
-        expanded = expand(hdi_application(1, 1, 1, 1), local_store, arith1)
-        assert evaluate(expanded, arith1) == 1.0
+    def test_hdi_all_ones_is_exactly_one(self, local_store):
+        expanded = expand(hdi_application(1, 1, 1, 1), local_store)
+        assert evaluate(expanded) == 1.0
 
-    def test_hdi_point_against_bignum_oracle(self, local_store, arith1):
-        expanded = expand(hdi_application(0.8, 0.9, 0.7, 0.6), local_store, arith1)
-        value = evaluate(expanded, arith1)
+    def test_hdi_point_against_bignum_oracle(self, local_store):
+        expanded = expand(hdi_application(0.8, 0.9, 0.7, 0.6), local_store)
+        value = evaluate(expanded)
         assert value == 0.7444444444444445
         oracle = hdi_oracle(Fraction(8, 10), Fraction(9, 10), Fraction(7, 10), Fraction(6, 10))
         assert abs(value - float(oracle)) <= 1e-12 * float(oracle)
 
-    def test_division_by_zero(self, arith1):
+    def test_division_by_zero(self):
         term = OMApplication(DIVIDE, (OMInteger(1), OMInteger(0)))
         with pytest.raises(DivisionByZeroError):
-            evaluate(term, arith1)
+            evaluate(term)
 
-    def test_unknown_symbol(self, arith1):
+    def test_unknown_symbol(self):
         term = OMApplication(OMSymbol(cd="transc1", name="sin"), (OMInteger(1),))
         with pytest.raises(UnknownSymbolError):
-            evaluate(term, arith1)
+            evaluate(term)
 
-    def test_free_variable(self, arith1):
+    def test_free_variable(self):
         with pytest.raises(FreeVariableError):
-            evaluate(OMVariable("x"), arith1)
+            evaluate(OMVariable("x"))
 
-    def test_non_numeric_leaf(self, arith1):
+    def test_non_numeric_leaf(self):
         with pytest.raises(NonNumericLeafError):
-            evaluate(OMString("x"), arith1)
+            evaluate(OMString("x"))
         with pytest.raises(NonNumericLeafError):
-            evaluate(PLUS, arith1)
+            evaluate(PLUS)
 
-    def test_integer_widening(self, arith1):
+    def test_integer_widening(self):
         term = OMApplication(PLUS, (OMInteger(1), OMFloat(0.5)))
-        assert evaluate(term, arith1) == 1.5
+        assert evaluate(term) == 1.5
 
-    def test_nary_plus_times_and_unary_ops(self, arith1):
+    def test_nary_plus_times_and_unary_ops(self):
         plus = OMApplication(PLUS, tuple(OMInteger(i) for i in (1, 2, 3, 4)))
-        assert evaluate(plus, arith1) == 10.0
+        assert evaluate(plus) == 10.0
         times = OMApplication(TIMES, tuple(OMInteger(i) for i in (2, 3, 4)))
-        assert evaluate(times, arith1) == 24.0
+        assert evaluate(times) == 24.0
         neg = OMApplication(OMSymbol(cd="arith1", name="unary_minus"), (OMInteger(5),))
-        assert evaluate(neg, arith1) == -5.0
+        assert evaluate(neg) == -5.0
         ab = OMApplication(OMSymbol(cd="arith1", name="abs"), (OMFloat(-2.5),))
-        assert evaluate(ab, arith1) == 2.5
+        assert evaluate(ab) == 2.5
         power = OMApplication(OMSymbol(cd="arith1", name="power"), (OMInteger(2), OMInteger(10)))
-        assert evaluate(power, arith1) == 1024.0
+        assert evaluate(power) == 1024.0
 
-    def test_binary_arity_enforced(self, arith1):
+    def test_binary_arity_enforced(self):
         term = OMApplication(DIVIDE, (OMInteger(1), OMInteger(2), OMInteger(3)))
         with pytest.raises(ArityMismatchError):
-            evaluate(term, arith1)
+            evaluate(term)
 
     @pytest.mark.parametrize(
         "term",
@@ -305,9 +304,9 @@ class TestEvaluate:
             OMFloat(float("inf")),
         ],
     )
-    def test_no_finite_real_value_is_a_typed_error(self, term, arith1):
+    def test_no_finite_real_value_is_a_typed_error(self, term):
         with pytest.raises(NonFiniteResultError):
-            evaluate(term, arith1)
+            evaluate(term)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -323,9 +322,8 @@ class TestEvaluate:
         # evaluate(expand(hdi(...))) vs. the formula inlined by the oracle.
         store = CdStore()
         store.load_directory(CD_DIR)
-        base = BaseEnv.arith1()
         term = hdi_application(*(float(v) for v in values))
-        computed = evaluate(expand(term, store, base), base)
+        computed = evaluate(expand(term, store))
         oracle = float(hdi_oracle(*(float(v) for v in values)))
         assert abs(computed - oracle) <= 1e-12 * max(1.0, abs(oracle))
 
@@ -374,21 +372,20 @@ class TestCdStore:
 
 
 class TestVerify:
-    def test_geese_fixture_matches(self, geese_graph, local_store, arith1):
-        report = verify_dataset(geese_graph, local_store, arith1, tolerance=1e-9)
+    def test_geese_fixture_matches(self, geese_graph, local_store):
+        report = verify_dataset(geese_graph, local_store, tolerance=1e-9)
         assert [r.status for r in report.results] == ["match"]
-        assert report.all_match
 
-    def test_tampered_value_mismatches(self, local_store, arith1):
+    def test_tampered_value_mismatches(self, local_store):
         text = fixture_text("geese.ttl").replace('"1.8236842105263158"', '"2.0"')
-        report = verify_dataset(parse_turtle(text), local_store, arith1, tolerance=1e-9)
+        report = verify_dataset(parse_turtle(text), local_store, tolerance=1e-9)
         (result,) = report.results
         assert result.status == "mismatch"
         assert result.stored == 2.0
         assert abs(result.computed - 1.8236842105263158) < 1e-12
         assert abs(result.delta - 0.17631578947368416) < 1e-12
 
-    def test_unfetchable_cd_reported_as_fetch_error(self, geese_graph, arith1):
+    def test_unfetchable_cd_reported_as_fetch_error(self, geese_graph):
         text = fixture_text("geese.ttl").replace(
             "http://www.openmath.org/cd/arith1#divide",
             "http://unreachable.example/nowhere#divide",
@@ -398,26 +395,26 @@ class TestVerify:
             raise FetchError(f"{cdbase}/{cdname}", "connection refused")
 
         store = CdStore(fetch=failing_fetch)
-        report = verify_dataset(parse_turtle(text), store, arith1, tolerance=1e-9)
+        report = verify_dataset(parse_turtle(text), store, tolerance=1e-9)
         (result,) = report.results
         assert result.status == "uncomputable"
         assert "FetchError" in result.reason
 
-    def test_missing_stored_value_is_uncomputable(self, local_store, arith1):
+    def test_missing_stored_value_is_uncomputable(self, local_store):
         text = fixture_text("listing2.ttl")
-        report = verify_dataset(parse_turtle(text), local_store, arith1, tolerance=1e-9)
+        report = verify_dataset(parse_turtle(text), local_store, tolerance=1e-9)
         (result,) = report.results
         assert result.status == "uncomputable"
         assert "no stored value" in result.reason
 
-    def test_deep_chain_without_stored_values_matches(self, local_store, arith1):
+    def test_deep_chain_without_stored_values_matches(self, local_store):
         graph = parse_turtle(chain_turtle(40, top_value=41))
-        report = verify_dataset(graph, local_store, arith1, tolerance=1e-9)
+        report = verify_dataset(graph, local_store, tolerance=1e-9)
         top = next(r for r in report.results if r.point_id == Iri(AHS + "D1"))
         assert top.status == "match"
         assert top.computed == 41.0
 
-    def test_cycle_among_unstored_inputs_is_uncomputable(self, local_store, arith1):
+    def test_cycle_among_unstored_inputs_is_uncomputable(self, local_store):
         text = DATASET_PREFIXES + "".join(
             [
                 point_turtle("L", 2),
@@ -426,13 +423,13 @@ class TestVerify:
                 point_turtle("C", 5, "plus", ("ahs:A", '"1"^^xsd:decimal')),
             ]
         )
-        report = verify_dataset(parse_turtle(text), local_store, arith1, tolerance=1e-9)
+        report = verify_dataset(parse_turtle(text), local_store, tolerance=1e-9)
         by_name = {r.point_id.value.rsplit("#")[-1]: r for r in report.results}
         assert by_name["C"].status == "uncomputable"
         assert by_name["C"].reason.startswith("CyclicDerivationError")
         assert by_name["A"].reason == by_name["B"].reason == "no stored value"
 
-    def test_failed_input_fails_each_consumer_alike(self, local_store, arith1):
+    def test_failed_input_fails_each_consumer_alike(self, local_store):
         local_store.add(
             parse_cd_xml(
                 "<CD><CDName>pick</CDName><CDBase>http://example.org</CDBase>"
@@ -454,14 +451,14 @@ class TestVerify:
                 point_turtle("C3", 3, "http://example.org/pick#first", ("ahs:L", "ahs:Q")),
             ]
         )
-        report = verify_dataset(parse_turtle(text), local_store, arith1, tolerance=1e-9)
+        report = verify_dataset(parse_turtle(text), local_store, tolerance=1e-9)
         reasons = {r.point_id.value.rsplit("#")[-1]: r.reason for r in report.results}
         assert reasons["C1"] == reasons["C2"] == reasons["C3"]
         assert reasons["C1"].startswith("DivisionByZeroError")
         # The reason names Q's numbers, not the term Z was computed from.
         assert "minus" not in reasons["C1"]
 
-    def test_complex_input_does_not_abort_the_run(self, local_store, arith1):
+    def test_complex_input_does_not_abort_the_run(self, local_store):
         text = DATASET_PREFIXES + "".join(
             [
                 point_turtle("N", -8),
@@ -469,10 +466,10 @@ class TestVerify:
                 point_turtle("C", 1, "plus", ("ahs:R", '"1"^^xsd:decimal')),
             ]
         )
-        report = verify_dataset(parse_turtle(text), local_store, arith1, tolerance=1e-9)
+        report = verify_dataset(parse_turtle(text), local_store, tolerance=1e-9)
         assert [r.point_id.value.rsplit("#")[-1] for r in report.results] == ["C", "R"]
 
-    def test_values_without_a_finite_real_value_are_uncomputable(self, local_store, arith1):
+    def test_values_without_a_finite_real_value_are_uncomputable(self, local_store):
         text = DATASET_PREFIXES + "".join(
             [
                 point_turtle("A", "10.5"),
@@ -484,14 +481,14 @@ class TestVerify:
                 point_turtle("S", 21, "times", ("ahs:A", '"2"^^xsd:decimal')),
             ]
         )
-        report = verify_dataset(parse_turtle(text), local_store, arith1, tolerance=1e-9)
+        report = verify_dataset(parse_turtle(text), local_store, tolerance=1e-9)
         status = {r.point_id.value.rsplit("#")[-1]: (r.status, r.reason) for r in report.results}
         for pid in "PQR":
             assert status[pid][0] == "uncomputable"
             assert status[pid][1].startswith("NonFiniteResultError")
         assert status["S"] == ("match", None)
 
-    def test_stored_value_beyond_float_range_is_uncomputable(self, local_store, arith1):
+    def test_stored_value_beyond_float_range_is_uncomputable(self, local_store):
         text = DATASET_PREFIXES + "".join(
             [
                 point_turtle("A", 2),
@@ -500,7 +497,7 @@ class TestVerify:
                 point_turtle("D", 4, "times", ("ahs:B", '"1"^^xsd:decimal')),
             ]
         )
-        report = verify_dataset(parse_turtle(text), local_store, arith1, tolerance=1e-9)
+        report = verify_dataset(parse_turtle(text), local_store, tolerance=1e-9)
         by_name = {r.point_id.value.rsplit("#")[-1]: r for r in report.results}
         for name, lexical in (("B", "1e400"), ("C", "-1E+309")):
             result = by_name[name]
@@ -510,7 +507,7 @@ class TestVerify:
         assert by_name["D"].status == "uncomputable"
         assert by_name["D"].reason.startswith("NonFiniteResultError")
 
-    def test_huge_exponent_input_is_uncomputable(self, local_store, arith1):
+    def test_huge_exponent_input_is_uncomputable(self, local_store):
         text = DATASET_PREFIXES + "".join(
             [
                 point_turtle("A", "1e1000000"),
@@ -518,14 +515,14 @@ class TestVerify:
                 point_turtle("C", 2, "plus", ('"1e1000000"^^xsd:decimal', '"1"^^xsd:decimal')),
             ]
         )
-        report = verify_dataset(parse_turtle(text), local_store, arith1, tolerance=1e-9)
+        report = verify_dataset(parse_turtle(text), local_store, tolerance=1e-9)
         assert [r.status for r in report.results] == ["uncomputable", "uncomputable"]
         for result in report.results:
             assert result.reason.startswith("NonFiniteResultError")
             assert "beyond the float range" in result.reason
 
-    def test_report_serializations(self, geese_graph, local_store, arith1):
-        report = verify_dataset(geese_graph, local_store, arith1, tolerance=1e-9)
+    def test_report_serializations(self, geese_graph, local_store):
+        report = verify_dataset(geese_graph, local_store, tolerance=1e-9)
         assert "MATCH" in report.to_text()
         records = report.to_records()
         assert records[0]["status"] == "match"
@@ -540,29 +537,29 @@ class TestChainEvaluator:
     def test_verify_equals_inlined_evaluation(self, case):
         text, top = case
         graph = parse_turtle(text)
-        store, base = CdStore(), BaseEnv.arith1()
-        report = verify_dataset(graph, store, base, tolerance=1e-9)
+        store = CdStore()
+        report = verify_dataset(graph, store, tolerance=1e-9)
         (result,) = [r for r in report.results if r.point_id.value == top]
         points = {p.id.value: p for p in extract_data_points(graph)}
         derivations = {d.point_id.value: d for d in extract_derivations(graph)}
         term = inline(derivations[top], points, derivations)
-        assert result.computed == evaluate(expand(term, store, base), base)
+        assert result.computed == evaluate(expand(term, store))
 
 
 class TestRecompute:
-    def test_changed_base_value_propagates(self, local_store, arith1):
+    def test_changed_base_value_propagates(self, local_store):
         text = fixture_text("geese.ttl").replace('"693"', '"700"')
         graph = parse_turtle(text)
-        result = recompute(graph, local_store, arith1)
+        result = recompute(graph, local_store)
         (value,) = result.match(Iri(AHS + "PD100"), Iri(RDF_VALUE), None)
         assert value.object.lexical == "1.8421052631578947"
         assert float(value.object.lexical) == 700 / 380
 
-    def test_dataset_without_derivations_unchanged(self, listing1_graph, local_store, arith1):
-        result = recompute(listing1_graph, local_store, arith1)
+    def test_dataset_without_derivations_unchanged(self, listing1_graph, local_store):
+        result = recompute(listing1_graph, local_store)
         assert result.triples == listing1_graph.triples
 
-    def test_two_level_chain_recomputed_in_order(self, local_store, arith1):
+    def test_two_level_chain_recomputed_in_order(self, local_store):
         text = fixture_text("geese.ttl") + (
             "\nahs:DD100 scv:dimension env:geese-density ;\n"
             "  sl:computedFrom [ sl:function <http://www.openmath.org/cd/arith1#times> ;\n"
@@ -570,46 +567,46 @@ class TestRecompute:
             '                 [ sl:argPosition "2"^^xsd:int ; sl:argValue "2"^^xsd:decimal ] ] .\n'
         )
         graph = parse_turtle(text.replace('"693"', '"700"'))
-        result = recompute(graph, local_store, arith1)
+        result = recompute(graph, local_store)
         (pd,) = result.match(Iri(AHS + "PD100"), Iri(RDF_VALUE), None)
         (dd,) = result.match(Iri(AHS + "DD100"), Iri(RDF_VALUE), None)
         assert float(pd.object.lexical) == 700 / 380
         assert float(dd.object.lexical) == (700 / 380) * 2
 
-    def test_idempotent(self, geese_graph, local_store, arith1):
-        once = recompute(geese_graph, local_store, arith1)
-        twice = recompute(once, local_store, arith1)
+    def test_idempotent(self, geese_graph, local_store):
+        once = recompute(geese_graph, local_store)
+        twice = recompute(once, local_store)
         assert once.triples == twice.triples
 
-    def test_verify_after_recompute_matches(self, local_store, arith1):
+    def test_verify_after_recompute_matches(self, local_store):
         text = fixture_text("geese.ttl").replace('"693"', '"697"')
-        recomputed = recompute(parse_turtle(text), local_store, arith1)
-        report = verify_dataset(recomputed, local_store, arith1, tolerance=1e-9)
-        assert report.all_match
+        recomputed = recompute(parse_turtle(text), local_store)
+        report = verify_dataset(recomputed, local_store, tolerance=1e-9)
+        assert {r.status for r in report.results} == {"match"}
 
-    def test_chain_deeper_than_recursion_limit(self, local_store, arith1):
+    def test_chain_deeper_than_recursion_limit(self, local_store):
         with recursion_limit(150) as limit:
             depth = limit + 50
-            result = recompute(parse_turtle(chain_turtle(depth)), local_store, arith1)
+            result = recompute(parse_turtle(chain_turtle(depth)), local_store)
         for i in (1, depth // 2, depth):
             (value,) = result.match(Iri(AHS + f"D{i}"), Iri(RDF_VALUE), None)
             assert value.object.lexical == str(depth - i + 2)
 
-    def test_overflow_raises_a_typed_error(self, local_store, arith1):
+    def test_overflow_raises_a_typed_error(self, local_store):
         text = DATASET_PREFIXES + point_turtle("A", "1e200") + point_turtle(
             "B", 1, "times", ("ahs:A", "ahs:A")
         )
         with pytest.raises(NonFiniteResultError):
-            recompute(parse_turtle(text), local_store, arith1)
+            recompute(parse_turtle(text), local_store)
 
-    def test_cycle_detected(self, local_store, arith1):
+    def test_cycle_detected(self, local_store):
         text = fixture_text("listing2.ttl") + (
             "\nahs:EH100 sl:computedFrom [ sl:function <http://www.openmath.org/cd/arith1#times> ;\n"
             '  sl:arguments [ sl:argPosition "1"^^xsd:int ; sl:argValue ahs:PD100 ] ,\n'
             '               [ sl:argPosition "2"^^xsd:int ; sl:argValue "1"^^xsd:decimal ] ] .\n'
         )
         with pytest.raises(CyclicDerivationError):
-            recompute(parse_turtle(text), local_store, arith1)
+            recompute(parse_turtle(text), local_store)
 
 
 class TestCanonicalDecimal:
@@ -672,7 +669,7 @@ class TestQueryMax:
     T1 = Iri(ENV + "year-2008")
     T2 = Iri(ENV + "year-2009")
 
-    def brute_force(self, graph, store, base):
+    def brute_force(self, graph, store):
         """Oracle: evaluate every metric derivation, group by hand."""
         points = {p.id.value: p for p in extract_data_points(graph)}
         derivations = {d.point_id.value: d for d in extract_derivations(graph)}
@@ -687,7 +684,7 @@ class TestQueryMax:
                 x for x in dims if graph.match(Iri(x), None, self.REGION)
             )
             time = self.T1.value if self.T1.value in dims else self.T2.value
-            value = evaluate(expand(inline(d, points, derivations), store, base), base)
+            value = evaluate(expand(inline(d, points, derivations), store))
             per_region.setdefault(region, {})[time] = value
         best = None
         for region in sorted(per_region):
@@ -697,33 +694,33 @@ class TestQueryMax:
                 best = (region, inc)
         return best
 
-    def test_three_region_fixture(self, regions_graph, local_store, arith1):
+    def test_three_region_fixture(self, regions_graph, local_store):
         region, increase = query_max_increase(
-            regions_graph, self.METRIC, self.REGION, self.T1, self.T2, local_store, arith1
+            regions_graph, self.METRIC, self.REGION, self.T1, self.T2, local_store
         )
         assert region == Iri(ENV + "region-c")
         assert abs(increase - 0.9) < 1e-12
-        oracle = self.brute_force(regions_graph, local_store, arith1)
+        oracle = self.brute_force(regions_graph, local_store)
         assert (region.value, increase) == oracle
 
-    def test_single_region(self, local_store, arith1):
+    def test_single_region(self, local_store):
         graph = parse_turtle(regions_turtle({"a": ("10", "15")}))
         region, increase = query_max_increase(
-            graph, self.METRIC, self.REGION, self.T1, self.T2, local_store, arith1
+            graph, self.METRIC, self.REGION, self.T1, self.T2, local_store
         )
         assert region == Iri(ENV + "region-a")
         assert abs(increase - 0.5) < 1e-12
 
-    def test_tie_breaks_lexicographically(self, local_store, arith1):
+    def test_tie_breaks_lexicographically(self, local_store):
         # Both regions increase by exactly 0.5; region-a wins by IRI order.
         graph = parse_turtle(regions_turtle({"b": ("20", "25"), "a": ("10", "15")}))
         region, increase = query_max_increase(
-            graph, self.METRIC, self.REGION, self.T1, self.T2, local_store, arith1
+            graph, self.METRIC, self.REGION, self.T1, self.T2, local_store
         )
         assert abs(increase - 0.5) < 1e-12
         assert region == Iri(ENV + "region-a")
 
-    def test_scaling_invariance(self, local_store, arith1):
+    def test_scaling_invariance(self, local_store):
         table = {"a": (10, 15), "b": (20, 22), "c": (5, 14)}
         plain = parse_turtle(
             regions_turtle({r: (str(p1), str(p2)) for r, (p1, p2) in table.items()})
@@ -734,31 +731,31 @@ class TestQueryMax:
             )
         )
         before, _ = query_max_increase(
-            plain, self.METRIC, self.REGION, self.T1, self.T2, local_store, arith1
+            plain, self.METRIC, self.REGION, self.T1, self.T2, local_store
         )
         after, _ = query_max_increase(
-            scaled, self.METRIC, self.REGION, self.T1, self.T2, local_store, arith1
+            scaled, self.METRIC, self.REGION, self.T1, self.T2, local_store
         )
         assert before == after == Iri(ENV + "region-c")
 
-    def test_no_computable_region(self, local_store, arith1):
+    def test_no_computable_region(self, local_store):
         with pytest.raises(NoComputableRegionError):
             query_max_increase(
-                Graph(), self.METRIC, self.REGION, self.T1, self.T2, local_store, arith1
+                Graph(), self.METRIC, self.REGION, self.T1, self.T2, local_store
             )
 
 
 class TestFullPasses:
     """verify, recompute and query-max each read graph.triples a fixed number of times."""
 
-    def passes(self, regions: int, store, base) -> list[int]:
+    def passes(self, regions: int, store) -> list[int]:
         text = regions_turtle({f"r{i}": (str(10 + i), str(20 + 2 * i)) for i in range(regions)})
         parsed = parse_turtle(text)
         q = TestQueryMax
         runs = (
-            lambda graph: verify_dataset(graph, store, base, tolerance=1e-9),
-            lambda graph: recompute(graph, store, base),
-            lambda graph: query_max_increase(graph, q.METRIC, q.REGION, q.T1, q.T2, store, base),
+            lambda graph: verify_dataset(graph, store, tolerance=1e-9),
+            lambda graph: recompute(graph, store),
+            lambda graph: query_max_increase(graph, q.METRIC, q.REGION, q.T1, q.T2, store),
         )
         counts = []
         for run in runs:
@@ -767,10 +764,10 @@ class TestFullPasses:
             counts.append(triples.passes)
         return counts
 
-    def test_constant_in_dataset_size(self, local_store, arith1):
+    def test_constant_in_dataset_size(self, local_store):
         # 6 points per region: 60 and 240 points.
-        small = self.passes(10, local_store, arith1)
-        large = self.passes(40, local_store, arith1)
+        small = self.passes(10, local_store)
+        large = self.passes(40, local_store)
         assert small == large
         assert max(small) <= 2
 
@@ -791,7 +788,7 @@ def demo_cd(cdname: str, *fmps: str) -> str:
 
 
 class TestDefinitionTable:
-    def test_each_fmp_read_once_per_cd(self, monkeypatch, arith1):
+    def test_each_fmp_read_once_per_cd(self, monkeypatch):
         calls = []
         original = cd_module._as_definitional
 
@@ -815,20 +812,21 @@ class TestDefinitionTable:
             ),
         )
         for _ in range(3):
-            expanded = expand(term, store, arith1)
-        assert residual_symbols(expanded, arith1) == []
+            expanded = expand(term, store)
+        assert residual_symbols(expanded) == []
         # Only the two CDs the term uses are read, each FMP once.
         used = [store.lookup("http://example.org", name) for name in ("statistics", "wrap")]
         assert len(calls) == sum(len(d.fmps) for cd in used for d in cd.definitions)
 
-    def test_duplicate_definition_warned_once_per_cd(self, caplog, arith1):
+    def test_duplicate_definition_warned_once_per_cd(self, caplog):
         store = CdStore()
         store.add(parse_cd_xml(demo_cd("twice", '<OMV name="x"/>', "<OMI>2</OMI>")))
         dataset = DATASET_PREFIXES + point_turtle("A", 1)
         for i in range(5):
             dataset += point_turtle(f"P{i}", 1, "http://example.org/twice#f", ("ahs:A",))
         with caplog.at_level(logging.WARNING, logger="omld.cd"):
-            report = verify_dataset(parse_turtle(dataset), store, arith1, tolerance=1e-9)
-        assert report.all_match and len(report.results) == 5
+            report = verify_dataset(parse_turtle(dataset), store, tolerance=1e-9)
+        assert len(report.results) == 5
+        assert {r.status for r in report.results} == {"match"}
         warned = [r for r in caplog.records if "more than one definitional" in r.getMessage()]
         assert len(warned) == 1

@@ -41,15 +41,15 @@ class TestParseAccept:
 
     def test_missing_header(self):
         assert parse_accept(None) == []
-        assert negotiate(None, OPENMATH_XML_MIME) == OPENMATH_XML_MIME
+        assert negotiate(None) == OPENMATH_XML_MIME
 
     def test_wildcards(self):
-        assert negotiate("*/*", OPENMATH_XML_MIME) == OPENMATH_XML_MIME
-        assert negotiate("application/*", "text/html") == OPENMATH_XML_MIME
-        assert negotiate("text/*", OPENMATH_XML_MIME) == "text/html"
+        assert negotiate("*/*") == OPENMATH_XML_MIME
+        assert negotiate("application/*") == OPENMATH_XML_MIME
+        assert negotiate("text/*") == "text/html"
 
     def test_unsupported(self):
-        assert negotiate("image/png", OPENMATH_XML_MIME) is None
+        assert negotiate("image/png") is None
 
 
 class TestRouting:
@@ -83,6 +83,13 @@ class TestRouting:
             Iri(f"{BASE}/statistics#hdi"), Iri(f"{BASE}/vocab#name"), Literal("hdi")
         )
         assert len(name_triples) == 1
+
+    def test_query_string_is_not_part_of_the_route(self, app):
+        for path in ("/chain", "/chain.xhtml", "/chain/c1"):
+            plain = app.route("GET", path, "text/turtle")
+            assert plain[0] == 200
+            assert app.route("GET", path + "?x=1", "text/turtle") == plain
+        assert app.route("GET", "/?x=/chain", None)[0] == 404
 
     def test_unknown_cd_404(self, app):
         status, _, _ = app.route("GET", "/nothing", OPENMATH_XML_MIME)
