@@ -22,7 +22,7 @@ from typing import Mapping
 
 from .config import DEFAULT_VOCAB, StatVocab
 from .errors import NonFiniteResultError, ToolkitError
-from .om import OMApplication, OMFloat, OMInteger, OMObject, symbol_from_iri
+from .om import OMApplication, OMFloat, OMInteger, OMObject, parse_symbol_uri
 from .rdf import BlankNode, Graph, Iri, Literal, Term, term_key
 
 log = logging.getLogger(__name__)
@@ -211,7 +211,8 @@ def derivation_to_om(derivation: Derivation, inputs: Mapping[str, Decimal | floa
     ``inputs`` maps each source point's IRI string to its number: a Decimal
     becomes OMI or OMF as ``decimal_to_om`` decides, a computed value becomes
     OMF.  A source missing from ``inputs`` raises UnresolvedArgumentError,
-    a Decimal beyond the float range NonFiniteResultError.
+    a Decimal beyond the float range NonFiniteResultError, and a function
+    IRI that is not a symbol URI MalformedSymbolUriError.
     """
     om_args: list[OMObject] = []
     for arg in derivation.args:
@@ -219,4 +220,4 @@ def derivation_to_om(derivation: Derivation, inputs: Mapping[str, Decimal | floa
             raise UnresolvedArgumentError(arg.source)
         value = arg.literal if arg.source is None else inputs[arg.source.value]
         om_args.append(decimal_to_om(value) if isinstance(value, Decimal) else OMFloat(value))
-    return OMApplication(symbol_from_iri(derivation.function_uri), tuple(om_args))
+    return OMApplication(parse_symbol_uri(derivation.function_uri), tuple(om_args))

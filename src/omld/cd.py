@@ -28,10 +28,11 @@ from .om import (
     OMString,
     OMSymbol,
     OMVariable,
-    XmlError,
     free_variables,
+    is_ncname,
     om_element_text,
     om_from_element,
+    parse_xml,
     symbol_iri,
     xml_escape,
 )
@@ -140,17 +141,19 @@ def _child_text(elem: ET.Element, name: str) -> str | None:
 
 
 def parse_cd_xml(text: str, source_url: Iri | str | None = None) -> ContentDictionary:
-    """Parse CD XML.  A missing CDBase element falls back to the default."""
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise XmlError(f"malformed XML: {exc}") from exc
+    """Parse CD XML.  A missing CDBase element falls back to the default.
+
+    The CD name and every symbol name must be NCNames, as in an OMSymbol.
+    """
+    root = parse_xml(text)
     if _local(root.tag) != "CD":
         raise MissingElementError("CD")
 
     cdname = _child_text(root, "CDName")
     if not cdname:
         raise MissingElementError("CD/CDName")
+    if not is_ncname(cdname):
+        raise EncodingError("CDName", f"bad CD name: {cdname!r}")
     cdbase = _child_text(root, "CDBase") or DEFAULT_CDBASE
     description = _child_text(root, "Description") or ""
 
@@ -162,6 +165,8 @@ def parse_cd_xml(text: str, source_url: Iri | str | None = None) -> ContentDicti
         name = _child_text(elem, "Name")
         if not name:
             raise MissingElementError("CD/CDDefinition/Name")
+        if not is_ncname(name):
+            raise EncodingError("Name", f"bad symbol name: {name!r}")
         if name in seen:
             raise DuplicateSymbolError(name)
         seen.add(name)

@@ -19,7 +19,7 @@ from .config import ConfigError, ToolkitConfig, load_config
 from .errors import ToolkitError, read_utf8
 from .om import OPENMATH_XML_MIME, parse_om_xml, serialize_om_xml
 from .rdf import Graph, Iri, parse_turtle, serialize_turtle
-from .resolver import fetch_named_cd, negotiate_fetch, strip_fragment
+from .resolver import fetch_cd, negotiate_fetch, strip_fragment
 from .rewrite import (
     CdStore,
     expand,
@@ -71,7 +71,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("fetch", help="dereference a URI and print the body")
     p.add_argument("uri")
     p.add_argument("--accept", default=OPENMATH_XML_MIME)
-    common(p)
 
     p = sub.add_parser("serve", help="publish a CD directory as Linked Data")
     p.add_argument("--dir", help="directory of .ocd files")
@@ -101,7 +100,7 @@ def _load_config(args) -> ToolkitConfig:
     return cfg
 
 
-def _read_graph(path: str, cfg: ToolkitConfig) -> Graph:
+def _read_graph(path: str) -> Graph:
     p = Path(path)
     if not p.is_file():
         raise _UsageError(f"dataset file not found: {path}")
@@ -109,7 +108,7 @@ def _read_graph(path: str, cfg: ToolkitConfig) -> Graph:
 
 
 def _build_store(cfg: ToolkitConfig) -> CdStore:
-    store = CdStore(fetch=fetch_named_cd)
+    store = CdStore(fetch=fetch_cd)
     for directory in cfg.cd_dirs:
         if not Path(directory).is_dir():
             raise _UsageError(f"CD directory not found: {directory}")
@@ -119,7 +118,7 @@ def _build_store(cfg: ToolkitConfig) -> CdStore:
 
 def _cmd_verify(args) -> int:
     cfg = _load_config(args)
-    graph = _read_graph(args.dataset, cfg)
+    graph = _read_graph(args.dataset)
     report = verify_dataset(graph, _build_store(cfg), cfg.tolerance, cfg.vocab)
     if args.json:
         print(json.dumps(report.to_records(), indent=2))
@@ -134,7 +133,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_recompute(args) -> int:
     cfg = _load_config(args)
-    graph = _read_graph(args.dataset, cfg)
+    graph = _read_graph(args.dataset)
     result = recompute(graph, _build_store(cfg), cfg.vocab)
     text = serialize_turtle(result)
     if args.out:
@@ -154,12 +153,12 @@ def _cmd_expand(args) -> int:
     store = _build_store(cfg)
     for source in args.sources:
         if source.startswith("http://") or source.startswith("https://"):
-            # Fetched through the store, so the URL's own (cdbase, cdname) is
-            # remembered; also stored under the CD's declared cdbase.
-            cdbase, _, cdname = strip_fragment(source).rpartition("/")
-            cd = store.lookup(cdbase, cdname)
+            # Fetched through the store, so it is remembered under the URL it
+            # was fetched from; also stored under its declared cdbase.
+            url = strip_fragment(source)
+            cd = store.lookup(url)
             if cd is None:
-                raise store.fetch_error(cdbase, cdname)
+                raise store.fetch_error(url)
             store.add(cd)
         elif Path(source).is_dir():
             store.load_directory(source)
@@ -206,7 +205,7 @@ def _cmd_serve(args) -> int:
 
 def _cmd_query_max(args) -> int:
     cfg = _load_config(args)
-    graph = _read_graph(args.dataset, cfg)
+    graph = _read_graph(args.dataset)
     region, increase = query_max_increase(
         graph,
         Iri(args.metric),

@@ -6,14 +6,18 @@ encoding is rejected.  All values are immutable, and structural equality is
 exact: ``OMInteger(2)`` and ``OMFloat(2.0)`` are different objects (numeric
 comparison belongs to the evaluator, not the encoding layer).
 
-Symbol URIs come in two shapes: hash (``cdbase/cd#name``) and slash
-(``cdbase/cd/name``).  Hash URIs force a client to fetch the whole CD, since
-the fragment never reaches the server; slash URIs allow per-symbol documents.
+A CD is named by its URL, ``cd_url(cdbase, cdname)``, and a symbol by a URI
+under it.  ``parse_symbol_uri`` reads both shapes, hash (``cdbase/cd#name``)
+and slash (``cdbase/cd/name``); ``symbol_iri`` renders the hash shape.  Hash
+URIs make a client fetch the whole CD, since the fragment never reaches the
+server; slash URIs allow per-symbol documents.
+
+A document type declaration in OpenMath or CD XML is rejected before any
+entity is expanded, so a document cannot define entities at all.
 """
 
 from __future__ import annotations
 
-import enum
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -50,6 +54,11 @@ class MalformedSymbolUriError(ToolkitError):
 # ---------------------------------------------------------------------------
 
 
+def is_ncname(text: str) -> bool:
+    """Whether ``text`` may name a CD or a symbol."""
+    return _NCNAME_RE.fullmatch(text) is not None
+
+
 @dataclass(frozen=True)
 class OMSymbol:
     cd: str
@@ -57,9 +66,9 @@ class OMSymbol:
     cdbase: str = DEFAULT_CDBASE
 
     def __post_init__(self):
-        if not _NCNAME_RE.fullmatch(self.cd):
+        if not is_ncname(self.cd):
             raise ValueError(f"bad CD name: {self.cd!r}")
-        if not _NCNAME_RE.fullmatch(self.name):
+        if not is_ncname(self.name):
             raise ValueError(f"bad symbol name: {self.name!r}")
         if not self.cdbase:
             raise ValueError("cdbase must be nonempty")
@@ -215,12 +224,27 @@ def om_from_element(elem: ET.Element, cdbase: str = DEFAULT_CDBASE) -> OMObject:
     raise EncodingError(tag, "unknown OpenMath element")
 
 
-def parse_om_xml(text: str) -> OMObject:
-    """Parse an OMOBJ document into an OpenMath object."""
+class _NoDoctypeBuilder(ET.TreeBuilder):
+    def doctype(self, name, pubid, system):
+        raise XmlError("a document type declaration is not allowed")
+
+
+def parse_xml(text: str) -> ET.Element:
+    """Parse XML to its root element.
+
+    A DOCTYPE is an XmlError, raised before any entity is expanded.
+    """
+    parser = ET.XMLParser(target=_NoDoctypeBuilder())
     try:
-        root = ET.fromstring(text)
+        parser.feed(text)
+        return parser.close()
     except ET.ParseError as exc:
         raise XmlError(f"malformed XML: {exc}") from exc
+
+
+def parse_om_xml(text: str) -> OMObject:
+    """Parse an OMOBJ document into an OpenMath object."""
+    root = parse_xml(text)
     if _local(root.tag) != "OMOBJ":
         raise EncodingError(_local(root.tag), "expected an OMOBJ root")
     cdbase = root.get("cdbase", DEFAULT_CDBASE)
@@ -282,67 +306,36 @@ def serialize_om_xml(obj: OMObject) -> str:
 # ---------------------------------------------------------------------------
 
 
-class UriScheme(enum.Enum):
-    HASH = "hash"
-    SLASH = "slash"
+def cd_url(cdbase: str, cd: str) -> str:
+    """The URL of CD ``cd`` under ``cdbase``; one trailing ``/`` of the cdbase is dropped."""
+    return f"{cdbase.removesuffix('/')}/{cd}"
 
 
-@dataclass(frozen=True)
-class SymbolUri:
-    scheme: UriScheme
-    cdbase: str
-    cd: str
-    name: str
-
-    @classmethod
-    def hash(cls, cdbase: str, cd: str, name: str) -> "SymbolUri":
-        return cls(UriScheme.HASH, cdbase, cd, name)
-
-    @classmethod
-    def slash(cls, cdbase: str, cd: str, name: str) -> "SymbolUri":
-        return cls(UriScheme.SLASH, cdbase, cd, name)
-
-    def to_symbol(self) -> OMSymbol:
-        return OMSymbol(cd=self.cd, name=self.name, cdbase=self.cdbase)
+def symbol_iri(sym: OMSymbol) -> Iri:
+    """The hash URI ``cdbase/cd#name`` of a symbol."""
+    return Iri(f"{cd_url(sym.cdbase, sym.cd)}#{sym.name}")
 
 
-def render_symbol_uri(uri: SymbolUri) -> Iri:
-    base = uri.cdbase.rstrip("/")
-    sep = "#" if uri.scheme is UriScheme.HASH else "/"
-    return Iri(f"{base}/{uri.cd}{sep}{uri.name}")
+def parse_symbol_uri(iri: Iri | str) -> OMSymbol:
+    """The symbol a hash or slash URI names.
 
-
-def symbol_iri(sym: OMSymbol, scheme: UriScheme = UriScheme.HASH) -> Iri:
-    return render_symbol_uri(SymbolUri(scheme, sym.cdbase, sym.cd, sym.name))
-
-
-def parse_symbol_uri(iri: Iri | str) -> SymbolUri:
-    """Split a symbol IRI into (scheme, cdbase, cd, name).
-
-    A fragment makes it a hash URI whose cd is the last path segment;
-    otherwise the last two segments are cd/name.  Anything with too few
-    segments (or a query string) is rejected.
+    A ``#`` makes it a hash URI whose cd is the last path segment;
+    otherwise the last two segments are cd/name.  A URI without a scheme,
+    with a query string, or whose cd or name is not an NCName is a
+    MalformedSymbolUriError.
     """
     text = iri.value if isinstance(iri, Iri) else iri
-    parts = urlsplit(text)
+    try:
+        parts = urlsplit(text)
+    except ValueError:  # an unclosed IPv6 bracket, say
+        raise MalformedSymbolUriError(text) from None
     if not parts.scheme or parts.query:
         raise MalformedSymbolUriError(text)
-    segments = [s for s in parts.path.split("/") if s]
-
-    if parts.fragment:
-        if not segments:
-            raise MalformedSymbolUriError(text)
-        cd = segments[-1]
-        cdbase = f"{parts.scheme}://{parts.netloc}" + "".join("/" + s for s in segments[:-1])
-        return SymbolUri(UriScheme.HASH, cdbase, cd, parts.fragment)
-
-    if len(segments) < 2:
-        raise MalformedSymbolUriError(text)
-    cd, name = segments[-2], segments[-1]
-    cdbase = f"{parts.scheme}://{parts.netloc}" + "".join("/" + s for s in segments[:-2])
-    return SymbolUri(UriScheme.SLASH, cdbase, cd, name)
-
-
-def symbol_from_iri(iri: Iri | str) -> OMSymbol:
-    """Convenience: parse a symbol URI straight into an OMSymbol."""
-    return parse_symbol_uri(iri).to_symbol()
+    path, name = parts.path, parts.fragment
+    if "#" not in text:
+        path, _, name = path.rpartition("/")
+    path, _, cd = path.rpartition("/")
+    try:
+        return OMSymbol(cd=cd, name=name, cdbase=f"{parts.scheme}://{parts.netloc}{path}")
+    except ValueError:
+        raise MalformedSymbolUriError(text) from None

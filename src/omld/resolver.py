@@ -1,10 +1,11 @@
 """Fetch Content Dictionaries over HTTP.
 
 A CD is fetched whole from its URL; a hash symbol URI's fragment is stripped
-first, as fragments never reach the server.  Nothing is cached here: a
-``CdStore(fetch=fetch_named_cd)`` remembers each (cdbase, cdname) it fetched,
-or failed to fetch, for the life of the store, so one run requests each CD at
-most once.  Response bodies are read up to ``MAX_BODY_BYTES``.
+first, as fragments never reach the server.  Nothing is cached here:
+``fetch_cd`` is the fetch hook of a ``CdStore``, which is keyed by CD URL and
+remembers each URL it fetched, or failed to fetch, for the life of the store,
+so one run requests each CD at most once.  Response bodies are read up to
+``MAX_BODY_BYTES``.
 
 The transport is injectable, which is how tests count requests and simulate
 broken servers.
@@ -131,10 +132,3 @@ def fetch_cd(url: str, transport: Transport | None = None) -> ContentDictionary:
         return parse_cd_xml(result.body.decode("utf-8"), source_url=result.final_url)
     except (ToolkitError, UnicodeDecodeError) as exc:
         raise UnparseableBodyError(result.content_type, str(exc)) from exc
-
-
-def fetch_named_cd(
-    cdbase: str, cdname: str, transport: Transport | None = None
-) -> ContentDictionary:
-    """The CdStore fetch hook: fetch CD ``cdname`` from ``cdbase/cdname``."""
-    return fetch_cd(f"{cdbase.rstrip('/')}/{cdname}", transport)

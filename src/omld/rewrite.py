@@ -44,9 +44,9 @@ from .om import (
     OMObject,
     OMSymbol,
     OMVariable,
+    cd_url,
     free_variables,
     iter_symbols,
-    parse_symbol_uri,
     serialize_om_xml,
     symbol_iri,
 )
@@ -103,29 +103,31 @@ class NoComputableRegionError(ToolkitError):
 
 
 class CdStore:
-    """CDs by (cdbase, cdname), with an optional fetch hook for misses.
+    """CDs by URL (``om.cd_url``), with an optional fetch hook for misses.
 
-    A stored CD is never silently replaced; re-adding an identical CD is a
-    no-op, a conflicting one is a ToolkitError.  The store is the only cache
-    of fetched CDs: each fetched CD, and each failed fetch, is remembered
-    under the key it was asked for, so a run requests each key at most once,
-    stays deterministic and does not hammer an unreachable host.
+    The hook, ``resolver.fetch_cd`` outside tests, takes the URL of a CD the
+    store does not hold.  A stored CD is never silently replaced; re-adding
+    an identical CD is a no-op, a conflicting one is a ToolkitError.  The
+    store is the only cache of fetched CDs: each fetched CD, and each failed
+    fetch, is remembered under the URL it was asked for, so a run requests
+    each URL at most once, stays deterministic and does not hammer an
+    unreachable host.
     """
 
-    def __init__(self, fetch: Callable[[str, str], ContentDictionary] | None = None):
+    def __init__(self, fetch: Callable[[str], ContentDictionary] | None = None):
         self._fetch = fetch
-        self._cds: dict[tuple[str, str], ContentDictionary] = {}
-        self._fetch_errors: dict[tuple[str, str], Exception] = {}
+        self._cds: dict[str, ContentDictionary] = {}
+        self._fetch_errors: dict[str, Exception] = {}
         self._lock = threading.Lock()
 
     def add(self, cd: ContentDictionary) -> None:
-        key = (cd.cdbase.rstrip("/"), cd.cdname)
+        url = cd_url(cd.cdbase, cd.cdname)
         with self._lock:
-            existing = self._cds.get(key)
+            existing = self._cds.get(url)
             if existing is None:
-                self._cds[key] = cd
+                self._cds[url] = cd
             elif existing != cd:
-                raise ToolkitError(f"a different CD is already stored for {key}")
+                raise ToolkitError(f"a different CD is already stored for {url}")
 
     def load_directory(self, path: str | Path) -> int:
         """Parse every .ocd file in a directory into the store."""
@@ -135,30 +137,29 @@ class CdStore:
             count += 1
         return count
 
-    def lookup(self, cdbase: str, cdname: str) -> ContentDictionary | None:
-        key = (cdbase.rstrip("/"), cdname)
+    def lookup(self, url: str) -> ContentDictionary | None:
         with self._lock:
-            if key in self._cds:
-                return self._cds[key]
-            if self._fetch is None or key in self._fetch_errors:
+            if url in self._cds:
+                return self._cds[url]
+            if self._fetch is None or url in self._fetch_errors:
                 return None
         try:
-            cd = self._fetch(cdbase, cdname)
+            cd = self._fetch(url)
         except Exception as exc:
             with self._lock:
-                self._fetch_errors.setdefault(key, exc)
+                self._fetch_errors.setdefault(url, exc)
             return None
         with self._lock:
-            self._cds.setdefault(key, cd)
-            return self._cds[key]
+            self._cds.setdefault(url, cd)
+            return self._cds[url]
 
     def definition(self, sym: OMSymbol) -> DefinitionalFMP | None:
         """The symbol's definitional FMP from its CD's table, or None."""
-        cd = self.lookup(sym.cdbase, sym.cd)
+        cd = self.lookup(cd_url(sym.cdbase, sym.cd))
         return None if cd is None else cd.definitional.get(sym.name)
 
-    def fetch_error(self, cdbase: str, cdname: str) -> Exception | None:
-        return self._fetch_errors.get((cdbase.rstrip("/"), cdname))
+    def fetch_error(self, url: str) -> Exception | None:
+        return self._fetch_errors.get(url)
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +193,12 @@ _ARITH1: dict[str, _Operation] = {
 }
 
 
+_ARITH1_URL = cd_url(DEFAULT_CDBASE, "arith1")
+
+
 def _base_op(sym: OMSymbol) -> _Operation | None:
     """The base operation a symbol names, or None: it may be expanded."""
-    if sym.cd != "arith1" or sym.cdbase.rstrip("/") != DEFAULT_CDBASE:
+    if sym.cd != "arith1" or cd_url(sym.cdbase, sym.cd) != _ARITH1_URL:
         return None
     return _ARITH1.get(sym.name)
 
@@ -266,7 +270,7 @@ def _replace(obj: OMObject, mapping: dict[str, OMObject], bound: frozenset[str])
 # ---------------------------------------------------------------------------
 
 
-def _rewrite_pass(obj: OMObject, store: CdStore, rewritten: list[str]) -> OMObject:
+def _rewrite_pass(obj: OMObject, store: CdStore, rewritten: list[OMSymbol]) -> OMObject:
     """One innermost-first pass; substituted bodies wait for the next pass."""
     if isinstance(obj, OMApplication):
         new_args = tuple(_rewrite_pass(a, store, rewritten) for a in obj.args)
@@ -279,7 +283,7 @@ def _rewrite_pass(obj: OMObject, store: CdStore, rewritten: list[str]) -> OMObje
                         raise ArityMismatchError(
                             symbol_iri(head).value, defn.arity, len(new_args)
                         )
-                    rewritten.append(symbol_iri(head).value)
+                    rewritten.append(head)
                     mapping = {p.name: a for p, a in zip(defn.params, new_args)}
                     return _replace(defn.body, mapping, frozenset())
         else:
@@ -288,7 +292,7 @@ def _rewrite_pass(obj: OMObject, store: CdStore, rewritten: list[str]) -> OMObje
     if isinstance(obj, OMSymbol) and _base_op(obj) is None:
         defn = store.definition(obj)
         if defn is not None and defn.arity == 0:
-            rewritten.append(symbol_iri(obj).value)
+            rewritten.append(obj)
             return defn.body
         return obj
     if isinstance(obj, OMBinding):
@@ -305,13 +309,14 @@ def expand(obj: OMObject, store: CdStore) -> OMObject:
     term = obj
     passes = 0
     while True:
-        rewritten: list[str] = []
+        rewritten: list[OMSymbol] = []
         new_term = _rewrite_pass(term, store, rewritten)
         if not rewritten:  # a pass without a rewrite rebuilds an equal term
             return term
         passes += 1
         if passes > MAX_PASSES:
-            raise DepthExceededError(MAX_PASSES, sorted(set(rewritten)))
+            chain = sorted({symbol_iri(sym).value for sym in rewritten})
+            raise DepthExceededError(MAX_PASSES, chain)
         term = new_term
 
 
@@ -426,16 +431,15 @@ class VerificationReport:
 
 def _compute_term(term: OMObject, store: CdStore) -> float:
     expanded = expand(term, store)
-    residual = residual_symbols(expanded)
+    residual = [s for s in iter_symbols(expanded) if _base_op(s) is None]
     if residual:
-        uri = residual[0]
-        sym = parse_symbol_uri(uri)
-        fetch_exc = store.fetch_error(sym.cdbase, sym.cd)
+        sym = min(residual, key=lambda s: symbol_iri(s).value)
+        fetch_exc = store.fetch_error(cd_url(sym.cdbase, sym.cd))
         if fetch_exc is not None:
             if isinstance(fetch_exc, ToolkitError):
                 raise fetch_exc
             raise ToolkitError(f"{type(fetch_exc).__name__}: {fetch_exc}")
-        raise UnknownSymbolError(uri)
+        raise UnknownSymbolError(symbol_iri(sym).value)
     return evaluate(expanded)
 
 

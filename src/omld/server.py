@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .cd import ContentDictionary, extract_links, parse_cd_xml, serialize_cd_xml
 from .errors import ToolkitError, read_utf8
-from .om import OPENMATH_XML_MIME, om_element_text
+from .om import OPENMATH_XML_MIME, cd_url, om_element_text
 from .rdf import XSD_NS, Graph, Iri, Literal, Triple, serialize_turtle
 
 TEXT_HTML = "text/html"
@@ -94,7 +94,7 @@ def render_cd_html(cd: ContentDictionary) -> str:
         if name is not None:
             links_by_symbol.setdefault(name, []).append(link)
 
-    cd_uri = f"{cd.cdbase.rstrip('/')}/{cd.cdname}"
+    cd_uri = cd_url(cd.cdbase, cd.cdname)
     out = [
         "<!DOCTYPE html>",
         "<html>",
@@ -127,28 +127,28 @@ def render_cd_html(cd: ContentDictionary) -> str:
     return "\n".join(out)
 
 
-def cd_to_rdf(cd: ContentDictionary, base_iri: Iri | str) -> Graph:
+def cd_to_rdf(cd: ContentDictionary, base_iri: str) -> Graph:
     """A minimal RDF description: names, descriptions, containment, links."""
-    base = (base_iri.value if isinstance(base_iri, Iri) else base_iri).rstrip("/")
-    vocab = f"{base}/vocab#"
+    vocab = cd_url(base_iri, "vocab") + "#"
     name_pred = Iri(vocab + "name")
     desc_pred = Iri(vocab + "description")
     contained_pred = Iri(vocab + "definedIn")
-    cd_resource = Iri(f"{base}/{cd.cdname}")
+    cd_uri = cd_url(base_iri, cd.cdname)
+    cd_resource = Iri(cd_uri)
 
     triples = {
         Triple(cd_resource, name_pred, Literal(cd.cdname)),
         Triple(cd_resource, desc_pred, Literal(cd.description)),
     }
     for definition in cd.definitions:
-        symbol = Iri(f"{base}/{cd.cdname}#{definition.name}")
+        symbol = Iri(f"{cd_uri}#{definition.name}")
         triples.add(Triple(symbol, name_pred, Literal(definition.name)))
         triples.add(Triple(symbol, desc_pred, Literal(definition.description)))
         triples.add(Triple(symbol, contained_pred, cd_resource))
     names = _symbol_names(cd)
     for link in extract_links(cd):
         name = names.get(link.subject)
-        subject = link.subject if name is None else Iri(f"{base}/{cd.cdname}#{name}")
+        subject = link.subject if name is None else Iri(f"{cd_uri}#{name}")
         triples.add(Triple(subject, link.predicate, link.object))
     prefixes = {"xsd": XSD_NS, "v": vocab}
     return Graph(triples=frozenset(triples), prefixes=prefixes)
@@ -159,7 +159,7 @@ class CdApp:
 
     def __init__(self, cds: dict[str, _LoadedCd], base_iri: str):
         self.cds = cds
-        self.base_iri = base_iri.rstrip("/")
+        self.base_iri = base_iri
 
     def route(
         self, method: str, path: str, accept: str | None
@@ -202,7 +202,7 @@ class CdApp:
         if chosen == OPENMATH_XML_MIME:
             return 200, {"Content-Type": OPENMATH_XML_MIME}, loaded.raw
         if chosen == TEXT_HTML:
-            location = f"{self.base_iri}/{name}.xhtml"
+            location = cd_url(self.base_iri, name) + ".xhtml"
             return 303, {"Location": location, "Content-Type": "text/plain"}, b"see " + location.encode() + b"\n"
         graph = cd_to_rdf(loaded.cd, self.base_iri)
         return 200, {"Content-Type": TEXT_TURTLE}, serialize_turtle(graph).encode("utf-8")

@@ -29,7 +29,7 @@ from omld.om import (
     OMObject,
     OMSymbol,
     free_variables,
-    symbol_from_iri,
+    parse_symbol_uri,
     symbol_iri,
 )
 from omld.rdf import (
@@ -262,7 +262,7 @@ def inline(
                 om_args.append(translate(derivations[arg.source.value], (*visiting, pid)))
             else:
                 raise UnresolvedArgumentError(arg.source)
-        return OMApplication(symbol_from_iri(d.function_uri), tuple(om_args))
+        return OMApplication(parse_symbol_uri(d.function_uri), tuple(om_args))
 
     return translate(derivation, ())
 

@@ -13,7 +13,14 @@ from omld.cd import (
     parse_cd_xml,
     serialize_cd_xml,
 )
-from omld.om import DEFAULT_CDBASE, OMApplication, OMSymbol, OMVariable
+from omld.om import (
+    DEFAULT_CDBASE,
+    EncodingError,
+    OMApplication,
+    OMSymbol,
+    OMVariable,
+    XmlError,
+)
 from omld.rdf import Iri
 
 from .conftest import fixture_text
@@ -64,6 +71,25 @@ class TestParsing:
                 "<CD><CDName>x</CDName><Description>d</Description>"
                 "<CDDefinition><Description>no name</Description></CDDefinition></CD>"
             )
+
+    @pytest.mark.parametrize(
+        "cdname, name, message",
+        [
+            ("bad name", "s", "<CDName>: bad CD name: 'bad name'"),
+            ("demo", "bad name", "<Name>: bad symbol name: 'bad name'"),
+            ("demo", "1st", "<Name>: bad symbol name: '1st'"),
+        ],
+    )
+    def test_non_ncname_rejected(self, cdname, name, message):
+        text = f"<CD><CDName>{cdname}</CDName><CDDefinition><Name>{name}</Name></CDDefinition></CD>"
+        with pytest.raises(EncodingError) as err:
+            parse_cd_xml(text)
+        assert str(err.value) == message
+
+    def test_doctype_rejected(self):
+        text = '<!DOCTYPE CD [<!ENTITY n "x">]><CD><CDName>&n;</CDName></CD>'
+        with pytest.raises(XmlError, match="document type declaration"):
+            parse_cd_xml(text)
 
     def test_cmp_stored_verbatim(self, statistics_cd):
         (definition,) = statistics_cd.definitions

@@ -27,6 +27,14 @@ from .helpers import (
 )
 
 
+DIVIDE_IRI = "http://www.openmath.org/cd/arith1#divide"
+# Function IRIs whose symbol name or CD name is not an NCName.
+BAD_FUNCTION_IRIS = [
+    "http://www.openmath.org/cd/arith1#1divide",
+    "http://www.openmath.org/cd/arith%201#divide",
+]
+
+
 @pytest.fixture
 def config_file(tmp_path) -> str:
     path = tmp_path / "omld.json"
@@ -94,6 +102,35 @@ class TestVerifyCommand:
         code = main(["verify", str(broken), "--config", config_file])
         assert code == 2
         assert "UNCOMPUTABLE" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("function", BAD_FUNCTION_IRIS)
+    def test_non_ncname_function_iri_is_uncomputable(self, tmp_path, capsys, config_file, function):
+        dataset = tmp_path / "bad.ttl"
+        dataset.write_text(fixture_text("geese.ttl").replace(DIVIDE_IRI, function))
+        assert main(["verify", str(dataset), "--json", "--config", config_file]) == 2
+        (record,) = json.loads(capsys.readouterr().out)
+        assert record["status"] == "uncomputable"
+        assert record["reason"] == f"MalformedSymbolUriError: not a symbol URI: {function}"
+
+    def test_cd_with_bad_symbol_name_exits_2(self, tmp_path, capsys):
+        bad_dir = tmp_path / "cds"
+        bad_dir.mkdir()
+        (bad_dir / "bad.ocd").write_text(
+            "<CD><CDName>bad</CDName><CDBase>http://example.org</CDBase>"
+            "<CDDefinition><Name>bad name</Name></CDDefinition></CD>"
+        )
+        config = tmp_path / "omld.json"
+        config.write_text(json.dumps({"cd_dirs": [str(CD_DIR), str(bad_dir)]}))
+        dataset = tmp_path / "data.ttl"
+        dataset.write_text(
+            DATASET_PREFIXES
+            + point_turtle("L", 1)
+            + point_turtle("A", 1, "http://example.org/bad#f", ["ahs:L"])
+        )
+        assert main(["verify", str(dataset), "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "omld: <Name>: bad symbol name: 'bad name'\n"
 
     def test_two_symbols_of_one_remote_cd_cost_one_request(self, tmp_path, capsys, monkeypatch):
         # chain#c9(x) = 2x + 1 and chain#c10(x) = 2x, served from cds.example.
@@ -232,6 +269,15 @@ class TestRecomputeCommand:
         assert code == 2
         assert "cyclic" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("function", BAD_FUNCTION_IRIS)
+    def test_non_ncname_function_iri_exits_2(self, tmp_path, capsys, config_file, function):
+        dataset = tmp_path / "bad.ttl"
+        dataset.write_text(fixture_text("geese.ttl").replace(DIVIDE_IRI, function))
+        assert main(["recompute", str(dataset), "--config", config_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"omld: not a symbol URI: {function}\n"
+
     @pytest.mark.parametrize("base, exponent", [("1e200", "2"), ("-8", "0.5")])
     def test_infinite_or_complex_value_exits_2(self, tmp_path, capsys, config_file, base, exponent):
         dataset = tmp_path / "power.ttl"
@@ -318,6 +364,14 @@ class TestExpandCommand:
         assert err.startswith("omld: fetch of http://127.0.0.1:abc/statistics")
         assert err.count("\n") == 1
 
+    def test_doctype_exits_2(self, tmp_path, capsys):
+        source = tmp_path / "entity.om"
+        source.write_text('<!DOCTYPE OMOBJ [<!ENTITY one "1">]><OMOBJ><OMI>&one;</OMI></OMOBJ>')
+        assert main(["expand", str(source)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "omld: a document type declaration is not allowed\n"
+
     def test_bad_source_exits_64(self, tmp_path):
         source = tmp_path / "x.om"
         source.write_text("<OMOBJ><OMI>1</OMI></OMOBJ>")
@@ -338,6 +392,11 @@ class TestFetchCommand:
         )
         assert code == 0
         assert b'id="hdi"' in capsysbinary.readouterr().out
+
+    def test_config_flag_is_gone(self, capsys):
+        # fetch reads no config, so it does not accept one.
+        assert main(["fetch", "http://127.0.0.1:1/x", "--config", "/no/such/config.json"]) == 64
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
 
     def test_unreachable_host_exits_2(self):
         code = main(["fetch", "http://127.0.0.1:1/statistics"])
@@ -380,6 +439,41 @@ class TestQueryMaxCommand:
         region, value = out.strip().split("\t")
         assert region == "http://example.org/ns/env#region-c"
         assert abs(float(value) - 0.9) < 1e-12
+
+    @pytest.mark.parametrize("function", BAD_FUNCTION_IRIS)
+    def test_point_with_non_ncname_function_is_left_out(
+        self, tmp_path, capsys, config_file, function
+    ):
+        # Region c's 2009 population becomes a derived input that cannot be
+        # computed, so its 2009 density fails and region a wins instead.
+        stored = (
+            "ahs:POP-C-2009 scv:dimension env:region-c ; scv:dimension env:year-2009 ; "
+            'scv:dimension env:geese ; rdf:value "14"^^xsd:decimal .'
+        )
+        derived = stored.replace(
+            'rdf:value "14"^^xsd:decimal',
+            f"sl:computedFrom [ sl:function <{function}> ; sl:arguments "
+            '[ sl:argPosition "1"^^xsd:int ; sl:argValue ahs:POP-C-2008 ] ]',
+        )
+        text = fixture_text("regions.ttl")
+        assert stored in text
+        dataset = tmp_path / "regions.ttl"
+        dataset.write_text(text.replace(stored, derived))
+        code = main(
+            [
+                "query-max",
+                str(dataset),
+                DIVIDE_IRI,
+                "http://example.org/ns/env#year-2008",
+                "http://example.org/ns/env#year-2009",
+                "--config",
+                config_file,
+            ]
+        )
+        assert code == 0
+        region, value = capsys.readouterr().out.strip().split("\t")
+        assert region == "http://example.org/ns/env#region-a"
+        assert float(value) == 0.5
 
     def test_empty_dataset_exits_2(self, tmp_path, config_file):
         empty = tmp_path / "empty.ttl"
@@ -476,7 +570,7 @@ class TestConflictingCds:
         }[command]
         assert main([command, *args, "--config", str(config)]) == 2
         err = capsys.readouterr().err
-        assert err == "omld: a different CD is already stored for ('http://example.org', 'demo')\n"
+        assert err == "omld: a different CD is already stored for http://example.org/demo\n"
 
 
 class TestUsage:

@@ -15,14 +15,13 @@ from omld.om import (
     OMString,
     OMSymbol,
     OMVariable,
-    SymbolUri,
-    UriScheme,
     XmlError,
+    cd_url,
     free_variables,
     parse_om_xml,
     parse_symbol_uri,
-    render_symbol_uri,
     serialize_om_xml,
+    symbol_iri,
 )
 
 from .strategies import om_objects
@@ -70,6 +69,11 @@ class TestParse:
     def test_malformed_xml(self):
         with pytest.raises(XmlError):
             parse_om_xml("<OMOBJ><OMI>1")
+
+    def test_doctype_rejected(self):
+        text = '<!DOCTYPE OMOBJ [<!ENTITY one "1">]><OMOBJ><OMI>&one;</OMI></OMOBJ>'
+        with pytest.raises(XmlError, match="document type declaration"):
+            parse_om_xml(text)
 
     def test_namespaced_input_accepted(self):
         text = (
@@ -161,28 +165,28 @@ class TestRoundTripProperty:
 
 class TestSymbolUris:
     def test_render_hash_default_base(self):
-        uri = SymbolUri.hash(DEFAULT_CDBASE, "arith1", "divide")
-        assert render_symbol_uri(uri).value == "http://www.openmath.org/cd/arith1#divide"
-
-    def test_render_slash(self):
-        uri = SymbolUri.slash("http://cdba.se", "cd", "name")
-        assert render_symbol_uri(uri).value == "http://cdba.se/cd/name"
+        assert symbol_iri(DIVIDE).value == "http://www.openmath.org/cd/arith1#divide"
 
     def test_render_hash_statistics(self):
-        uri = SymbolUri.hash("http://example.org", "statistics", "hdi")
-        assert render_symbol_uri(uri).value == "http://example.org/statistics#hdi"
-
-    def test_render_avoids_double_slash(self):
-        uri = SymbolUri.slash("http://cdba.se/", "cd", "name")
-        assert render_symbol_uri(uri).value == "http://cdba.se/cd/name"
+        sym = OMSymbol(cd="statistics", name="hdi", cdbase="http://example.org")
+        assert symbol_iri(sym).value == "http://example.org/statistics#hdi"
 
     def test_parse_hash(self):
-        uri = parse_symbol_uri("http://www.openmath.org/cd/arith1#divide")
-        assert uri == SymbolUri.hash("http://www.openmath.org/cd", "arith1", "divide")
+        assert parse_symbol_uri("http://www.openmath.org/cd/arith1#divide") == DIVIDE
 
     def test_parse_slash(self):
-        uri = parse_symbol_uri("http://cdba.se/cd/name")
-        assert uri == SymbolUri.slash("http://cdba.se", "cd", "name")
+        sym = parse_symbol_uri("http://cdba.se/cd/name")
+        assert sym == OMSymbol(cd="cd", name="name", cdbase="http://cdba.se")
+
+    def test_hash_and_slash_name_one_symbol(self):
+        assert parse_symbol_uri("http://cdba.se/a/cd#name") == parse_symbol_uri(
+            "http://cdba.se/a/cd/name"
+        )
+
+    def test_cd_url_drops_one_trailing_slash(self):
+        assert cd_url("http://cdba.se", "cd") == "http://cdba.se/cd"
+        assert cd_url("http://cdba.se/", "cd") == "http://cdba.se/cd"
+        assert cd_url("http://cdba.se//", "cd") == "http://cdba.se//cd"
 
     def test_degenerate_path_rejected(self):
         with pytest.raises(MalformedSymbolUriError):
@@ -190,15 +194,28 @@ class TestSymbolUris:
         with pytest.raises(MalformedSymbolUriError):
             parse_symbol_uri("http://x.org/onlyone")
 
+    @pytest.mark.parametrize(
+        "iri",
+        [
+            "http://www.openmath.org/cd/arith1#1divide",
+            "http://www.openmath.org/cd/arith%201#divide",
+            "http://www.openmath.org/cd/arith1/di vide",
+            "http://www.openmath.org/cd/arith1#",
+            "http://[::1/cd#name",
+        ],
+    )
+    def test_non_ncname_segment_rejected(self, iri):
+        with pytest.raises(MalformedSymbolUriError):
+            parse_symbol_uri(iri)
+
     @settings(max_examples=150, deadline=None)
     @given(
-        scheme=st.sampled_from([UriScheme.HASH, UriScheme.SLASH]),
         host=st.from_regex(r"[a-z][a-z0-9]{0,8}", fullmatch=True),
         segments=st.lists(st.from_regex(r"[A-Za-z0-9_\-]{1,8}", fullmatch=True), max_size=3),
         cd=st.from_regex(r"[A-Za-z_][A-Za-z0-9_\-]{0,8}", fullmatch=True),
         name=st.from_regex(r"[A-Za-z_][A-Za-z0-9_\-]{0,8}", fullmatch=True),
     )
-    def test_render_parse_bijection(self, scheme, host, segments, cd, name):
+    def test_render_parse_bijection(self, host, segments, cd, name):
         cdbase = f"http://{host}.example" + "".join("/" + s for s in segments)
-        uri = SymbolUri(scheme, cdbase, cd, name)
-        assert parse_symbol_uri(render_symbol_uri(uri)) == uri
+        sym = OMSymbol(cd=cd, name=name, cdbase=cdbase)
+        assert parse_symbol_uri(symbol_iri(sym)) == sym

@@ -5,13 +5,12 @@ from functools import partial
 import pytest
 
 from omld import resolver
-from omld.om import OPENMATH_XML_MIME, OMSymbol
+from omld.om import OPENMATH_XML_MIME, OMSymbol, cd_url
 from omld.resolver import (
     FetchError,
     TooManyRedirectsError,
     UnparseableBodyError,
     fetch_cd,
-    fetch_named_cd,
     negotiate_fetch,
     strip_fragment,
 )
@@ -106,7 +105,7 @@ class TestDereference:
 
     @staticmethod
     def _store(transport) -> CdStore:
-        return CdStore(fetch=partial(fetch_named_cd, transport=transport))
+        return CdStore(fetch=partial(fetch_cd, transport=transport))
 
     def test_hash_fetches_whole_cd_once(self, cd_server):
         transport = CountingTransport()
@@ -126,9 +125,10 @@ class TestDereference:
     def test_warm_cache_issues_no_requests(self, cd_server):
         transport = CountingTransport()
         store = self._store(transport)
-        cd = store.lookup(cd_server.base_iri, "statistics")
+        url = cd_url(cd_server.base_iri, "statistics")
+        cd = store.lookup(url)
         assert len(transport.urls) == 1
-        assert store.lookup(cd_server.base_iri, "statistics") is cd
+        assert store.lookup(url) is cd
         assert store.definition(OMSymbol("statistics", "hdi", cd_server.base_iri)) is not None
         assert len(transport.urls) == 1
 
@@ -138,7 +138,7 @@ class TestDereference:
         for name in ("f", "g", "f"):
             assert store.definition(OMSymbol("void", name, "http://cds.example")) is None
         assert transport.urls == ["http://cds.example/void"]
-        assert isinstance(store.fetch_error("http://cds.example", "void"), FetchError)
+        assert isinstance(store.fetch_error("http://cds.example/void"), FetchError)
 
     def test_symbol_not_in_cd(self, cd_server):
         transport = CountingTransport()
@@ -160,6 +160,16 @@ class TestDereference:
         with pytest.raises(UnparseableBodyError):
             fetch_cd("http://x.example/cd", transport)
 
+    def test_doctype_rejected(self):
+        body = (
+            b'<!DOCTYPE CD [<!ENTITY a "aaaaaaaaaa"><!ENTITY b "&a;&a;&a;&a;&a;">]>'
+            b"<CD><CDName>cd</CDName><Description>&b;</Description></CD>"
+        )
+        transport = CountingTransport(cds={"http://x.example/cd": body})
+        with pytest.raises(UnparseableBodyError, match="document type declaration"):
+            fetch_cd("http://x.example/cd", transport)
+        assert transport.urls == ["http://x.example/cd"]
+
     def test_garbage_body_rejected(self):
         def transport(url, headers):
             return 200, {"content-type": OPENMATH_XML_MIME}, b"<not-a-cd/>"
@@ -169,7 +179,8 @@ class TestDereference:
 
     def test_cd_fetcher_hook(self, cd_server):
         transport = CountingTransport()
-        cd = self._store(transport).lookup(cd_server.base_iri + "/", "statistics")
+        # One trailing slash of the cdbase is dropped from the CD URL.
+        cd = self._store(transport).lookup(cd_url(cd_server.base_iri + "/", "statistics"))
         assert cd is not None
         assert cd.cdname == "statistics"
         assert transport.urls == [f"{cd_server.base_iri}/statistics"]

@@ -336,27 +336,27 @@ class TestCdStore:
         from dataclasses import replace
 
         changed = replace(statistics_cd, description="different")
-        with pytest.raises(ToolkitError, match="'http://example.org', 'statistics'"):
+        with pytest.raises(ToolkitError, match="stored for http://example.org/statistics$"):
             store.add(changed)
 
     def test_fetch_hook_called_once_per_key(self):
         calls = []
 
-        def fetch(cdbase, cdname):
-            calls.append((cdbase, cdname))
-            raise FetchError(f"{cdbase}/{cdname}", "host unreachable")
+        def fetch(url):
+            calls.append(url)
+            raise FetchError(url, "host unreachable")
 
         store = CdStore(fetch=fetch)
-        assert store.lookup("http://nowhere.example", "cd") is None
-        assert store.lookup("http://nowhere.example", "cd") is None
-        assert len(calls) == 1
-        assert isinstance(store.fetch_error("http://nowhere.example", "cd"), FetchError)
+        assert store.lookup("http://nowhere.example/cd") is None
+        assert store.lookup("http://nowhere.example/cd") is None
+        assert calls == ["http://nowhere.example/cd"]
+        assert isinstance(store.fetch_error("http://nowhere.example/cd"), FetchError)
 
     def test_load_directory(self):
         store = CdStore()
         count = store.load_directory(CD_DIR)
         assert count >= 4
-        assert store.lookup("http://example.org", "statistics") is not None
+        assert store.lookup("http://example.org/statistics") is not None
 
     def test_load_directory_with_non_utf8_file(self, tmp_path):
         (tmp_path / "bad.ocd").write_bytes(b"\xff\xfe<CD/>")
@@ -367,7 +367,7 @@ class TestCdStore:
         monkeypatch.chdir(CD_DIR.parent)
         store = CdStore()
         assert store.load_directory(CD_DIR.name) >= 4
-        cd = store.lookup("http://example.org", "statistics")
+        cd = store.lookup("http://example.org/statistics")
         assert cd.source_url == (CD_DIR / "statistics.ocd").resolve().as_uri()
 
 
@@ -391,8 +391,8 @@ class TestVerify:
             "http://unreachable.example/nowhere#divide",
         )
 
-        def failing_fetch(cdbase, cdname):
-            raise FetchError(f"{cdbase}/{cdname}", "connection refused")
+        def failing_fetch(url):
+            raise FetchError(url, "connection refused")
 
         store = CdStore(fetch=failing_fetch)
         report = verify_dataset(parse_turtle(text), store, tolerance=1e-9)
@@ -815,7 +815,7 @@ class TestDefinitionTable:
             expanded = expand(term, store)
         assert residual_symbols(expanded) == []
         # Only the two CDs the term uses are read, each FMP once.
-        used = [store.lookup("http://example.org", name) for name in ("statistics", "wrap")]
+        used = [store.lookup(f"http://example.org/{name}") for name in ("statistics", "wrap")]
         assert len(calls) == sum(len(d.fmps) for cd in used for d in cd.definitions)
 
     def test_duplicate_definition_warned_once_per_cd(self, caplog):

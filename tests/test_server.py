@@ -23,6 +23,10 @@ from omld.server import (
 from .conftest import CD_DIR, fixture_text
 
 BASE = "http://cds.example"
+BAD_NAME_CD = (
+    "<CD><CDName>bad</CDName><CDBase>http://example.org</CDBase>"
+    "<CDDefinition><Name>bad name</Name></CDDefinition></CD>"
+)
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +184,13 @@ class TestLoadCdDirectory:
             load_cd_directory(tmp_path)
 
 
+    def test_bad_symbol_name_is_a_toolkit_error(self, tmp_path):
+        shutil.copy(CD_DIR / "statistics.ocd", tmp_path)
+        (tmp_path / "bad.ocd").write_text(BAD_NAME_CD)
+        with pytest.raises(ToolkitError, match="bad symbol name: 'bad name'"):
+            load_cd_directory(tmp_path)
+
+
 class TestLiveServer:
     def test_loopback_resolver_round_trip(self, cd_server):
         cd = fetch_cd(f"{cd_server.base_iri}/statistics")
@@ -237,6 +248,25 @@ class TestLiveServer:
             server.reload()
             status, _, _ = server.app.route("GET", "/elementary", OPENMATH_XML_MIME)
             assert status == 200
+        finally:
+            server.close()
+
+    def test_reload_of_a_bad_symbol_name_keeps_the_old_snapshot(self, tmp_path, capsys):
+        directory = tmp_path / "cds"
+        directory.mkdir()
+        shutil.copy(CD_DIR / "statistics.ocd", directory / "statistics.ocd")
+        server = CdServer(directory, port=0).start()
+        try:
+            (directory / "bad.ocd").write_text(BAD_NAME_CD)
+            server.reload()
+            err = capsys.readouterr().err
+            assert err == (
+                "omld: reload failed, still serving the old CDs: "
+                "<Name>: bad symbol name: 'bad name'\n"
+            )
+            for path in ("/statistics", "/statistics.xhtml"):
+                assert server.app.route("GET", path, "text/turtle")[0] == 200
+            assert server.app.route("GET", "/bad", "text/turtle")[0] == 404
         finally:
             server.close()
 
