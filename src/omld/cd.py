@@ -18,8 +18,10 @@ import logging
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
+from typing import Iterator
 
-from .errors import ToolkitError
+from .errors import ToolkitError, decode_utf8
 from .om import (
     DEFAULT_CDBASE,
     EncodingError,
@@ -159,6 +161,7 @@ def parse_cd_xml(text: str, source_url: Iri | str | None = None) -> ContentDicti
 
     definitions: list[SymbolDefinition] = []
     seen: set[str] = set()
+    memo: dict = {}  # one object per distinct symbol and variable across the FMPs
     for elem in root:
         if _local(elem.tag) != "CDDefinition":
             continue
@@ -187,7 +190,7 @@ def parse_cd_xml(text: str, source_url: Iri | str | None = None) -> ContentDicti
                 inner = list(omobj)
                 if len(inner) != 1:
                     raise EncodingError("OMOBJ", "expected exactly one child object")
-                fmps.append(om_from_element(inner[0], omobj.get("cdbase", DEFAULT_CDBASE)))
+                fmps.append(om_from_element(inner[0], omobj.get("cdbase", DEFAULT_CDBASE), memo))
         definitions.append(
             SymbolDefinition(
                 name=name,
@@ -205,6 +208,31 @@ def parse_cd_xml(text: str, source_url: Iri | str | None = None) -> ContentDicti
         definitions=tuple(definitions),
         source_url=src,
     )
+
+
+@dataclass(frozen=True)
+class LoadedCd:
+    """A CD parsed from a file, and the bytes it was parsed from."""
+
+    path: Path
+    cd: ContentDictionary
+    raw: bytes
+
+
+def load_cd_directory(directory: str | Path) -> Iterator[LoadedCd]:
+    """Parse each ``*.ocd`` file of a directory, in name order, from one read of it.
+
+    Any error of a file, a parse error or bytes that are not UTF-8, is a
+    ToolkitError whose message starts with the file's path.
+    """
+    for file in sorted(Path(directory).glob("*.ocd")):
+        raw = file.read_bytes()
+        text = decode_utf8(raw, file)
+        try:
+            cd = parse_cd_xml(text, source_url=file.resolve().as_uri())
+        except ToolkitError as exc:
+            raise ToolkitError(f"{file}: {exc}") from exc
+        yield LoadedCd(path=file, cd=cd, raw=raw)
 
 
 def _as_definitional(fmp: OMObject, own: OMSymbol) -> DefinitionalFMP | None:

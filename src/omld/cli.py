@@ -9,6 +9,7 @@ points), 64 for usage problems such as missing files or bad config.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import signal
 import sys
@@ -235,6 +236,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EX_USAGE
+    # A batch command builds graphs and terms with no reference cycles, so
+    # cyclic GC passes over them find nothing; only the server runs long.
+    gc_was_enabled = gc.isenabled()
+    if args.command != "serve":
+        gc.disable()
     try:
         return _COMMANDS[args.command](args)
     except (_UsageError, ConfigError) as exc:
@@ -243,6 +249,9 @@ def main(argv: list[str] | None = None) -> int:
     except ToolkitError as exc:
         print(f"omld: {exc}", file=sys.stderr)
         return EX_FAILURE
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -12,6 +12,11 @@ and slash (``cdbase/cd/name``); ``symbol_iri`` renders the hash shape.  Hash
 URIs make a client fetch the whole CD, since the fragment never reaches the
 server; slash URIs allow per-symbol documents.
 
+Decoding walks the XML on an explicit stack, so a nest of any depth
+decodes without recursion.  One decode shares one object per distinct
+symbol and per variable name (``om_from_element``'s ``memo``); the memo
+lives only as long as that decode, so nothing is cached across documents.
+
 A document type declaration in OpenMath or CD XML is rejected before any
 entity is expanded, so a document cannot define entities at all.
 """
@@ -159,23 +164,91 @@ def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def om_from_element(elem: ET.Element, cdbase: str = DEFAULT_CDBASE) -> OMObject:
+def om_from_element(
+    elem: ET.Element, cdbase: str = DEFAULT_CDBASE, memo: dict | None = None
+) -> OMObject:
     """Decode one OpenMath element (namespaced or not) into an object.
 
     ``cdbase`` is inherited downward; an explicit attribute overrides it for
-    the subtree rooted at that element.
-    """
-    cdbase = elem.get("cdbase", cdbase)
-    tag = _local(elem.tag)
+    the subtree rooted at that element.  The walk is a post-order loop over
+    an explicit stack, so any depth decodes; the first error in document
+    order is the one raised.
 
+    ``memo`` holds the one object per distinct symbol, keyed by
+    ``(cd, name, cdbase)``, and per variable, keyed by its name; a symbol's
+    names are checked only when it is first met.  Each call gets a fresh
+    memo unless one is passed, as ``parse_cd_xml`` does for all of a CD's FMPs.
+    """
+    if memo is None:
+        memo = {}
+    # Each open OMA or OMBIND: its tag, its cdbase, the children to decode
+    # (an OMBIND's are the binder, each bound variable and the body), and
+    # the objects decoded from them so far.
+    stack: list[tuple[str, str, list[ET.Element], list[OMObject]]] = []
+    while True:
+        cdbase = elem.get("cdbase", cdbase)
+        tag = elem.tag
+        if "}" in tag:
+            tag = _local(tag)
+        if tag == "OMA" or tag == "OMBIND":
+            children = list(elem)
+            if tag == "OMA":
+                if len(children) < 2:
+                    raise EncodingError(
+                        "OMA", "an application needs a head and at least one argument"
+                    )
+            elif len(children) != 3 or _local(children[1].tag) != "OMBVAR":
+                raise EncodingError("OMBIND", "expected binder, OMBVAR, body")
+            else:
+                children = [children[0], *children[1], children[2]]
+            stack.append((tag, cdbase, children, []))
+            elem = children[0]
+            continue
+        obj = _decode_leaf(elem, tag, cdbase, memo)
+        # Hand the object up, building each parent whose children are all done.
+        while stack:
+            tag, cdbase, children, done = stack[-1]
+            done.append(obj)
+            count = len(done)
+            if tag == "OMBIND" and 1 < count < len(children):
+                if not isinstance(obj, OMVariable):
+                    raise EncodingError("OMBVAR", "only OMV children are allowed")
+            if count < len(children):
+                elem = children[count]
+                break
+            stack.pop()
+            if tag == "OMA":
+                obj = OMApplication(done[0], tuple(done[1:]))
+                continue
+            try:
+                obj = OMBinding(done[0], tuple(done[1:-1]), done[-1])
+            except ValueError as exc:
+                raise EncodingError("OMBIND", str(exc)) from exc
+        else:
+            return obj
+
+
+def _decode_leaf(elem: ET.Element, tag: str, cdbase: str, memo: dict) -> OMObject:
     if tag == "OMS":
         cd, name = elem.get("cd"), elem.get("name")
         if cd is None or name is None:
             raise EncodingError("OMS", "both 'cd' and 'name' are required")
-        try:
-            return OMSymbol(cd=cd, name=name, cdbase=cdbase)
-        except ValueError as exc:
-            raise EncodingError("OMS", str(exc)) from exc
+        key = (cd, name, cdbase)
+        symbol = memo.get(key)
+        if symbol is None:
+            try:
+                symbol = memo[key] = OMSymbol(cd=cd, name=name, cdbase=cdbase)
+            except ValueError as exc:
+                raise EncodingError("OMS", str(exc)) from exc
+        return symbol
+    if tag == "OMV":
+        name = elem.get("name")
+        if not name:
+            raise EncodingError("OMV", "missing 'name' attribute")
+        variable = memo.get(name)
+        if variable is None:
+            variable = memo[name] = OMVariable(name)
+        return variable
     if tag == "OMI":
         text = (elem.text or "").strip()
         try:
@@ -192,35 +265,8 @@ def om_from_element(elem: ET.Element, cdbase: str = DEFAULT_CDBASE) -> OMObject:
             return OMFloat(float(dec))
         except ValueError as exc:
             raise EncodingError("OMF", f"not a decimal float: {dec!r}") from exc
-    if tag == "OMV":
-        name = elem.get("name")
-        if not name:
-            raise EncodingError("OMV", "missing 'name' attribute")
-        return OMVariable(name)
     if tag == "OMSTR":
         return OMString(elem.text or "")
-    if tag == "OMA":
-        children = list(elem)
-        if len(children) < 2:
-            raise EncodingError("OMA", "an application needs a head and at least one argument")
-        parsed = [om_from_element(c, cdbase) for c in children]
-        return OMApplication(parsed[0], tuple(parsed[1:]))
-    if tag == "OMBIND":
-        children = list(elem)
-        if len(children) != 3 or _local(children[1].tag) != "OMBVAR":
-            raise EncodingError("OMBIND", "expected binder, OMBVAR, body")
-        binder = om_from_element(children[0], cdbase)
-        variables = []
-        for v in children[1]:
-            parsed = om_from_element(v, cdbase)
-            if not isinstance(parsed, OMVariable):
-                raise EncodingError("OMBVAR", "only OMV children are allowed")
-            variables.append(parsed)
-        body = om_from_element(children[2], cdbase)
-        try:
-            return OMBinding(binder, tuple(variables), body)
-        except ValueError as exc:
-            raise EncodingError("OMBIND", str(exc)) from exc
     raise EncodingError(tag, "unknown OpenMath element")
 
 

@@ -16,6 +16,11 @@ supported.  Numeric shorthand (``693``, ``1.5``, ``2e3``) is normalized to a
 typed literal with the matching XSD datatype, so downstream code only ever
 sees typed literals.  Blank-node labels are rewritten to ``_:b0``, ``_:b1``,
 ... in first-seen order, which keeps parses deterministic.
+
+A parse interns its terms: it builds one ``Iri`` per distinct string, so
+the scheme check runs once per string, and one ``Literal`` per distinct
+lexical form, datatype and language.  The tables live only as long as the
+parse, so two parses share no term objects.
 """
 
 from __future__ import annotations
@@ -341,6 +346,9 @@ class _Parser:
         self.triples: set[Triple] = set()
         self._bnode_counter = 0
         self._bnode_labels: dict[str, BlankNode] = {}
+        # One term per distinct value, for this parse only.
+        self._iris: dict[str, Iri] = {}
+        self._literals: dict[tuple[str, str | None, str | None], Literal] = {}
 
     def _peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -362,21 +370,38 @@ class _Parser:
             self._bnode_labels[label] = self._fresh_bnode()
         return self._bnode_labels[label]
 
+    def _iri(self, text: str) -> Iri:
+        """The one Iri of this parse for ``text``."""
+        iri = self._iris.get(text)
+        if iri is None:
+            iri = self._iris[text] = Iri(text)
+        return iri
+
+    def _literal(
+        self, lexical: str, datatype: Iri | None = None, language: str | None = None
+    ) -> Literal:
+        """The one Literal of this parse for its lexical form, datatype and language."""
+        key = (lexical, None if datatype is None else datatype.value, language)
+        literal = self._literals.get(key)
+        if literal is None:
+            literal = self._literals[key] = Literal(lexical, datatype, language)
+        return literal
+
     def _resolve_iriref(self, tok: _Token) -> Iri:
         text = tok.value
-        if _SCHEME_RE.match(text):
-            return Iri(text)
+        if text in self._iris or _SCHEME_RE.match(text):
+            return self._iri(text)
         if self.base_iri is not None:
             from urllib.parse import urljoin
 
-            return Iri(urljoin(self.base_iri.value, text))
+            return self._iri(urljoin(self.base_iri.value, text))
         raise TurtleSyntaxError(tok.line, tok.column, f"an absolute IRI (got <{text}>)")
 
     def _expand_pname(self, tok: _Token) -> Iri:
         prefix, local = tok.value
         if prefix not in self.prefixes:
             raise UnknownPrefixError(prefix)
-        return Iri(self.prefixes[prefix] + local)
+        return self._iri(self.prefixes[prefix] + local)
 
     def parse(self) -> Graph:
         while self._peek().kind != "EOF":
@@ -438,7 +463,7 @@ class _Parser:
         tok = self._peek()
         if tok.kind == "A":
             self.pos += 1
-            return Iri(RDF_TYPE)
+            return self._iri(RDF_TYPE)
         if tok.kind == "IRIREF":
             self.pos += 1
             return self._resolve_iriref(tok)
@@ -472,7 +497,7 @@ class _Parser:
         if tok.kind == "NUMBER":
             self.pos += 1
             lexical, datatype = tok.value
-            return Literal(lexical, datatype=Iri(datatype))
+            return self._literal(lexical, self._iri(datatype))
         if tok.kind == "STRING":
             self.pos += 1
             return self._literal_tail(tok.value)
@@ -485,15 +510,15 @@ class _Parser:
             dt_tok = self._peek()
             if dt_tok.kind == "IRIREF":
                 self.pos += 1
-                return Literal(lexical, datatype=self._resolve_iriref(dt_tok))
+                return self._literal(lexical, self._resolve_iriref(dt_tok))
             if dt_tok.kind == "PNAME":
                 self.pos += 1
-                return Literal(lexical, datatype=self._expand_pname(dt_tok))
+                return self._literal(lexical, self._expand_pname(dt_tok))
             raise TurtleSyntaxError(dt_tok.line, dt_tok.column, "a datatype IRI after '^^'")
         if tok.kind == "LANGTAG":
             self.pos += 1
-            return Literal(lexical, language=tok.value)
-        return Literal(lexical)
+            return self._literal(lexical, language=tok.value)
+        return self._literal(lexical)
 
     def _bnode_property_list(self) -> BlankNode:
         open_tok = self._take("LBRACKET", "'['")

@@ -32,9 +32,9 @@ from .annotations import (
     extract_data_points,
     extract_derivations,
 )
-from .cd import ContentDictionary, DefinitionalFMP, parse_cd_xml
+from .cd import ContentDictionary, DefinitionalFMP, load_cd_directory
 from .config import DEFAULT_VOCAB, StatVocab
-from .errors import NonFiniteResultError, ToolkitError, read_utf8
+from .errors import NonFiniteResultError, ToolkitError
 from .om import (
     DEFAULT_CDBASE,
     OMApplication,
@@ -130,10 +130,10 @@ class CdStore:
                 raise ToolkitError(f"a different CD is already stored for {url}")
 
     def load_directory(self, path: str | Path) -> int:
-        """Parse every .ocd file in a directory into the store."""
+        """Add every CD of ``cd.load_cd_directory(path)``; the number of CDs read."""
         count = 0
-        for file in sorted(Path(path).glob("*.ocd")):
-            self.add(parse_cd_xml(read_utf8(file), source_url=file.resolve().as_uri()))
+        for loaded in load_cd_directory(path):
+            self.add(loaded.cd)
             count += 1
         return count
 

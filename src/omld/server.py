@@ -15,24 +15,17 @@ from __future__ import annotations
 import html
 import sys
 import threading
-from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from .cd import ContentDictionary, extract_links, parse_cd_xml, serialize_cd_xml
-from .errors import ToolkitError, read_utf8
+from .cd import ContentDictionary, LoadedCd, extract_links, load_cd_directory, serialize_cd_xml
+from .errors import ToolkitError
 from .om import OPENMATH_XML_MIME, cd_url, om_element_text
 from .rdf import XSD_NS, Graph, Iri, Literal, Triple, serialize_turtle
 
 TEXT_HTML = "text/html"
 TEXT_TURTLE = "text/turtle"
 SUPPORTED_TYPES = (OPENMATH_XML_MIME, TEXT_HTML, TEXT_TURTLE)
-
-
-@dataclass(frozen=True)
-class _LoadedCd:
-    cd: ContentDictionary
-    raw: bytes
 
 
 def parse_accept(header: str | None) -> list[tuple[str, float]]:
@@ -157,7 +150,7 @@ def cd_to_rdf(cd: ContentDictionary, base_iri: str) -> Graph:
 class CdApp:
     """Pure request routing over an immutable snapshot of CDs."""
 
-    def __init__(self, cds: dict[str, _LoadedCd], base_iri: str):
+    def __init__(self, cds: dict[str, LoadedCd], base_iri: str):
         self.cds = cds
         self.base_iri = base_iri
 
@@ -194,7 +187,7 @@ class CdApp:
     def _not_found(self, path: str) -> tuple[int, dict[str, str], bytes]:
         return 404, {"Content-Type": "text/plain"}, f"not found: {path}\n".encode()
 
-    def _negotiated_cd(self, name: str, loaded: _LoadedCd, accept: str | None):
+    def _negotiated_cd(self, name: str, loaded: LoadedCd, accept: str | None):
         chosen = negotiate(accept)
         if chosen is None:
             body = "not acceptable; supported: " + ", ".join(SUPPORTED_TYPES) + "\n"
@@ -207,7 +200,7 @@ class CdApp:
         graph = cd_to_rdf(loaded.cd, self.base_iri)
         return 200, {"Content-Type": TEXT_TURTLE}, serialize_turtle(graph).encode("utf-8")
 
-    def _symbol_fragment(self, loaded: _LoadedCd, symbol: str):
+    def _symbol_fragment(self, loaded: LoadedCd, symbol: str):
         definition = loaded.cd.definition(symbol)
         if definition is None:
             return self._not_found(f"/{loaded.cd.cdname}/{symbol}")
@@ -222,14 +215,17 @@ class CdApp:
         return 200, {"Content-Type": OPENMATH_XML_MIME}, body
 
 
-def load_cd_directory(directory: str | Path) -> dict[str, _LoadedCd]:
-    """Every ``*.ocd`` file by CD name; two files with one CD name are a ToolkitError."""
-    cds: dict[str, _LoadedCd] = {}
-    for file in sorted(Path(directory).glob("*.ocd")):
-        cd = parse_cd_xml(read_utf8(file), source_url=file.resolve().as_uri())
-        if cd.cdname in cds:
-            raise ToolkitError(f"{file}: another CD file already defines {cd.cdname!r}")
-        cds[cd.cdname] = _LoadedCd(cd=cd, raw=file.read_bytes())
+def load_snapshot(directory: str | Path) -> dict[str, LoadedCd]:
+    """Every CD of ``cd.load_cd_directory`` by CD name.
+
+    Two files with one CD name are a ToolkitError.
+    """
+    cds: dict[str, LoadedCd] = {}
+    for loaded in load_cd_directory(directory):
+        name = loaded.cd.cdname
+        if name in cds:
+            raise ToolkitError(f"{loaded.path}: another CD file already defines {name!r}")
+        cds[name] = loaded
     return cds
 
 
@@ -261,7 +257,7 @@ class CdServer:
         base_iri: str | None = None,
     ):
         self.cd_directory = str(cd_directory)
-        cds = load_cd_directory(self.cd_directory)
+        cds = load_snapshot(self.cd_directory)
         self._httpd = ThreadingHTTPServer((bind_address, port), _Handler)
         self._httpd.daemon_threads = True
         actual_port = self._httpd.server_address[1]
@@ -286,7 +282,7 @@ class CdServer:
         line to stderr, so a bad reload never stops the server.
         """
         try:
-            cds = load_cd_directory(self.cd_directory)
+            cds = load_snapshot(self.cd_directory)
         except (ToolkitError, OSError) as exc:
             print(f"omld: reload failed, still serving the old CDs: {exc}", file=sys.stderr)
             return

@@ -7,6 +7,7 @@ import re
 import socket
 import sys
 import threading
+import xml.etree.ElementTree as ET
 from contextlib import contextmanager
 from typing import Callable, Iterator, Mapping
 
@@ -21,13 +22,17 @@ from omld.config import DEFAULT_VOCAB, StatVocab
 from omld import resolver
 from omld.errors import ToolkitError
 from omld.om import (
+    DEFAULT_CDBASE,
     OPENMATH_XML_MIME,
+    EncodingError,
     OMApplication,
     OMBinding,
     OMFloat,
     OMInteger,
     OMObject,
+    OMString,
     OMSymbol,
+    OMVariable,
     free_variables,
     parse_symbol_uri,
     symbol_iri,
@@ -177,6 +182,75 @@ def recursion_limit(frames: int) -> Iterator[int]:
         yield limit
     finally:
         sys.setrecursionlimit(old)
+
+
+def _local(tag: str) -> str:
+    return tag.rsplit("}", 1)[-1]
+
+
+def om_from_element_recursive(elem: ET.Element, cdbase: str = DEFAULT_CDBASE) -> OMObject:
+    """The recursive OpenMath decoder, one Python frame per level of nesting.
+
+    The differential reference for ``omld.om.om_from_element``: both must
+    give equal objects and raise the same errors, in document order.
+    """
+    cdbase = elem.get("cdbase", cdbase)
+    tag = _local(elem.tag)
+
+    if tag == "OMS":
+        cd, name = elem.get("cd"), elem.get("name")
+        if cd is None or name is None:
+            raise EncodingError("OMS", "both 'cd' and 'name' are required")
+        try:
+            return OMSymbol(cd=cd, name=name, cdbase=cdbase)
+        except ValueError as exc:
+            raise EncodingError("OMS", str(exc)) from exc
+    if tag == "OMI":
+        text = (elem.text or "").strip()
+        try:
+            return OMInteger(int(text))
+        except ValueError as exc:
+            raise EncodingError("OMI", f"not a decimal integer: {text!r}") from exc
+    if tag == "OMF":
+        if elem.get("hex") is not None:
+            raise EncodingError("OMF", "hex-encoded floats are not supported")
+        dec = elem.get("dec")
+        if dec is None:
+            raise EncodingError("OMF", "missing 'dec' attribute")
+        try:
+            return OMFloat(float(dec))
+        except ValueError as exc:
+            raise EncodingError("OMF", f"not a decimal float: {dec!r}") from exc
+    if tag == "OMV":
+        name = elem.get("name")
+        if not name:
+            raise EncodingError("OMV", "missing 'name' attribute")
+        return OMVariable(name)
+    if tag == "OMSTR":
+        return OMString(elem.text or "")
+    if tag == "OMA":
+        children = list(elem)
+        if len(children) < 2:
+            raise EncodingError("OMA", "an application needs a head and at least one argument")
+        parsed = [om_from_element_recursive(c, cdbase) for c in children]
+        return OMApplication(parsed[0], tuple(parsed[1:]))
+    if tag == "OMBIND":
+        children = list(elem)
+        if len(children) != 3 or _local(children[1].tag) != "OMBVAR":
+            raise EncodingError("OMBIND", "expected binder, OMBVAR, body")
+        binder = om_from_element_recursive(children[0], cdbase)
+        variables = []
+        for v in children[1]:
+            parsed = om_from_element_recursive(v, cdbase)
+            if not isinstance(parsed, OMVariable):
+                raise EncodingError("OMBVAR", "only OMV children are allowed")
+            variables.append(parsed)
+        body = om_from_element_recursive(children[2], cdbase)
+        try:
+            return OMBinding(binder, tuple(variables), body)
+        except ValueError as exc:
+            raise EncodingError("OMBIND", str(exc)) from exc
+    raise EncodingError(tag, "unknown OpenMath element")
 
 
 def _outermost_pass(obj: OMObject, store: CdStore, hits: list) -> OMObject:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import logging
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -10,20 +12,23 @@ from omld.cd import (
     MissingElementError,
     TypedLink,
     extract_links,
+    load_cd_directory,
     parse_cd_xml,
     serialize_cd_xml,
 )
+from omld.errors import ToolkitError
 from omld.om import (
     DEFAULT_CDBASE,
     EncodingError,
     OMApplication,
+    OMBinding,
     OMSymbol,
     OMVariable,
     XmlError,
 )
 from omld.rdf import Iri
 
-from .conftest import fixture_text
+from .conftest import CD_DIR, fixture_text
 
 
 def cd_with_fmps(*fmps: str, name: str = "sym", cdname: str = "demo") -> str:
@@ -222,3 +227,89 @@ class TestSerializeCd:
             cd = parse_cd_xml(fixture_text(f"cds/{name}.ocd"))
             again = parse_cd_xml(serialize_cd_xml(cd))
             assert again.definitions == cd.definitions
+
+
+def _symbols_and_variables(obj):
+    """Every OMSymbol and OMVariable in a tree, by an explicit-stack walk."""
+    stack = [obj]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (OMSymbol, OMVariable)):
+            yield node
+        elif isinstance(node, OMApplication):
+            stack += [node.head, *node.args]
+        elif isinstance(node, OMBinding):
+            stack += [node.binder, *node.variables, node.body]
+
+
+class TestInterning:
+    def test_one_object_per_symbol_and_variable_across_fmps(self):
+        cd = parse_cd_xml(fixture_text("cds/chain.ocd"))
+        seen: dict = {}
+        occurrences = 0
+        for definition in cd.definitions:
+            for fmp in definition.fmps:
+                for node in _symbols_and_variables(fmp):
+                    assert seen.setdefault(node, node) is node
+                    occurrences += 1
+        assert occurrences > 3 * len(seen)
+        # c2 is applied in c1's FMP and defined by its own.
+        c1_fmp, c2_fmp = cd.definitions[0].fmps[0], cd.definitions[1].fmps[0]
+        assert c1_fmp.args[1].args[0].head is c2_fmp.args[0].head
+
+    def test_two_parses_share_nothing(self):
+        text = fixture_text("cds/chain.ocd")
+        one, two = parse_cd_xml(text), parse_cd_xml(text)
+        assert one.definitions == two.definitions
+        ids = {id(n) for d in one.definitions for f in d.fmps for n in _symbols_and_variables(f)}
+        for d in two.definitions:
+            for fmp in d.fmps:
+                assert not any(id(n) in ids for n in _symbols_and_variables(fmp))
+
+
+class TestLoadCdDirectory:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("<CD>", "malformed XML: "),
+            ('<!DOCTYPE CD [<!ENTITY n "x">]><CD><CDName>&n;</CDName></CD>', "a document type"),
+            (
+                "<CD><CDName>d</CDName><CDDefinition><Name>s</Name></CDDefinition>"
+                "<CDDefinition><Name>s</Name></CDDefinition></CD>",
+                "symbol defined twice: s",
+            ),
+            (
+                "<CD><CDName>d</CDName><CDDefinition><Name>bad name</Name></CDDefinition></CD>",
+                "<Name>: bad symbol name: 'bad name'",
+            ),
+            (
+                "<CD><CDName>d</CDName><CDDefinition><Name>s</Name>"
+                "<FMP><OMOBJ><OMA><OMI>1</OMI></OMA></OMOBJ></FMP></CDDefinition></CD>",
+                "<OMA>: an application needs",
+            ),
+        ],
+    )
+    def test_a_parse_error_names_the_file(self, tmp_path, text, message):
+        shutil.copy(CD_DIR / "statistics.ocd", tmp_path)
+        (tmp_path / "broken.ocd").write_text(text, encoding="utf-8")
+        with pytest.raises(ToolkitError) as info:
+            list(load_cd_directory(tmp_path))
+        assert str(info.value).startswith(f"{tmp_path / 'broken.ocd'}: {message}")
+
+    def test_each_file_is_read_once_as_bytes(self, monkeypatch):
+        disk = {p.name: p.read_bytes() for p in CD_DIR.glob("*.ocd")}
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def counting_read_bytes(path):
+            reads.append(path.name)
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+        monkeypatch.delattr(Path, "read_text")
+        loaded = list(load_cd_directory(CD_DIR))
+        assert reads == sorted(disk)
+        assert [entry.path.name for entry in loaded] == sorted(disk)
+        for entry in loaded:
+            assert entry.raw == disk[entry.path.name]
+            assert entry.cd == parse_cd_xml(entry.raw.decode(), source_url=entry.cd.source_url)

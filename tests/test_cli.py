@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import gc
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from omld import resolver
+from omld import cli, resolver
 from omld.cli import main
 from omld.om import OPENMATH_XML_MIME, parse_om_xml, serialize_om_xml
 from omld.rdf import RDF_VALUE, Iri, parse_turtle
@@ -130,7 +132,7 @@ class TestVerifyCommand:
         assert main(["verify", str(dataset), "--config", str(config)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "omld: <Name>: bad symbol name: 'bad name'\n"
+        assert captured.err == f"omld: {bad_dir / 'bad.ocd'}: <Name>: bad symbol name: 'bad name'\n"
 
     def test_two_symbols_of_one_remote_cd_cost_one_request(self, tmp_path, capsys, monkeypatch):
         # chain#c9(x) = 2x + 1 and chain#c10(x) = 2x, served from cds.example.
@@ -539,6 +541,33 @@ class TestServeCommand:
             proc.wait(timeout=5)
             proc.stderr.close()
 
+    def test_sighup_with_a_malformed_cd_keeps_the_old_snapshot(self, tmp_path):
+        directory = tmp_path / "cds"
+        directory.mkdir()
+        (directory / "statistics.ocd").write_text(fixture_text("cds/statistics.ocd"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "omld", "serve", "--dir", str(directory), "--port", "0"],
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            line = proc.stderr.readline()
+            base = next(tok for tok in line.split() if tok.startswith("http://"))
+            (directory / "broken.ocd").write_text("<CD><CDName>broken</CDName>")
+            proc.send_signal(signal.SIGHUP)
+            ready, _, _ = select.select([proc.stderr], [], [], 10)
+            assert ready, "no reload message within 10 s"
+            assert proc.stderr.readline().startswith(
+                "omld: reload failed, still serving the old CDs: "
+                f"{directory / 'broken.ocd'}: malformed XML: "
+            )
+            with urllib.request.urlopen(f"{base}/statistics", timeout=5) as resp:
+                assert resp.status == 200
+        finally:
+            proc.terminate()
+            proc.wait(timeout=5)
+            proc.stderr.close()
+
 
 ENV = "http://example.org/ns/env#"
 
@@ -590,3 +619,58 @@ class TestUsage:
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         ).stdout
         assert out.strip() == "[]"
+
+
+class TestGarbageCollection:
+    """Batch commands run with cyclic GC paused; ``main`` restores its state."""
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def gc_state(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["verify", str(FIXTURES / "geese.ttl")], 0),
+            (["verify", str(FIXTURES / "geese.ttl"), "--config", "/no/such/config.json"], 64),
+            (["expand", str(FIXTURES / "geese.ttl")], 2),
+        ],
+    )
+    def test_state_restored_after_exit(self, gc_state, argv, code, capsys):
+        assert main(argv) == code
+        assert gc.isenabled() is gc_state
+
+    def test_state_restored_after_a_mismatch(self, gc_state, tmp_path, config_file, capsys):
+        tampered = tmp_path / "tampered.ttl"
+        tampered.write_text(fixture_text("geese.ttl").replace('"1.8236842105263158"', '"2.0"'))
+        assert main(["verify", str(tampered), "--config", config_file]) == 1
+        assert gc.isenabled() is gc_state
+
+    def test_state_restored_after_an_exception(self, gc_state, monkeypatch):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "verify", boom)
+        with pytest.raises(RuntimeError):
+            main(["verify", "x.ttl"])
+        assert gc.isenabled() is gc_state
+
+    @pytest.mark.parametrize(
+        "command, argv, paused",
+        [
+            ("verify", ["verify", "x.ttl"], True),
+            ("recompute", ["recompute", "x.ttl"], True),
+            ("query-max", ["query-max", "x.ttl", "m", "a", "b"], True),
+            ("expand", ["expand", "x.om"], True),
+            ("fetch", ["fetch", "http://127.0.0.1:1/x"], True),
+            ("serve", ["serve"], False),
+        ],
+    )
+    def test_only_serve_runs_with_gc(self, gc_state, monkeypatch, command, argv, paused):
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, command, lambda args: seen.append(gc.isenabled()) or 0)
+        assert main(argv) == 0
+        assert seen == [gc_state and not paused]

@@ -18,12 +18,15 @@ from omld.om import (
     XmlError,
     cd_url,
     free_variables,
+    om_from_element,
     parse_om_xml,
     parse_symbol_uri,
+    parse_xml,
     serialize_om_xml,
     symbol_iri,
 )
 
+from .helpers import om_from_element_recursive, recursion_limit
 from .strategies import om_objects
 
 DIVIDE = OMSymbol(cd="arith1", name="divide")
@@ -161,6 +164,144 @@ class TestRoundTripProperty:
     @given(om_objects())
     def test_parse_serialize_parse(self, obj):
         assert parse_om_xml(serialize_om_xml(obj)) == obj
+
+
+LAMBDA = '<OMS cd="fns1" name="lambda"/>'
+PLUS = '<OMS cd="arith1" name="plus"/>'
+# Malformed OpenMath, each failing in the first place its name gives.
+MALFORMED = {
+    "oms without cd": '<OMS name="plus"/>',
+    "oms without name": '<OMS cd="arith1"/>',
+    "oms with a bad name": '<OMS cd="arith1" name="1plus"/>',
+    "oma with only a head": f"<OMA>{PLUS}</OMA>",
+    "hex omf": '<OMF hex="3FF8000000000000"/>',
+    "omf without dec": "<OMF/>",
+    "omf with a bad dec": '<OMF dec="one"/>',
+    "omi with a bad integer": "<OMI>1.5</OMI>",
+    "omv without name": "<OMV/>",
+    "ombvar holding an omi": (
+        f"<OMBIND>{LAMBDA}<OMBVAR><OMI>1</OMI></OMBVAR><OMV name='x'/></OMBIND>"
+    ),
+    "ombind with two children": f"<OMBIND>{LAMBDA}<OMBVAR><OMV name='x'/></OMBVAR></OMBIND>",
+    "ombind without ombvar": f"<OMBIND>{LAMBDA}<OMV name='x'/><OMV name='x'/></OMBIND>",
+    "empty ombvar": f"<OMBIND>{LAMBDA}<OMBVAR/><OMV name='x'/></OMBIND>",
+    "repeated bound variable": (
+        f"<OMBIND>{LAMBDA}<OMBVAR><OMV name='x'/><OMV name='x'/></OMBVAR><OMV name='x'/></OMBIND>"
+    ),
+    "unknown tag": "<OMWAT/>",
+    "nested cdbase override": (
+        f'<OMA cdbase="http://a.example">{PLUS}<OMA cdbase="">{PLUS}<OMI>1</OMI></OMA></OMA>'
+    ),
+    # Each of these has two faults; the first in document order wins.
+    "bad head before bad argument": "<OMA><OMS cd='a' name='1'/><OMWAT/></OMA>",
+    "bad argument before short application": f"<OMA>{PLUS}<OMF/><OMA>{PLUS}</OMA></OMA>",
+    "bad binder before bad variable": (
+        "<OMBIND><OMWAT/><OMBVAR><OMI>1</OMI></OMBVAR><OMV name='x'/></OMBIND>"
+    ),
+    "bad subtree inside ombvar": (
+        f"<OMBIND>{LAMBDA}<OMBVAR><OMA>{PLUS}<OMF/></OMA></OMBVAR><OMWAT/></OMBIND>"
+    ),
+    "bad variable before bad body": (
+        f"<OMBIND>{LAMBDA}<OMBVAR><OMV name='x'/><OMI>1</OMI></OMBVAR><OMWAT/></OMBIND>"
+    ),
+    "bad body before repeated variable": (
+        f"<OMBIND>{LAMBDA}<OMBVAR><OMV name='x'/><OMV name='x'/></OMBVAR><OMF/></OMBIND>"
+    ),
+}
+
+
+def _decode_failure(decode, text: str) -> tuple[type, str]:
+    with pytest.raises(EncodingError) as info:
+        decode(parse_xml(text))
+    return type(info.value), str(info.value)
+
+
+class TestDecoderDifferential:
+    """The iterative decoder against the recursive one in ``tests/helpers.py``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(om_objects())
+    def test_both_decode_serialized_objects_alike(self, obj):
+        (elem,) = parse_xml(serialize_om_xml(obj))
+        assert om_from_element(elem) == om_from_element_recursive(elem) == obj
+
+    def test_nested_cdbase_override(self):
+        text = (
+            '<OMA cdbase="http://a.example"><OMS cd="c" name="n"/>'
+            '<OMA cdbase="http://b.example"><OMS cd="c" name="n"/><OMI>1</OMI></OMA>'
+            f'<OMBIND>{LAMBDA}<OMBVAR cdbase="http://c.example"><OMV name="x"/></OMBVAR>'
+            '<OMS cd="c" name="n"/></OMBIND></OMA>'
+        )
+        elem = parse_xml(text)
+        obj = om_from_element(elem)
+        assert obj == om_from_element_recursive(elem)
+        assert [obj.head.cdbase, obj.args[0].head.cdbase, obj.args[1].body.cdbase] == [
+            "http://a.example",
+            "http://b.example",
+            "http://a.example",
+        ]
+
+    @pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_same_error_on_malformed_input(self, text):
+        assert _decode_failure(om_from_element, text) == _decode_failure(
+            om_from_element_recursive, text
+        )
+
+
+class TestDecoderDepth:
+    @staticmethod
+    def _nest(depth: int) -> str:
+        minus = '<OMS cd="arith1" name="unary_minus"/>'
+        return f"<OMA>{minus}" * depth + "<OMI>1</OMI>" + "</OMA>" * depth
+
+    @staticmethod
+    def _depth(obj) -> int:
+        depth = 0
+        while isinstance(obj, OMApplication):
+            obj, depth = obj.args[0], depth + 1
+        assert obj == OMInteger(1)
+        return depth
+
+    def test_parse_om_xml_deeper_than_the_recursion_limit(self):
+        with recursion_limit(100) as limit:
+            depth = limit * 20
+            obj = parse_om_xml(f"<OMOBJ>{self._nest(depth)}</OMOBJ>")
+        assert self._depth(obj) == depth
+
+    def test_parse_cd_xml_deeper_than_the_recursion_limit(self):
+        from omld.cd import parse_cd_xml
+
+        with recursion_limit(100) as limit:
+            depth = limit * 20
+            cd = parse_cd_xml(
+                "<CD><CDName>deep</CDName><CDDefinition><Name>f</Name>"
+                f"<FMP><OMOBJ>{self._nest(depth)}</OMOBJ></FMP></CDDefinition></CD>"
+            )
+        assert self._depth(cd.definitions[0].fmps[0]) == depth
+
+
+class TestDecoderInterning:
+    TEXT = (
+        f"<OMOBJ><OMA>{PLUS}<OMA>{PLUS}<OMV name='x'/><OMV name='x'/></OMA>"
+        "<OMS cd='arith1' name='plus' cdbase='http://a.example'/></OMA></OMOBJ>"
+    )
+
+    def test_equal_symbols_and_variables_are_one_object(self):
+        obj = parse_om_xml(self.TEXT)
+        inner = obj.args[0]
+        assert inner.head is obj.head
+        assert inner.args[0] is inner.args[1]
+
+    def test_symbols_differing_in_cdbase_stay_apart(self):
+        obj = parse_om_xml(self.TEXT)
+        assert obj.args[1] != obj.head
+        assert obj.args[1].cdbase == "http://a.example"
+
+    def test_two_parses_share_nothing(self):
+        one, two = parse_om_xml(self.TEXT), parse_om_xml(self.TEXT)
+        assert one == two
+        assert one.head is not two.head
+        assert one.args[0].args[0] is not two.args[0].args[0]
 
 
 class TestSymbolUris:

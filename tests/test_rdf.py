@@ -138,6 +138,44 @@ class TestParsing:
         assert len(g) == 1
 
 
+def _term_occurrences(graph: Graph):
+    """Every term of every triple, and every literal's datatype."""
+    for t in graph.triples:
+        for term in (t.subject, t.predicate, t.object):
+            yield term
+            if isinstance(term, Literal) and term.datatype is not None:
+                yield term.datatype
+
+
+def _repeated_terms(graph: Graph) -> int:
+    """How many term occurrences repeat an earlier one; asserts each repeat is the same object."""
+    seen: dict = {}
+    occurrences = 0
+    for term in _term_occurrences(graph):
+        assert seen.setdefault(term, term) is term
+        occurrences += 1
+    return occurrences - len(seen)
+
+
+class TestInterning:
+    TEXT = (
+        "@prefix ex: <http://ex.org/> .\n"
+        "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
+        'ex:s ex:p ex:o , "v" , 1 , "v"@en ; ex:q <http://ex.org/o> , "v" , "1"^^xsd:integer .\n'
+        '<http://ex.org/o> ex:p "v"@en , "v"^^ex:t , 2 ; a ex:T .\n'
+        "[ ex:p ex:s ] ex:q ex:s .\n"
+    )
+
+    def test_equal_terms_are_one_object(self):
+        assert _repeated_terms(parse_turtle(self.TEXT)) > 10
+
+    def test_two_parses_share_nothing(self):
+        one, two = parse_turtle(self.TEXT), parse_turtle(self.TEXT)
+        assert one.triples == two.triples
+        ids = {id(term) for term in _term_occurrences(one)}
+        assert not any(id(term) in ids for term in _term_occurrences(two))
+
+
 class TestMatch:
     def test_value_lookup(self, listing1_graph):
         found = listing1_graph.match(Iri(AHS + "EH100"), Iri(RDF_VALUE), None)
@@ -238,6 +276,7 @@ class TestSerialization:
         )
         again = parse_turtle(serialize_turtle(g))
         assert isomorphic(g, again)
+        _repeated_terms(again)
 
     def test_typed_literal_without_shorthand_survives(self):
         # "693"^^xsd:decimal must not collapse into a bare integer.
@@ -336,6 +375,7 @@ class TestRoundTripProperty:
     def test_parse_serialize_parse_isomorphic(self, g):
         again = parse_turtle(serialize_turtle(g))
         assert isomorphic(g, again)
+        _repeated_terms(again)
 
 
 class TestIsomorphism:

@@ -14,7 +14,7 @@ from omld.server import (
     CdApp,
     CdServer,
     cd_to_rdf,
-    load_cd_directory,
+    load_snapshot,
     negotiate,
     parse_accept,
     render_cd_html,
@@ -31,7 +31,7 @@ BAD_NAME_CD = (
 
 @pytest.fixture(scope="module")
 def app():
-    return CdApp(load_cd_directory(CD_DIR), BASE)
+    return CdApp(load_snapshot(CD_DIR), BASE)
 
 
 class TestParseAccept:
@@ -181,14 +181,14 @@ class TestLoadCdDirectory:
         shutil.copy(CD_DIR / "statistics.ocd", tmp_path)
         (tmp_path / "latin.ocd").write_bytes(b"<CD><CDName>caf\xe9</CDName></CD>")
         with pytest.raises(ToolkitError, match="latin.ocd: not UTF-8"):
-            load_cd_directory(tmp_path)
+            load_snapshot(tmp_path)
 
 
     def test_bad_symbol_name_is_a_toolkit_error(self, tmp_path):
         shutil.copy(CD_DIR / "statistics.ocd", tmp_path)
         (tmp_path / "bad.ocd").write_text(BAD_NAME_CD)
-        with pytest.raises(ToolkitError, match="bad symbol name: 'bad name'"):
-            load_cd_directory(tmp_path)
+        with pytest.raises(ToolkitError, match="bad.ocd: <Name>: bad symbol name: 'bad name'"):
+            load_snapshot(tmp_path)
 
 
 class TestLiveServer:
@@ -225,7 +225,7 @@ class TestLiveServer:
         shutil.copy(CD_DIR / "statistics.ocd", directory / "one.ocd")
         shutil.copy(CD_DIR / "statistics.ocd", directory / "two.ocd")
         with pytest.raises(ToolkitError, match="two.ocd: another CD file already defines"):
-            load_cd_directory(directory)
+            load_snapshot(directory)
 
     def test_failed_reload_keeps_the_old_snapshot(self, tmp_path, capsys):
         directory = tmp_path / "cds"
@@ -262,7 +262,7 @@ class TestLiveServer:
             err = capsys.readouterr().err
             assert err == (
                 "omld: reload failed, still serving the old CDs: "
-                "<Name>: bad symbol name: 'bad name'\n"
+                f"{directory / 'bad.ocd'}: <Name>: bad symbol name: 'bad name'\n"
             )
             for path in ("/statistics", "/statistics.xhtml"):
                 assert server.app.route("GET", path, "text/turtle")[0] == 200
@@ -272,5 +272,5 @@ class TestLiveServer:
 
     def test_relative_directory(self, monkeypatch):
         monkeypatch.chdir(CD_DIR.parent)
-        cds = load_cd_directory(CD_DIR.name)
+        cds = load_snapshot(CD_DIR.name)
         assert cds["statistics"].cd.source_url == (CD_DIR / "statistics.ocd").resolve().as_uri()
