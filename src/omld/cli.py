@@ -4,6 +4,13 @@ Payloads go to stdout, diagnostics to stderr, and exit codes are systematic:
 0 on success (for ``verify``: everything matched), 1 when a stored value
 mismatches, 2 on runtime failures (unreachable hosts, cycles, uncomputable
 points), 64 for usage problems such as missing files or bad config.
+
+Every directory of the config's ``cd_dirs`` must exist, but its CDs are read
+only when a run first needs one: ``verify``, ``recompute`` and ``query-max``
+read them before computing when a derivation names a function that is not an
+arith1 base operation, and ``expand`` at its first CD lookup.  A CD that
+cannot be read then ends the run with exit 2; a run that needs no CD never
+opens the directories.
 """
 
 from __future__ import annotations
@@ -113,7 +120,7 @@ def _build_store(cfg: ToolkitConfig) -> CdStore:
     for directory in cfg.cd_dirs:
         if not Path(directory).is_dir():
             raise _UsageError(f"CD directory not found: {directory}")
-        store.load_directory(directory)
+        store.add_directory(directory)
     return store
 
 
@@ -162,7 +169,7 @@ def _cmd_expand(args) -> int:
                 raise store.fetch_error(url)
             store.add(cd)
         elif Path(source).is_dir():
-            store.load_directory(source)
+            store.add_directory(source)
         else:
             raise _UsageError(f"not a CD directory or URL: {source}")
 

@@ -5,12 +5,17 @@ actual namespace IRIs are a local choice and live here (or in a user config
 file) rather than being hard-coded across modules.  ``rdf:``/``xsd:`` are the
 W3C namespaces and ``scv:`` is the published SCOVO namespace; the rest are
 minted under example.org.
+
+The directories of ``cd_dirs`` must exist when a command starts, but their
+CDs are read only when the run first needs a CD: a dataset whose functions
+are all arith1 base operations never opens them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, field
 
 from .errors import ToolkitError
 from .rdf import RDF_NS, RDFS_NS, XSD_NS, Iri, _SCHEME_RE
@@ -77,8 +82,8 @@ class ToolkitConfig:
     base_iri: str | None = None
 
     def __post_init__(self):
-        if self.tolerance < 0:
-            raise ConfigError("tolerance must be >= 0")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ConfigError("tolerance must be a finite number >= 0")
         for prefix, iri in self.prefixes.items():
             if not _SCHEME_RE.match(iri):
                 raise ConfigError(f"prefix {prefix!r} maps to a non-absolute IRI: {iri!r}")
@@ -90,7 +95,24 @@ class ToolkitConfig:
         return StatVocab.from_prefixes(self.prefixes)
 
 
-_KNOWN_KEYS = frozenset(f.name for f in fields(ToolkitConfig))
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+# The JSON value each config key takes, as a test and its description.
+_KEY_TYPES = {
+    "prefixes": (
+        lambda v: isinstance(v, dict) and all(map(_is_str, v.values())),
+        "an object of string values",
+    ),
+    "tolerance": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+    "region_type": (_is_str, "a string"),
+    "cd_dirs": (lambda v: isinstance(v, list) and all(map(_is_str, v)), "a list of strings"),
+    "bind_address": (_is_str, "a string"),
+    "port": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "cd_directory": (lambda v: v is None or _is_str(v), "a string or null"),
+    "base_iri": (lambda v: v is None or _is_str(v), "a string or null"),
+}
 
 
 def load_config(path: str) -> ToolkitConfig:
@@ -104,9 +126,13 @@ def load_config(path: str) -> ToolkitConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    unknown = set(raw) - _KNOWN_KEYS
+    unknown = set(raw) - _KEY_TYPES.keys()
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    for key, value in raw.items():
+        is_valid, expected = _KEY_TYPES[key]
+        if not is_valid(value):
+            raise ConfigError(f"bad config {path}: {key} must be {expected}")
 
     kwargs = dict(raw)
     if "prefixes" in kwargs:
@@ -115,7 +141,4 @@ def load_config(path: str) -> ToolkitConfig:
         kwargs["prefixes"] = merged
     if "cd_dirs" in kwargs:
         kwargs["cd_dirs"] = tuple(kwargs["cd_dirs"])
-    try:
-        return ToolkitConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad config {path}: {exc}") from exc
+    return ToolkitConfig(**kwargs)

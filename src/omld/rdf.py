@@ -574,10 +574,14 @@ def _abbreviate(iri: Iri, prefixes: dict[str, str]) -> str | None:
     return f"{best[1]}:{best[2]}"
 
 
-def _render_term(term: Term, prefixes: dict[str, str]) -> str:
+def _render_term(term: Term, prefixes: dict[str, str], iri_texts: dict[str, str]) -> str:
+    """Turtle text of a term; ``iri_texts`` holds each IRI's text rendered so far."""
     if isinstance(term, Iri):
-        short = _abbreviate(term, prefixes)
-        return short if short is not None else f"<{term.value}>"
+        text = iri_texts.get(term.value)
+        if text is None:
+            short = _abbreviate(term, prefixes)
+            text = iri_texts[term.value] = short if short is not None else f"<{term.value}>"
+        return text
     if isinstance(term, BlankNode):
         return f"_:{term.label}"
     if term.language is not None:
@@ -590,7 +594,8 @@ def _render_term(term: Term, prefixes: dict[str, str]) -> str:
             return term.lexical
         if dt == XSD_DOUBLE and _DOUBLE_RE.fullmatch(term.lexical):
             return term.lexical
-        return '"%s"^^%s' % (_escape(term.lexical), _render_term(term.datatype, prefixes))
+        datatype = _render_term(term.datatype, prefixes, iri_texts)
+        return '"%s"^^%s' % (_escape(term.lexical), datatype)
     return '"%s"' % _escape(term.lexical)
 
 
@@ -607,12 +612,16 @@ def serialize_turtle(graph: Graph) -> str:
     if lines:
         lines.append("")
 
+    iri_texts: dict[str, str] = {}
     for subject, group in groupby(graph, key=attrgetter("subject")):
-        subject_text = _render_term(subject, graph.prefixes)
+        subject_text = _render_term(subject, graph.prefixes, iri_texts)
         parts = []
         for t in group:
-            pred = "a" if t.predicate.value == RDF_TYPE else _render_term(t.predicate, graph.prefixes)
-            parts.append(f"{pred} {_render_term(t.object, graph.prefixes)}")
+            if t.predicate.value == RDF_TYPE:
+                pred = "a"
+            else:
+                pred = _render_term(t.predicate, graph.prefixes, iri_texts)
+            parts.append(f"{pred} {_render_term(t.object, graph.prefixes, iri_texts)}")
         lines.append(f"{subject_text} " + " ;\n    ".join(parts) + " .")
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -37,6 +37,7 @@ from .config import DEFAULT_VOCAB, StatVocab
 from .errors import NonFiniteResultError, ToolkitError
 from .om import (
     DEFAULT_CDBASE,
+    MalformedSymbolUriError,
     OMApplication,
     OMBinding,
     OMFloat,
@@ -47,6 +48,7 @@ from .om import (
     cd_url,
     free_variables,
     iter_symbols,
+    parse_symbol_uri,
     serialize_om_xml,
     symbol_iri,
 )
@@ -112,13 +114,19 @@ class CdStore:
     fetch, is remembered under the URL it was asked for, so a run requests
     each URL at most once, stays deterministic and does not hammer an
     unreachable host.
+
+    A directory given to ``add_directory`` is read when the store first
+    needs a CD: at the first ``lookup``, or at ``read_directories``.  The
+    directories are read once each, in the order they were added, so a run
+    that looks no CD up never opens them.
     """
 
     def __init__(self, fetch: Callable[[str], ContentDictionary] | None = None):
         self._fetch = fetch
         self._cds: dict[str, ContentDictionary] = {}
         self._fetch_errors: dict[str, Exception] = {}
-        self._lock = threading.Lock()
+        self._unread: list[str | Path] = []
+        self._lock = threading.RLock()
 
     def add(self, cd: ContentDictionary) -> None:
         url = cd_url(cd.cdbase, cd.cdname)
@@ -129,16 +137,21 @@ class CdStore:
             elif existing != cd:
                 raise ToolkitError(f"a different CD is already stored for {url}")
 
-    def load_directory(self, path: str | Path) -> int:
-        """Add every CD of ``cd.load_cd_directory(path)``; the number of CDs read."""
-        count = 0
-        for loaded in load_cd_directory(path):
-            self.add(loaded.cd)
-            count += 1
-        return count
+    def add_directory(self, path: str | Path) -> None:
+        """Add the CDs of a directory when the store first needs a CD."""
+        with self._lock:
+            self._unread.append(path)
+
+    def read_directories(self) -> None:
+        """Add every CD of ``cd.load_cd_directory`` for each directory not yet read."""
+        with self._lock:
+            while self._unread:
+                for loaded in load_cd_directory(self._unread.pop(0)):
+                    self.add(loaded.cd)
 
     def lookup(self, url: str) -> ContentDictionary | None:
         with self._lock:
+            self.read_directories()
             if url in self._cds:
                 return self._cds[url]
             if self._fetch is None or url in self._fetch_errors:
@@ -443,6 +456,14 @@ def _compute_term(term: OMObject, store: CdStore) -> float:
     return evaluate(expanded)
 
 
+def _needs_cd(function: str) -> bool:
+    """Whether computing with a function IRI may look a CD up."""
+    try:
+        return _base_op(parse_symbol_uri(function)) is None
+    except MalformedSymbolUriError:
+        return True
+
+
 def _extract(
     graph: Graph, vocab: StatVocab
 ) -> tuple[dict[str, DataPoint], dict[str, Derivation], dict[str, Decimal]]:
@@ -468,7 +489,13 @@ def _compute_chains(
     The walk keeps its own stack, so a chain may be deeper than Python's
     recursion limit.  The result maps each computed point to its value or
     its error.
+
+    The store's directories are read first, and only if some derivation
+    names a function that is not a base operation, so an error reading them
+    ends the run instead of failing each point.
     """
+    if any(map(_needs_cd, {d.function_uri.value for d in derivations.values()})):
+        store.read_directories()
     results: dict[str, float | ToolkitError] = {}
 
     def sources(pid: str) -> list[str]:

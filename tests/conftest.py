@@ -44,9 +44,9 @@ def statistics_cd():
 
 @pytest.fixture
 def local_store():
-    """All fixture CDs preloaded, no network."""
+    """All fixture CDs, read at the first lookup; no network."""
     store = CdStore()
-    store.load_directory(CD_DIR)
+    store.add_directory(CD_DIR)
     return store
 
 

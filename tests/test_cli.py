@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from omld import cli, resolver
+from omld import cli, resolver, rewrite
 from omld.cli import main
 from omld.om import OPENMATH_XML_MIME, parse_om_xml, serialize_om_xml
 from omld.rdf import RDF_VALUE, Iri, parse_turtle
@@ -35,6 +35,11 @@ BAD_FUNCTION_IRIS = [
     "http://www.openmath.org/cd/arith1#1divide",
     "http://www.openmath.org/cd/arith%201#divide",
 ]
+
+
+ENV = "http://example.org/ns/env#"
+# The metric and the two times of a ``query-max`` run on a one-dimension dataset.
+QUERY_MAX_ARGS = [ENV + "metric", ENV + "t1", ENV + "t2"]
 
 
 @pytest.fixture
@@ -80,6 +85,25 @@ class TestVerifyCommand:
             code = main(["verify", str(FIXTURES / "geese.ttl"), "--config", str(bad)])
             assert code == 64
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"cd_dirs": 5}', "cd_dirs must be a list of strings"),
+            ('{"cd_dirs": [5]}', "cd_dirs must be a list of strings"),
+            ('{"prefixes": 5}', "prefixes must be an object of string values"),
+            ('{"tolerance": NaN}', "tolerance must be a finite number >= 0"),
+            ('{"tolerance": true}', "tolerance must be a number"),
+            ('{"port": true}', "port must be an integer"),
+        ],
+    )
+    def test_config_value_of_the_wrong_type_exits_64(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["verify", str(FIXTURES / "geese.ttl"), "--config", str(bad)]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("omld: ") and captured.err.endswith(f"{message}\n")
+
     def test_max_depth_flag_is_gone(self, config_file, capsys):
         code = main(
             ["verify", str(FIXTURES / "geese.ttl"), "--config", config_file, "--max-depth", "3"]
@@ -114,7 +138,10 @@ class TestVerifyCommand:
         assert record["status"] == "uncomputable"
         assert record["reason"] == f"MalformedSymbolUriError: not a symbol URI: {function}"
 
-    def test_cd_with_bad_symbol_name_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["verify", "recompute", "query-max"])
+    def test_cd_with_bad_symbol_name_exits_2(self, tmp_path, capsys, command):
+        # A CD that cannot be read ends the run before any output, even in
+        # the commands that report a failed point and carry on.
         bad_dir = tmp_path / "cds"
         bad_dir.mkdir()
         (bad_dir / "bad.ocd").write_text(
@@ -129,7 +156,8 @@ class TestVerifyCommand:
             + point_turtle("L", 1)
             + point_turtle("A", 1, "http://example.org/bad#f", ["ahs:L"])
         )
-        assert main(["verify", str(dataset), "--config", str(config)]) == 2
+        args = [str(dataset), *QUERY_MAX_ARGS] if command == "query-max" else [str(dataset)]
+        assert main([command, *args, "--config", str(config)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"omld: {bad_dir / 'bad.ocd'}: <Name>: bad symbol name: 'bad name'\n"
@@ -569,9 +597,6 @@ class TestServeCommand:
             proc.stderr.close()
 
 
-ENV = "http://example.org/ns/env#"
-
-
 class TestConflictingCds:
     @pytest.mark.parametrize("command", ["verify", "recompute", "query-max", "expand"])
     def test_two_dirs_defining_one_cd_differently_exit_2(self, tmp_path, capsys, command):
@@ -587,19 +612,119 @@ class TestConflictingCds:
             dirs.append(str(directory))
         config = tmp_path / "omld.json"
         config.write_text(json.dumps({"cd_dirs": dirs}))
+        # The dataset and the term use demo#fn, so each run reads the CDs.
         dataset = tmp_path / "data.ttl"
-        dataset.write_text(DATASET_PREFIXES + point_turtle("A", 1))
+        dataset.write_text(
+            DATASET_PREFIXES
+            + point_turtle("L", 1)
+            + point_turtle("A", 1, "http://example.org/demo#fn", ["ahs:L"])
+        )
         term = tmp_path / "term.om"
-        term.write_text("<OMOBJ><OMI>1</OMI></OMOBJ>")
+        term.write_text(
+            '<OMOBJ><OMA><OMS cdbase="http://example.org" cd="demo" name="fn"/>'
+            "<OMI>1</OMI></OMA></OMOBJ>"
+        )
         args = {
             "verify": [str(dataset)],
             "recompute": [str(dataset)],
-            "query-max": [str(dataset), ENV + "metric", ENV + "t1", ENV + "t2"],
+            "query-max": [str(dataset), *QUERY_MAX_ARGS],
             "expand": [str(term)],
         }[command]
         assert main([command, *args, "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err == "omld: a different CD is already stored for http://example.org/demo\n"
+
+
+class TestCdDirectoriesReadOnDemand:
+    """A run reads ``cd_dirs`` only once it needs a CD, and then once each."""
+
+    ARITH1_ONLY = {
+        "verify": [str(FIXTURES / "geese.ttl")],
+        "recompute": [str(FIXTURES / "geese.ttl")],
+        "query-max": [
+            str(FIXTURES / "regions.ttl"),
+            DIVIDE_IRI,
+            ENV + "year-2008",
+            ENV + "year-2009",
+        ],
+    }
+
+    @staticmethod
+    def _config(tmp_path, cd_dirs) -> str:
+        path = tmp_path / "omld.json"
+        path.write_text(json.dumps({"cd_dirs": [str(d) for d in cd_dirs]}))
+        return str(path)
+
+    @staticmethod
+    def _reads(monkeypatch) -> list[str]:
+        reads = []
+        real = rewrite.load_cd_directory
+
+        def counting(directory):
+            reads.append(str(directory))
+            return real(directory)
+
+        monkeypatch.setattr(rewrite, "load_cd_directory", counting)
+        return reads
+
+    @pytest.mark.parametrize("command", ["verify", "recompute", "query-max"])
+    def test_malformed_cd_is_not_read_by_an_arith1_only_run(self, tmp_path, capsys, command):
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        (broken / "broken.ocd").write_text("<CD><CDName>")
+        outputs = []
+        for cd_dirs in ([CD_DIR], [CD_DIR, broken]):
+            config = self._config(tmp_path, cd_dirs)
+            code = main([command, *self.ARITH1_ONLY[command], "--config", config])
+            outputs.append((code, capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1].out
+
+    @pytest.mark.parametrize("command", ["verify", "recompute", "query-max", "expand"])
+    def test_arith1_only_run_reads_no_directory(self, tmp_path, capsys, monkeypatch, command):
+        reads = self._reads(monkeypatch)
+        if command == "expand":
+            term = tmp_path / "term.om"
+            term.write_text(
+                '<OMOBJ><OMA><OMS cd="arith1" name="plus"/><OMI>1</OMI><OMI>2</OMI></OMA></OMOBJ>'
+            )
+            args = [str(term)]
+        else:
+            args = self.ARITH1_ONLY[command]
+        config = self._config(tmp_path, [CD_DIR])
+        assert main([command, *args, "--config", config]) == 0
+        assert reads == []
+
+    @pytest.mark.parametrize("command", ["verify", "recompute", "query-max", "expand"])
+    def test_hdi_run_reads_each_directory_once(self, tmp_path, capsys, monkeypatch, command):
+        reads = self._reads(monkeypatch)
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        # hdi(1, 1, 1, 1) = 1 twice: the second point must not read again.
+        hdi = "http://example.org/statistics#hdi"
+        dataset = tmp_path / "data.ttl"
+        dataset.write_text(
+            DATASET_PREFIXES
+            + point_turtle("L", 1)
+            + point_turtle("H1", 1, hdi, ["ahs:L"] * 4)
+            + point_turtle("H2", 1, hdi, ["ahs:H1"] * 4)
+        )
+        term = tmp_path / "term.om"
+        term.write_text(
+            '<OMOBJ><OMA><OMS cdbase="http://example.org" cd="statistics" name="hdi"/>'
+            + "<OMI>1</OMI>" * 4
+            + "</OMA></OMOBJ>"
+        )
+        args = {
+            "verify": [str(dataset)],
+            "recompute": [str(dataset)],
+            "query-max": [str(dataset), *QUERY_MAX_ARGS],
+            "expand": [str(term)],
+        }[command]
+        config = self._config(tmp_path, [CD_DIR, empty])
+        # query-max finds no region in this dataset, but only after reading.
+        assert main([command, *args, "--config", config]) == (2 if command == "query-max" else 0)
+        assert reads == [str(CD_DIR), str(empty)]
 
 
 class TestUsage:

@@ -288,6 +288,42 @@ class TestSerialization:
         again = parse_turtle(serialize_turtle(g))
         assert again.triples == g.triples
 
+    def test_overlapping_namespaces_and_unsafe_local_names(self):
+        # ``a`` is a prefix of ``ab`` and of ``dir``: the longest namespace
+        # whose local name is safe wins, so ab- falls back to ``a``, and
+        # b.c has no safe local name at all.  Each IRI renders the same way
+        # every time it occurs, and a later call with other prefixes starts
+        # afresh.
+        g = parse_turtle(
+            "@prefix a: <http://ex.org/a> .\n"
+            "@prefix ab: <http://ex.org/ab> .\n"
+            "@prefix dir: <http://ex.org/a/> .\n"
+            "<http://ex.org/ab-> <http://ex.org/abp> <http://ex.org/a/b.c> , "
+            "<http://ex.org/a/> , <http://ex.org/ab-> .\n"
+            "<http://ex.org/a/x> <http://ex.org/abp> <http://ex.org/abq> .\n"
+        )
+        body = (
+            "dir:x ab:p ab:q .\n"
+            "a:b- ab:p dir: ;\n"
+            "    ab:p <http://ex.org/a/b.c> ;\n"
+            "    ab:p a:b- .\n"
+        )
+        prefixes = (
+            "@prefix a: <http://ex.org/a> .\n"
+            "@prefix ab: <http://ex.org/ab> .\n"
+            "@prefix dir: <http://ex.org/a/> .\n\n"
+        )
+        assert serialize_turtle(g) == prefixes + body
+        assert parse_turtle(serialize_turtle(g)).triples == g.triples
+        only_a = Graph(triples=g.triples, prefixes={"a": "http://ex.org/a"})
+        assert serialize_turtle(only_a) == (
+            "@prefix a: <http://ex.org/a> .\n\n"
+            "<http://ex.org/a/x> a:bp a:bq .\n"
+            "a:b- a:bp <http://ex.org/a/> ;\n"
+            "    a:bp <http://ex.org/a/b.c> ;\n"
+            "    a:bp a:b- .\n"
+        )
+
     def test_no_unresolved_prefixed_names(self, geese_graph):
         for t in geese_graph.triples:
             for term in (t.subject, t.predicate, t.object):

@@ -321,7 +321,7 @@ class TestEvaluate:
     def test_expansion_soundness_property(self, values):
         # evaluate(expand(hdi(...))) vs. the formula inlined by the oracle.
         store = CdStore()
-        store.load_directory(CD_DIR)
+        store.add_directory(CD_DIR)
         term = hdi_application(*(float(v) for v in values))
         computed = evaluate(expand(term, store))
         oracle = float(hdi_oracle(*(float(v) for v in values)))
@@ -354,19 +354,33 @@ class TestCdStore:
 
     def test_load_directory(self):
         store = CdStore()
-        count = store.load_directory(CD_DIR)
-        assert count >= 4
-        assert store.lookup("http://example.org/statistics") is not None
+        store.add_directory(CD_DIR)
+        store.read_directories()
+        for name in ("chain", "cyclic", "elementary", "statistics"):
+            assert store.lookup(f"http://example.org/{name}") is not None
 
     def test_load_directory_with_non_utf8_file(self, tmp_path):
         (tmp_path / "bad.ocd").write_bytes(b"\xff\xfe<CD/>")
+        store = CdStore()
+        store.add_directory(tmp_path)
         with pytest.raises(ToolkitError, match="bad.ocd: not UTF-8"):
-            CdStore().load_directory(tmp_path)
+            store.read_directories()
+
+    def test_added_directory_is_read_at_the_first_lookup(self, tmp_path):
+        # The broken directory comes second: the first one's CDs are stored
+        # before its error, and a later lookup does not read it again.
+        (tmp_path / "bad.ocd").write_bytes(b"\xff")
+        store = CdStore()
+        store.add_directory(CD_DIR)
+        store.add_directory(tmp_path)
+        with pytest.raises(ToolkitError, match="bad.ocd: not UTF-8"):
+            store.lookup("http://example.org/statistics")
+        assert store.lookup("http://example.org/statistics") is not None
 
     def test_load_relative_directory(self, monkeypatch):
         monkeypatch.chdir(CD_DIR.parent)
         store = CdStore()
-        assert store.load_directory(CD_DIR.name) >= 4
+        store.add_directory(CD_DIR.name)
         cd = store.lookup("http://example.org/statistics")
         assert cd.source_url == (CD_DIR / "statistics.ocd").resolve().as_uri()
 
@@ -798,7 +812,7 @@ class TestDefinitionTable:
 
         monkeypatch.setattr(cd_module, "_as_definitional", counting)
         store = CdStore()
-        store.load_directory(CD_DIR)
+        store.add_directory(CD_DIR)
         hdi_xml = '<OMS cdbase="http://example.org" cd="statistics" name="hdi"/>'
         x_xml = '<OMV name="x"/>'
         store.add(parse_cd_xml(demo_cd("wrap", f"<OMA>{hdi_xml}{x_xml * 4}</OMA>")))
