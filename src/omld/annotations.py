@@ -15,17 +15,14 @@ written.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
+from collections.abc import Mapping
 from decimal import Decimal, InvalidOperation
-from typing import Mapping
 
 from .config import DEFAULT_VOCAB, StatVocab
 from .errors import NonFiniteResultError, ToolkitError
 from .om import OMApplication, OMFloat, OMInteger, OMObject, parse_symbol_uri
 from .rdf import BlankNode, Graph, Iri, Literal, Term, term_key
-
-log = logging.getLogger(__name__)
+from .value import Value, set_field
 
 
 class BadValueLiteralError(ToolkitError):
@@ -58,36 +55,38 @@ class CyclicDerivationError(ToolkitError):
         super().__init__("cyclic derivation: " + " -> ".join(chain))
 
 
-@dataclass(frozen=True)
-class DataPoint:
-    id: Iri
-    dimensions: tuple[Iri, ...]
-    value: Decimal | None = None
+class DataPoint(Value):
+    __slots__ = ("id", "dimensions", "value")
+
+    def __init__(self, id: Iri, dimensions: tuple[Iri, ...], value: Decimal | None = None):
+        set_field(self, "id", id)
+        set_field(self, "dimensions", dimensions)
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class DerivationArg:
+class DerivationArg(Value):
     """One argument slot: either a data-point reference or an inline constant."""
 
-    position: int
-    source: Iri | None = None
-    literal: Decimal | None = None
+    __slots__ = ("position", "source", "literal")
 
-    def __post_init__(self):
-        if (self.source is None) == (self.literal is None):
+    def __init__(self, position: int, source: Iri | None = None, literal: Decimal | None = None):
+        if (source is None) == (literal is None):
             raise ValueError("exactly one of source/literal must be set")
+        set_field(self, "position", position)
+        set_field(self, "source", source)
+        set_field(self, "literal", literal)
 
 
-@dataclass(frozen=True)
-class Derivation:
-    point_id: Iri
-    function_uri: Iri
-    args: tuple[DerivationArg, ...]
+class Derivation(Value):
+    __slots__ = ("point_id", "function_uri", "args")
 
-    def __post_init__(self):
-        positions = [a.position for a in self.args]
+    def __init__(self, point_id: Iri, function_uri: Iri, args: tuple[DerivationArg, ...]):
+        positions = [a.position for a in args]
         if positions != list(range(1, len(positions) + 1)):
             raise ValueError(f"argument positions must be 1..n, got {positions}")
+        set_field(self, "point_id", point_id)
+        set_field(self, "function_uri", function_uri)
+        set_field(self, "args", args)
 
 
 def _decimal(lexical: str) -> Decimal:
@@ -143,7 +142,11 @@ def extract_derivations(graph: Graph, vocab: StatVocab = DEFAULT_VOCAB) -> list[
     for point_id in sorted(by_point, key=lambda s: s.value):
         nodes = sorted(by_point[point_id], key=term_key)
         if len(nodes) > 1:
-            log.warning("%s has multiple computed-from annotations; keeping the first", point_id)
+            import logging  # only this warning logs
+
+            logging.getLogger(__name__).warning(
+                "%s has multiple computed-from annotations; keeping the first", point_id
+            )
         node = nodes[0]
         if not isinstance(node, (Iri, BlankNode)):
             raise MissingFunctionError(point_id)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import logging
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterator
@@ -39,6 +38,7 @@ from .om import (
     xml_escape,
 )
 from .rdf import Iri
+from .value import Value, set_field
 
 log = logging.getLogger(__name__)
 
@@ -60,21 +60,34 @@ class DuplicateSymbolError(ToolkitError):
         super().__init__(f"symbol defined twice: {name}")
 
 
-@dataclass(frozen=True)
-class SymbolDefinition:
-    name: str
-    description: str
-    cmps: tuple[str, ...]
-    fmps: tuple[OMObject, ...]
+class SymbolDefinition(Value):
+    __slots__ = ("name", "description", "cmps", "fmps")
+
+    def __init__(
+        self, name: str, description: str, cmps: tuple[str, ...], fmps: tuple[OMObject, ...]
+    ):
+        set_field(self, "name", name)
+        set_field(self, "description", description)
+        set_field(self, "cmps", cmps)
+        set_field(self, "fmps", fmps)
 
 
-@dataclass(frozen=True)
-class ContentDictionary:
-    cdbase: str
-    cdname: str
-    description: str
-    definitions: tuple[SymbolDefinition, ...]
-    source_url: str | None = None
+class ContentDictionary(Value):
+    __slots__ = ("cdbase", "cdname", "description", "definitions", "source_url", "__dict__")
+
+    def __init__(
+        self,
+        cdbase: str,
+        cdname: str,
+        description: str,
+        definitions: tuple[SymbolDefinition, ...],
+        source_url: str | None = None,
+    ):
+        set_field(self, "cdbase", cdbase)
+        set_field(self, "cdname", cdname)
+        set_field(self, "description", description)
+        set_field(self, "definitions", definitions)
+        set_field(self, "source_url", source_url)
 
     def definition(self, name: str) -> SymbolDefinition | None:
         for d in self.definitions:
@@ -113,22 +126,26 @@ class ContentDictionary:
         return table
 
 
-@dataclass(frozen=True)
-class DefinitionalFMP:
-    symbol: OMSymbol
-    params: tuple[OMVariable, ...]
-    body: OMObject
+class DefinitionalFMP(Value):
+    __slots__ = ("symbol", "params", "body")
+
+    def __init__(self, symbol: OMSymbol, params: tuple[OMVariable, ...], body: OMObject):
+        set_field(self, "symbol", symbol)
+        set_field(self, "params", params)
+        set_field(self, "body", body)
 
     @property
     def arity(self) -> int:
         return len(self.params)
 
 
-@dataclass(frozen=True)
-class TypedLink:
-    subject: Iri
-    predicate: Iri
-    object: Iri
+class TypedLink(Value):
+    __slots__ = ("subject", "predicate", "object")
+
+    def __init__(self, subject: Iri, predicate: Iri, object: Iri):
+        set_field(self, "subject", subject)
+        set_field(self, "predicate", predicate)
+        set_field(self, "object", object)
 
 
 def _local(tag: str) -> str:
@@ -210,13 +227,15 @@ def parse_cd_xml(text: str, source_url: Iri | str | None = None) -> ContentDicti
     )
 
 
-@dataclass(frozen=True)
-class LoadedCd:
+class LoadedCd(Value):
     """A CD parsed from a file, and the bytes it was parsed from."""
 
-    path: Path
-    cd: ContentDictionary
-    raw: bytes
+    __slots__ = ("path", "cd", "raw")
+
+    def __init__(self, path: Path, cd: ContentDictionary, raw: bytes):
+        set_field(self, "path", path)
+        set_field(self, "cd", cd)
+        set_field(self, "raw", raw)
 
 
 def load_cd_directory(directory: str | Path) -> Iterator[LoadedCd]:

@@ -18,16 +18,14 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import signal
+import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, ToolkitConfig, load_config
 from .errors import ToolkitError, read_utf8
 from .om import OPENMATH_XML_MIME, parse_om_xml, serialize_om_xml
 from .rdf import Graph, Iri, parse_turtle, serialize_turtle
-from .resolver import fetch_cd, negotiate_fetch, strip_fragment
 from .rewrite import (
     CdStore,
     expand,
@@ -97,15 +95,14 @@ def _build_parser() -> _Parser:
 
 
 def _load_config(args) -> ToolkitConfig:
-    if args.config:
-        if not Path(args.config).is_file():
-            raise _UsageError(f"config file not found: {args.config}")
-        cfg = load_config(args.config)
-    else:
-        cfg = ToolkitConfig()
-    if getattr(args, "tolerance", None) is not None:  # only verify has --tolerance
-        cfg = replace(cfg, tolerance=args.tolerance)
-    return cfg
+    # Each of these flags, on the commands that have it, overrides the config key of its name.
+    flags = {key: getattr(args, key, None) for key in ("tolerance", "port", "base_iri")}
+    overrides = {key: value for key, value in flags.items() if value is not None}
+    if not args.config:
+        return ToolkitConfig(**overrides)
+    if not Path(args.config).is_file():
+        raise _UsageError(f"config file not found: {args.config}")
+    return load_config(args.config, overrides)
 
 
 def _read_graph(path: str) -> Graph:
@@ -115,8 +112,14 @@ def _read_graph(path: str) -> Graph:
     return parse_turtle(read_utf8(p))
 
 
+def _fetch_cd(url: str):
+    from .resolver import fetch_cd  # only a run that fetches a CD needs the HTTP client
+
+    return fetch_cd(url)
+
+
 def _build_store(cfg: ToolkitConfig) -> CdStore:
-    store = CdStore(fetch=fetch_cd)
+    store = CdStore(fetch=_fetch_cd)
     for directory in cfg.cd_dirs:
         if not Path(directory).is_dir():
             raise _UsageError(f"CD directory not found: {directory}")
@@ -145,7 +148,10 @@ def _cmd_recompute(args) -> int:
     result = recompute(graph, _build_store(cfg), cfg.vocab)
     text = serialize_turtle(result)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ToolkitError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
     return EX_OK
@@ -161,6 +167,8 @@ def _cmd_expand(args) -> int:
     store = _build_store(cfg)
     for source in args.sources:
         if source.startswith("http://") or source.startswith("https://"):
+            from .resolver import strip_fragment
+
             # Fetched through the store, so it is remembered under the URL it
             # was fetched from; also stored under its declared cdbase.
             url = strip_fragment(source)
@@ -181,6 +189,8 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_fetch(args) -> int:
+    from .resolver import negotiate_fetch
+
     result = negotiate_fetch(args.uri, args.accept)
     sys.stdout.buffer.write(result.body)
     sys.stdout.buffer.flush()
@@ -188,6 +198,8 @@ def _cmd_fetch(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    import signal
+
     from .server import CdServer  # only serving needs http.server
 
     cfg = _load_config(args)
@@ -198,9 +210,9 @@ def _cmd_serve(args) -> int:
         raise _UsageError(f"CD directory not found: {directory}")
     server = CdServer(
         directory,
-        port=args.port if args.port is not None else cfg.port,
+        port=cfg.port,
         bind_address=cfg.bind_address,
-        base_iri=args.base_iri or cfg.base_iri,
+        base_iri=cfg.base_iri,
     )
     signal.signal(signal.SIGHUP, lambda signum, frame: server.reload())
     print(f"serving {directory} at {server.base_iri} (SIGHUP reloads)", file=sys.stderr)
@@ -249,12 +261,21 @@ def main(argv: list[str] | None = None) -> int:
     if args.command != "serve":
         gc.disable()
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # so that a closed stdout fails here and not at exit
+        return code
     except (_UsageError, ConfigError) as exc:
         print(f"omld: {exc}", file=sys.stderr)
         return EX_USAGE
     except ToolkitError as exc:
         print(f"omld: {exc}", file=sys.stderr)
+        return EX_FAILURE
+    except BrokenPipeError:
+        # The reader of stdout has gone.  Point stdout at devnull, as the
+        # Python docs on SIGPIPE advise, so the flush at exit cannot fail too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EX_FAILURE
     finally:
         if gc_was_enabled:

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
 from .errors import ToolkitError
 from .rdf import RDF_NS, RDFS_NS, XSD_NS, Iri, _SCHEME_RE
+from .value import Value, set_field
 
 DEFAULT_PREFIXES: dict[str, str] = {
     "rdf": RDF_NS,
@@ -32,23 +32,37 @@ DEFAULT_PREFIXES: dict[str, str] = {
 }
 
 DEFAULT_REGION_TYPE = DEFAULT_PREFIXES["env"] + "Region"
+MAX_PORT = 65535
 
 
 class ConfigError(ToolkitError):
     pass
 
 
-@dataclass(frozen=True)
-class StatVocab:
+class StatVocab(Value):
     """The RDF terms the annotation layer reads and writes."""
 
-    computed_from: Iri
-    function: Iri
-    arguments: Iri
-    arg_position: Iri
-    arg_value: Iri
-    dimension: Iri
-    value: Iri
+    __slots__ = (
+        "computed_from", "function", "arguments", "arg_position", "arg_value", "dimension", "value"
+    )
+
+    def __init__(
+        self,
+        computed_from: Iri,
+        function: Iri,
+        arguments: Iri,
+        arg_position: Iri,
+        arg_value: Iri,
+        dimension: Iri,
+        value: Iri,
+    ):
+        set_field(self, "computed_from", computed_from)
+        set_field(self, "function", function)
+        set_field(self, "arguments", arguments)
+        set_field(self, "arg_position", arg_position)
+        set_field(self, "arg_value", arg_value)
+        set_field(self, "dimension", dimension)
+        set_field(self, "value", value)
 
     @classmethod
     def from_prefixes(cls, prefixes: dict[str, str]) -> "StatVocab":
@@ -69,26 +83,41 @@ class StatVocab:
 DEFAULT_VOCAB = StatVocab.from_prefixes(DEFAULT_PREFIXES)
 
 
-@dataclass(frozen=True)
-class ToolkitConfig:
-    prefixes: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_PREFIXES))
-    tolerance: float = 1e-9
-    region_type: str = DEFAULT_REGION_TYPE
-    cd_dirs: tuple[str, ...] = ()
-    # server settings
-    bind_address: str = "127.0.0.1"
-    port: int = 8080
-    cd_directory: str | None = None
-    base_iri: str | None = None
+class ToolkitConfig(Value):
+    __slots__ = (
+        *("prefixes", "tolerance", "region_type", "cd_dirs"),
+        *("bind_address", "port", "cd_directory", "base_iri"),  # server settings
+    )
 
-    def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+    def __init__(
+        self,
+        prefixes: dict[str, str] | None = None,
+        tolerance: float = 1e-9,
+        region_type: str = DEFAULT_REGION_TYPE,
+        cd_dirs: tuple[str, ...] = (),
+        bind_address: str = "127.0.0.1",
+        port: int = 8080,
+        cd_directory: str | None = None,
+        base_iri: str | None = None,
+    ):
+        prefixes = dict(DEFAULT_PREFIXES) if prefixes is None else prefixes
+        if not (math.isfinite(tolerance) and tolerance >= 0):
             raise ConfigError("tolerance must be a finite number >= 0")
-        for prefix, iri in self.prefixes.items():
+        for prefix, iri in prefixes.items():
             if not _SCHEME_RE.match(iri):
                 raise ConfigError(f"prefix {prefix!r} maps to a non-absolute IRI: {iri!r}")
-        if self.base_iri is not None and self.base_iri.endswith("#"):
+        if base_iri is not None and base_iri.endswith("#"):
             raise ConfigError("base_iri must not end with '#'")
+        if not 0 <= port <= MAX_PORT:
+            raise ConfigError(f"port must be from 0 to {MAX_PORT}, got {port}")
+        set_field(self, "prefixes", prefixes)
+        set_field(self, "tolerance", tolerance)
+        set_field(self, "region_type", region_type)
+        set_field(self, "cd_dirs", cd_dirs)
+        set_field(self, "bind_address", bind_address)
+        set_field(self, "port", port)
+        set_field(self, "cd_directory", cd_directory)
+        set_field(self, "base_iri", base_iri)
 
     @property
     def vocab(self) -> StatVocab:
@@ -115,8 +144,12 @@ _KEY_TYPES = {
 }
 
 
-def load_config(path: str) -> ToolkitConfig:
-    """Read a JSON config file; unknown keys are rejected to catch typos."""
+def load_config(path: str, overrides: dict | None = None) -> ToolkitConfig:
+    """Read a JSON config file; unknown keys are rejected to catch typos.
+
+    ``overrides``, the values of command-line flags, replace the file's
+    values of the same keys.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -141,4 +174,4 @@ def load_config(path: str) -> ToolkitConfig:
         kwargs["prefixes"] = merged
     if "cd_dirs" in kwargs:
         kwargs["cd_dirs"] = tuple(kwargs["cd_dirs"])
-    return ToolkitConfig(**kwargs)
+    return ToolkitConfig(**{**kwargs, **(overrides or {})})

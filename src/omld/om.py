@@ -24,12 +24,15 @@ entity is expanded, so a document cannot define entities at all.
 from __future__ import annotations
 
 import re
-import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 from urllib.parse import urlsplit
 
 from .errors import ToolkitError
 from .rdf import Iri
+from .value import Value, set_field
+
+if TYPE_CHECKING:
+    import xml.etree.ElementTree as ET
 
 OPENMATH_XML_MIME = "application/openmath+xml"
 DEFAULT_CDBASE = "http://www.openmath.org/cd"
@@ -64,65 +67,73 @@ def is_ncname(text: str) -> bool:
     return _NCNAME_RE.fullmatch(text) is not None
 
 
-@dataclass(frozen=True)
-class OMSymbol:
-    cd: str
-    name: str
-    cdbase: str = DEFAULT_CDBASE
+class OMSymbol(Value):
+    __slots__ = ("cd", "name", "cdbase")
 
-    def __post_init__(self):
-        if not is_ncname(self.cd):
-            raise ValueError(f"bad CD name: {self.cd!r}")
-        if not is_ncname(self.name):
-            raise ValueError(f"bad symbol name: {self.name!r}")
-        if not self.cdbase:
+    def __init__(self, cd: str, name: str, cdbase: str = DEFAULT_CDBASE):
+        if not is_ncname(cd):
+            raise ValueError(f"bad CD name: {cd!r}")
+        if not is_ncname(name):
+            raise ValueError(f"bad symbol name: {name!r}")
+        if not cdbase:
             raise ValueError("cdbase must be nonempty")
+        set_field(self, "cd", cd)
+        set_field(self, "name", name)
+        set_field(self, "cdbase", cdbase)
 
 
-@dataclass(frozen=True)
-class OMInteger:
-    value: int
+class OMInteger(Value):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class OMFloat:
-    value: float
+class OMFloat(Value):
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class OMVariable:
-    name: str
+class OMVariable(Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
-class OMString:
-    value: str
+class OMString(Value):
+    __slots__ = ("value",)
+
+    def __init__(self, value: str):
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class OMApplication:
-    head: "OMObject"
-    args: tuple["OMObject", ...]
+class OMApplication(Value):
+    __slots__ = ("head", "args")
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-        if len(self.args) < 1:
+    def __init__(self, head: OMObject, args: tuple[OMObject, ...]):
+        args = tuple(args)
+        if len(args) < 1:
             raise ValueError("an application needs at least one argument")
+        set_field(self, "head", head)
+        set_field(self, "args", args)
 
 
-@dataclass(frozen=True)
-class OMBinding:
-    binder: "OMObject"
-    variables: tuple[OMVariable, ...]
-    body: "OMObject"
+class OMBinding(Value):
+    __slots__ = ("binder", "variables", "body")
 
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        if not self.variables:
+    def __init__(self, binder: OMObject, variables: tuple[OMVariable, ...], body: OMObject):
+        variables = tuple(variables)
+        if not variables:
             raise ValueError("a binding needs at least one bound variable")
-        names = [v.name for v in self.variables]
+        names = [v.name for v in variables]
         if len(set(names)) != len(names):
             raise ValueError(f"bound variable names must be distinct: {names}")
+        set_field(self, "binder", binder)
+        set_field(self, "variables", variables)
+        set_field(self, "body", body)
 
 
 OMObject = OMSymbol | OMInteger | OMFloat | OMVariable | OMString | OMApplication | OMBinding
@@ -270,17 +281,19 @@ def _decode_leaf(elem: ET.Element, tag: str, cdbase: str, memo: dict) -> OMObjec
     raise EncodingError(tag, "unknown OpenMath element")
 
 
-class _NoDoctypeBuilder(ET.TreeBuilder):
-    def doctype(self, name, pubid, system):
-        raise XmlError("a document type declaration is not allowed")
-
-
 def parse_xml(text: str) -> ET.Element:
     """Parse XML to its root element.
 
-    A DOCTYPE is an XmlError, raised before any entity is expanded.
+    A DOCTYPE is an XmlError, raised before any entity is expanded.  This is
+    omld's one XML parser, so only a run that reads XML imports ``xml.etree``.
     """
-    parser = ET.XMLParser(target=_NoDoctypeBuilder())
+    import xml.etree.ElementTree as ET
+
+    class NoDoctypeBuilder(ET.TreeBuilder):
+        def doctype(self, name, pubid, system):
+            raise XmlError("a document type declaration is not allowed")
+
+    parser = ET.XMLParser(target=NoDoctypeBuilder())
     try:
         parser.feed(text)
         return parser.close()

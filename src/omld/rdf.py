@@ -26,12 +26,12 @@ parse, so two parses share no term objects.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
 
 from .errors import ToolkitError
+from .value import Value, set_field
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -65,46 +65,50 @@ class UnknownPrefixError(ToolkitError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Iri:
+class Iri(Value):
     """An absolute IRI.  The fragment, if any, is kept verbatim."""
 
-    value: str
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if not self.value:
+    def __init__(self, value: str):
+        if not value:
             raise ValueError("IRI must be nonempty")
-        if not _SCHEME_RE.match(self.value):
-            raise ValueError(f"IRI lacks a scheme: {self.value!r}")
+        if not _SCHEME_RE.match(value):
+            raise ValueError(f"IRI lacks a scheme: {value!r}")
+        set_field(self, "value", value)
 
     def __str__(self) -> str:
         return self.value
 
 
-@dataclass(frozen=True)
-class Literal:
-    lexical: str
-    datatype: Iri | None = None
-    language: str | None = None
+class Literal(Value):
+    __slots__ = ("lexical", "datatype", "language")
 
-    def __post_init__(self):
-        if self.datatype is not None and self.language is not None:
+    def __init__(self, lexical: str, datatype: Iri | None = None, language: str | None = None):
+        if datatype is not None and language is not None:
             raise ValueError("a literal cannot have both a datatype and a language tag")
+        set_field(self, "lexical", lexical)
+        set_field(self, "datatype", datatype)
+        set_field(self, "language", language)
 
 
-@dataclass(frozen=True)
-class BlankNode:
-    label: str
+class BlankNode(Value):
+    __slots__ = ("label",)
+
+    def __init__(self, label: str):
+        set_field(self, "label", label)
 
 
 Term = Iri | Literal | BlankNode
 
 
-@dataclass(frozen=True)
-class Triple:
-    subject: Iri | BlankNode
-    predicate: Iri
-    object: Term
+class Triple(Value):
+    __slots__ = ("subject", "predicate", "object")
+
+    def __init__(self, subject: Iri | BlankNode, predicate: Iri, object: Term):
+        set_field(self, "subject", subject)
+        set_field(self, "predicate", predicate)
+        set_field(self, "object", object)
 
 
 def term_key(term: Term) -> str:
@@ -125,8 +129,7 @@ def _triple_key(t: Triple) -> tuple[str, str, str]:
     return (term_key(t.subject), term_key(t.predicate), term_key(t.object))
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Value):
     """An immutable set of triples plus the prefix map seen at parse time.
 
     Iteration and ``match`` return triples in ``term_key`` order of subject,
@@ -136,8 +139,13 @@ class Graph:
     queried pays nothing for them.
     """
 
-    triples: frozenset[Triple] = frozenset()
-    prefixes: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("triples", "prefixes", "__dict__")  # cached_property needs a __dict__
+
+    def __init__(
+        self, triples: frozenset[Triple] = frozenset(), prefixes: dict[str, str] | None = None
+    ):
+        set_field(self, "triples", triples)
+        set_field(self, "prefixes", {} if prefixes is None else prefixes)
 
     @cached_property
     def _sorted(self) -> tuple[Triple, ...]:
@@ -227,12 +235,8 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass
-class _Token:
-    kind: str
-    value: object
-    line: int
-    column: int
+# A token: its kind, its value, and the line and column where it starts.
+_Token = tuple[str, object, int, int]
 
 
 def _error(text: str, pos: int, expected: str) -> TurtleSyntaxError:
@@ -326,9 +330,9 @@ def _tokenize(text: str) -> list[_Token]:
             if c == "^":
                 raise _error(text, pos + 1, "'^^'")
             raise _error(text, pos, f"a Turtle token (got {c!r})")
-        tokens.append(_Token(kind, value, line, pos - line_start + 1))
+        tokens.append((kind, value, line, pos - line_start + 1))
         pos = end
-    tokens.append(_Token("EOF", None, line, pos - line_start + 1))
+    tokens.append(("EOF", None, line, pos - line_start + 1))
     return tokens
 
 
@@ -350,15 +354,24 @@ class _Parser:
         self._iris: dict[str, Iri] = {}
         self._literals: dict[tuple[str, str | None, str | None], Literal] = {}
 
-    def _peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def _kind(self) -> str:
+        """The kind of the next token."""
+        return self.tokens[self.pos][0]
 
-    def _take(self, kind: str, expected: str) -> _Token:
+    def _next(self) -> _Token:
         tok = self.tokens[self.pos]
-        if tok.kind != kind:
-            raise TurtleSyntaxError(tok.line, tok.column, expected)
         self.pos += 1
         return tok
+
+    def _expected(self, expected: str, tok: _Token | None = None) -> TurtleSyntaxError:
+        """A syntax error at ``tok``, by default the next token."""
+        _, _, line, column = self.tokens[self.pos] if tok is None else tok
+        return TurtleSyntaxError(line, column, expected)
+
+    def _take(self, kind: str, expected: str) -> _Token:
+        if self._kind() != kind:
+            raise self._expected(expected)
+        return self._next()
 
     def _fresh_bnode(self) -> BlankNode:
         node = BlankNode(f"b{self._bnode_counter}")
@@ -388,24 +401,24 @@ class _Parser:
         return literal
 
     def _resolve_iriref(self, tok: _Token) -> Iri:
-        text = tok.value
+        text = tok[1]
         if text in self._iris or _SCHEME_RE.match(text):
             return self._iri(text)
         if self.base_iri is not None:
             from urllib.parse import urljoin
 
             return self._iri(urljoin(self.base_iri.value, text))
-        raise TurtleSyntaxError(tok.line, tok.column, f"an absolute IRI (got <{text}>)")
+        raise self._expected(f"an absolute IRI (got <{text}>)", tok)
 
     def _expand_pname(self, tok: _Token) -> Iri:
-        prefix, local = tok.value
+        prefix, local = tok[1]
         if prefix not in self.prefixes:
             raise UnknownPrefixError(prefix)
         return self._iri(self.prefixes[prefix] + local)
 
     def parse(self) -> Graph:
-        while self._peek().kind != "EOF":
-            if self._peek().kind == "PREFIX_KW":
+        while (kind := self._kind()) != "EOF":
+            if kind == "PREFIX_KW":
                 self._prefix_directive()
             else:
                 self._triples_statement()
@@ -414,19 +427,18 @@ class _Parser:
     def _prefix_directive(self):
         self._take("PREFIX_KW", "'@prefix'")
         tok = self._take("PNAME", "a prefix name like 'ex:'")
-        prefix, local = tok.value
+        prefix, local = tok[1]
         if local:
-            raise TurtleSyntaxError(tok.line, tok.column, "a prefix name ending in ':'")
+            raise self._expected("a prefix name ending in ':'", tok)
         iri_tok = self._take("IRIREF", "the prefix IRI in <...>")
         self.prefixes[prefix] = self._resolve_iriref(iri_tok).value
         self._take("DOT", "'.' after the prefix directive")
 
     def _triples_statement(self):
-        tok = self._peek()
-        if tok.kind == "LBRACKET":
+        if self._kind() == "LBRACKET":
             subject = self._bnode_property_list()
             # A bracketed subject may stand alone or carry more predicates.
-            if self._peek().kind == "DOT":
+            if self._kind() == "DOT":
                 self.pos += 1
                 return
         else:
@@ -435,101 +447,87 @@ class _Parser:
         self._take("DOT", "'.' ending the statement")
 
     def _subject(self) -> Iri | BlankNode:
-        tok = self._peek()
-        if tok.kind == "IRIREF":
-            self.pos += 1
-            return self._resolve_iriref(tok)
-        if tok.kind == "PNAME":
-            self.pos += 1
-            return self._expand_pname(tok)
-        if tok.kind == "BLANK":
-            self.pos += 1
-            return self._labelled_bnode(tok.value)
-        raise TurtleSyntaxError(tok.line, tok.column, "a subject (IRI or blank node)")
+        kind = self._kind()
+        if kind == "IRIREF":
+            return self._resolve_iriref(self._next())
+        if kind == "PNAME":
+            return self._expand_pname(self._next())
+        if kind == "BLANK":
+            return self._labelled_bnode(self._next()[1])
+        raise self._expected("a subject (IRI or blank node)")
 
     def _predicate_object_list(self, subject: Iri | BlankNode):
         while True:
             predicate = self._verb()
             self._object_list(subject, predicate)
-            if self._peek().kind == "SEMI":
+            if self._kind() == "SEMI":
                 self.pos += 1
                 # Tolerate a dangling ';' before '.' or ']'.
-                if self._peek().kind in ("DOT", "RBRACKET"):
+                if self._kind() in ("DOT", "RBRACKET"):
                     return
                 continue
             return
 
     def _verb(self) -> Iri:
-        tok = self._peek()
-        if tok.kind == "A":
+        kind = self._kind()
+        if kind == "A":
             self.pos += 1
             return self._iri(RDF_TYPE)
-        if tok.kind == "IRIREF":
-            self.pos += 1
-            return self._resolve_iriref(tok)
-        if tok.kind == "PNAME":
-            self.pos += 1
-            return self._expand_pname(tok)
-        raise TurtleSyntaxError(tok.line, tok.column, "a predicate (IRI or 'a')")
+        if kind == "IRIREF":
+            return self._resolve_iriref(self._next())
+        if kind == "PNAME":
+            return self._expand_pname(self._next())
+        raise self._expected("a predicate (IRI or 'a')")
 
     def _object_list(self, subject: Iri | BlankNode, predicate: Iri):
         while True:
             obj = self._object()
             self.triples.add(Triple(subject, predicate, obj))
-            if self._peek().kind == "COMMA":
+            if self._kind() == "COMMA":
                 self.pos += 1
                 continue
             return
 
     def _object(self) -> Term:
-        tok = self._peek()
-        if tok.kind == "IRIREF":
-            self.pos += 1
-            return self._resolve_iriref(tok)
-        if tok.kind == "PNAME":
-            self.pos += 1
-            return self._expand_pname(tok)
-        if tok.kind == "BLANK":
-            self.pos += 1
-            return self._labelled_bnode(tok.value)
-        if tok.kind == "LBRACKET":
+        kind = self._kind()
+        if kind == "IRIREF":
+            return self._resolve_iriref(self._next())
+        if kind == "PNAME":
+            return self._expand_pname(self._next())
+        if kind == "BLANK":
+            return self._labelled_bnode(self._next()[1])
+        if kind == "LBRACKET":
             return self._bnode_property_list()
-        if tok.kind == "NUMBER":
-            self.pos += 1
-            lexical, datatype = tok.value
+        if kind == "NUMBER":
+            lexical, datatype = self._next()[1]
             return self._literal(lexical, self._iri(datatype))
-        if tok.kind == "STRING":
-            self.pos += 1
-            return self._literal_tail(tok.value)
-        raise TurtleSyntaxError(tok.line, tok.column, "an object (IRI, blank node, or literal)")
+        if kind == "STRING":
+            return self._literal_tail(self._next()[1])
+        raise self._expected("an object (IRI, blank node, or literal)")
 
     def _literal_tail(self, lexical: str) -> Literal:
-        tok = self._peek()
-        if tok.kind == "HATHAT":
+        kind = self._kind()
+        if kind == "HATHAT":
             self.pos += 1
-            dt_tok = self._peek()
-            if dt_tok.kind == "IRIREF":
-                self.pos += 1
-                return self._literal(lexical, self._resolve_iriref(dt_tok))
-            if dt_tok.kind == "PNAME":
-                self.pos += 1
-                return self._literal(lexical, self._expand_pname(dt_tok))
-            raise TurtleSyntaxError(dt_tok.line, dt_tok.column, "a datatype IRI after '^^'")
-        if tok.kind == "LANGTAG":
-            self.pos += 1
-            return self._literal(lexical, language=tok.value)
+            kind = self._kind()
+            if kind == "IRIREF":
+                return self._literal(lexical, self._resolve_iriref(self._next()))
+            if kind == "PNAME":
+                return self._literal(lexical, self._expand_pname(self._next()))
+            raise self._expected("a datatype IRI after '^^'")
+        if kind == "LANGTAG":
+            return self._literal(lexical, language=self._next()[1])
         return self._literal(lexical)
 
     def _bnode_property_list(self) -> BlankNode:
         open_tok = self._take("LBRACKET", "'['")
         node = self._fresh_bnode()
-        if self._peek().kind == "RBRACKET":
+        if self._kind() == "RBRACKET":
             self.pos += 1
             return node
         self._predicate_object_list(node)
-        tok = self._peek()
-        if tok.kind != "RBRACKET":
-            raise TurtleSyntaxError(open_tok.line, open_tok.column, "']' closing the blank node")
+        if self._kind() != "RBRACKET":
+            raise self._expected("']' closing the blank node", open_tok)
         self.pos += 1
         return node
 

@@ -13,13 +13,13 @@ broken servers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 from urllib.parse import urljoin, urlsplit, urlunsplit
 
 from .cd import ContentDictionary, parse_cd_xml
 from .errors import ToolkitError
 from .om import OPENMATH_XML_MIME
+from .value import Value, set_field
 
 # transport(url, headers) -> (status, lowercase header dict, body bytes)
 Transport = Callable[[str, dict[str, str]], tuple[int, dict[str, str], bytes]]
@@ -50,11 +50,13 @@ class UnparseableBodyError(ToolkitError):
         super().__init__(f"{msg}: {detail}" if detail else msg)
 
 
-@dataclass(frozen=True)
-class FetchResult:
-    final_url: str
-    content_type: str
-    body: bytes
+class FetchResult(Value):
+    __slots__ = ("final_url", "content_type", "body")
+
+    def __init__(self, final_url: str, content_type: str, body: bytes):
+        set_field(self, "final_url", final_url)
+        set_field(self, "content_type", content_type)
+        set_field(self, "body", body)
 
 
 def strip_fragment(url: str) -> str:

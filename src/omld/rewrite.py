@@ -19,10 +19,10 @@ from __future__ import annotations
 import math
 import operator
 import threading
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from decimal import Decimal
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING
 
 from .annotations import (
     CyclicDerivationError,
@@ -32,7 +32,6 @@ from .annotations import (
     extract_data_points,
     extract_derivations,
 )
-from .cd import ContentDictionary, DefinitionalFMP, load_cd_directory
 from .config import DEFAULT_VOCAB, StatVocab
 from .errors import NonFiniteResultError, ToolkitError
 from .om import (
@@ -53,6 +52,10 @@ from .om import (
     symbol_iri,
 )
 from .rdf import RDF_TYPE, XSD_DECIMAL, Graph, Iri, Literal, Triple
+from .value import Value, set_field
+
+if TYPE_CHECKING:
+    from .cd import ContentDictionary, DefinitionalFMP
 
 
 class DepthExceededError(ToolkitError):
@@ -144,6 +147,8 @@ class CdStore:
 
     def read_directories(self) -> None:
         """Add every CD of ``cd.load_cd_directory`` for each directory not yet read."""
+        from .cd import load_cd_directory  # a run that reads no CD needs no CD parser
+
         with self._lock:
             while self._unread:
                 for loaded in load_cd_directory(self._unread.pop(0)):
@@ -392,19 +397,31 @@ def evaluate(obj: OMObject) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointResult:
-    point_id: Iri
-    status: str  # "match" | "mismatch" | "uncomputable"
-    stored: float | None = None
-    computed: float | None = None
-    delta: float | None = None
-    reason: str | None = None
+class PointResult(Value):
+    __slots__ = ("point_id", "status", "stored", "computed", "delta", "reason")
+
+    def __init__(
+        self,
+        point_id: Iri,
+        status: str,  # "match" | "mismatch" | "uncomputable"
+        stored: float | None = None,
+        computed: float | None = None,
+        delta: float | None = None,
+        reason: str | None = None,
+    ):
+        set_field(self, "point_id", point_id)
+        set_field(self, "status", status)
+        set_field(self, "stored", stored)
+        set_field(self, "computed", computed)
+        set_field(self, "delta", delta)
+        set_field(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    results: tuple[PointResult, ...]
+class VerificationReport(Value):
+    __slots__ = ("results",)
+
+    def __init__(self, results: tuple[PointResult, ...]):
+        set_field(self, "results", results)
 
     @property
     def any_mismatch(self) -> bool:

@@ -258,7 +258,10 @@ class CdServer:
     ):
         self.cd_directory = str(cd_directory)
         cds = load_snapshot(self.cd_directory)
-        self._httpd = ThreadingHTTPServer((bind_address, port), _Handler)
+        try:  # on failure the server has already closed its socket
+            self._httpd = ThreadingHTTPServer((bind_address, port), _Handler)
+        except OSError as exc:
+            raise ToolkitError(f"cannot listen on {bind_address}:{port}: {exc}") from None
         self._httpd.daemon_threads = True
         actual_port = self._httpd.server_address[1]
         self.base_iri = (base_iri or f"http://{bind_address}:{actual_port}").rstrip("/")

@@ -9,7 +9,7 @@ import sys
 import threading
 import xml.etree.ElementTree as ET
 from contextlib import contextmanager
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from omld.annotations import (
     CyclicDerivationError,
@@ -52,7 +52,6 @@ from omld.rdf import (
     Literal,
     Triple,
     TurtleSyntaxError,
-    _Token,
     term_key,
 )
 from omld.rewrite import CdStore, _base_op, _replace
@@ -452,7 +451,16 @@ def isomorphic(g1: Graph, g2: Graph) -> bool:
 
 
 # The character-at-a-time Turtle tokenizer that ``omld.rdf._tokenize`` replaced,
-# kept unchanged as the reference for the differential tokenizer test.
+# kept unchanged as the reference for the differential tokenizer test.  Its
+# tokens are named tuples equal to the (kind, value, line, column) tuples of
+# ``_tokenize``.
+
+
+class _Token(NamedTuple):
+    kind: str
+    value: object
+    line: int
+    column: int
 
 _PNAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
 _NUMBER_START = set("0123456789+-.")

@@ -5,15 +5,18 @@ import gc
 import os
 import select
 import signal
+import socket
 import subprocess
 import sys
 import time
 import urllib.request
+import warnings
 from pathlib import Path
 
 import pytest
 
-from omld import cli, resolver, rewrite
+from omld import cd as cd_module
+from omld import cli, resolver
 from omld.cli import main
 from omld.om import OPENMATH_XML_MIME, parse_om_xml, serialize_om_xml
 from omld.rdf import RDF_VALUE, Iri, parse_turtle
@@ -267,6 +270,16 @@ class TestRecomputeCommand:
             Iri("http://example.org/ns/ahs#PD100"), Iri(RDF_VALUE), None
         )
         assert float(value.object.lexical) == 700 / 380
+
+    @pytest.mark.parametrize("target", ["missing/out.ttl", "."], ids=["no-parent", "directory"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, config_file, target):
+        out = str(tmp_path / target)
+        code = main(["recompute", str(FIXTURES / "geese.ttl"), "--out", out, "--config", config_file])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"omld: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
 
     def test_no_derivations_is_stable(self, tmp_path, capsys, config_file):
         code = main(["recompute", str(FIXTURES / "listing1.ttl"), "--config", config_file])
@@ -527,6 +540,34 @@ class TestServeCommand:
         assert main(["serve", "--dir", "/no/such/dir"]) == 64
         assert main(["serve"]) == 64
 
+    @pytest.mark.parametrize("port", [70000, -1])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_port_out_of_range_exits_64(self, tmp_path, capsys, port, source):
+        argv = ["serve", "--dir", str(CD_DIR)]
+        if source == "flag":
+            argv += ["--port", str(port)]
+        else:
+            config = tmp_path / "omld.json"
+            config.write_text(json.dumps({"port": port}))
+            argv += ["--config", str(config)]
+        assert main(argv) == 64
+        err = capsys.readouterr().err
+        assert err == f"omld: port must be from 0 to 65535, got {port}\n"
+
+    def test_port_in_use_exits_2_and_leaks_no_socket(self, capsys):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["serve", "--dir", str(CD_DIR), "--port", str(port)]) == 2
+                gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"omld: cannot listen on 127.0.0.1:{port}: ")
+        assert err.count("\n") == 1
+
     def test_duplicate_cd_name_exits_2(self, tmp_path, capsys):
         directory = tmp_path / "cds"
         directory.mkdir()
@@ -658,13 +699,14 @@ class TestCdDirectoriesReadOnDemand:
     @staticmethod
     def _reads(monkeypatch) -> list[str]:
         reads = []
-        real = rewrite.load_cd_directory
+        real = cd_module.load_cd_directory
 
         def counting(directory):
             reads.append(str(directory))
             return real(directory)
 
-        monkeypatch.setattr(rewrite, "load_cd_directory", counting)
+        # CdStore.read_directories imports it from omld.cd at each call.
+        monkeypatch.setattr(cd_module, "load_cd_directory", counting)
         return reads
 
     @pytest.mark.parametrize("command", ["verify", "recompute", "query-max"])
@@ -734,16 +776,69 @@ class TestUsage:
     def test_unknown_command_exits_64(self):
         assert main(["fly"]) == 64
 
-    def test_cli_import_does_not_load_the_server(self):
-        # Only ``omld serve`` needs the HTTP server, and only a fetch an HTTP
-        # client; the batch commands start without either.
-        modules = ("omld.server", "http.server", "http.client", "urllib.request")
-        probe = f"import sys, omld.cli; print([m for m in {modules!r} if m in sys.modules])"
+    @staticmethod
+    def _loaded_after(runs: list[list[str]], modules: tuple[str, ...]) -> list[str]:
+        """Which of ``modules`` a fresh process holds after ``main`` has run each argv."""
+        probe = (
+            "import contextlib, io, json, sys, omld.cli\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert omld.cli.main(argv) == 0, argv\n"
+            f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))\n"
+        )
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
         out = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         ).stdout
-        assert out.strip() == "[]"
+        return json.loads(out)
+
+    def test_cli_import_does_not_load_the_server(self, config_file):
+        # Only ``omld serve`` needs the HTTP server, and only a fetch an HTTP
+        # client.  The batch commands on an arith1-only dataset need neither,
+        # nor the CD parser, XML, logging or the dataclass machinery.
+        modules = (
+            *("omld.server", "http.server", "http.client", "urllib.request"),
+            *("omld.cd", "omld.resolver", "logging", "xml.etree.ElementTree"),
+            *("dataclasses", "inspect"),
+        )
+        runs = [
+            ["verify", str(FIXTURES / "geese.ttl"), "--json", "--config", config_file],
+            ["recompute", str(FIXTURES / "geese.ttl"), "--config", config_file],
+            ["query-max", str(FIXTURES / "regions.ttl"), DIVIDE_IRI, ENV + "year-2008",
+             ENV + "year-2009", "--config", config_file],
+        ]
+        assert self._loaded_after([], modules) == []
+        assert self._loaded_after(runs, modules) == []
+
+    def test_run_with_local_cds_loads_the_cd_parser_but_not_the_fetcher(self, tmp_path, config_file):
+        hdi = "http://example.org/statistics#hdi"
+        dataset = tmp_path / "data.ttl"
+        dataset.write_text(
+            DATASET_PREFIXES + point_turtle("L", 1) + point_turtle("H", 1, hdi, ["ahs:L"] * 4)
+        )
+        runs = [["verify", str(dataset), "--config", config_file]]
+        assert self._loaded_after(runs, ("omld.cd", "omld.resolver")) == ["omld.cd"]
+
+    @pytest.mark.parametrize("command", ["verify", "fetch"])
+    def test_closed_stdout_exits_2_without_a_traceback(self, cd_server, command):
+        argv = {
+            "verify": ["verify", str(FIXTURES / "geese.ttl"), "--json"],
+            "fetch": ["fetch", f"{cd_server.base_iri}/statistics"],
+        }[command]
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "omld", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (2, b"")
 
 
 class TestGarbageCollection:

@@ -377,7 +377,7 @@ def _reference_tokens(text: str):
 
 def _tokens(text: str):
     try:
-        return [(t.kind, t.value, t.line, t.column) for t in _tokenize(text)]
+        return _tokenize(text)
     except TurtleSyntaxError as exc:
         return (exc.line, exc.column, exc.expected)
 

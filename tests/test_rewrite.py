@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from omld import cd as cd_module
 from omld import rewrite
 from omld.annotations import CyclicDerivationError, extract_data_points, extract_derivations
-from omld.cd import parse_cd_xml
+from omld.cd import ContentDictionary, parse_cd_xml
 from omld.errors import ToolkitError
 from omld.om import (
     OMApplication,
@@ -333,9 +333,13 @@ class TestCdStore:
         store = CdStore()
         store.add(statistics_cd)
         store.add(statistics_cd)  # identical re-add is fine
-        from dataclasses import replace
-
-        changed = replace(statistics_cd, description="different")
+        changed = ContentDictionary(
+            statistics_cd.cdbase,
+            statistics_cd.cdname,
+            "different",
+            statistics_cd.definitions,
+            statistics_cd.source_url,
+        )
         with pytest.raises(ToolkitError, match="stored for http://example.org/statistics$"):
             store.add(changed)
 
