@@ -1,10 +1,24 @@
 """Data points, derivation annotations, and their OpenMath translation.
 
+The statistical vocabulary is fixed by the data format, so it is a set of
+module constants, and this is the only module that decides which triples
+mean a data point, a derivation or a region:
+
+  * ``scv:dimension`` (SCOVO, ``http://purl.org/NET/scovo#``) links a point
+    to each of its dimensions, and ``rdf:value`` holds its number;
+  * ``sl:computedFrom`` links a point to its derivation, whose
+    ``sl:function`` names the function and whose ``sl:arguments`` each carry
+    an ``sl:argPosition`` and an ``sl:argValue``; ``sl:`` is
+    ``http://example.org/ns/sl#``;
+  * a region is a dimension typed ``env:Region``, where ``env:`` is
+    ``http://example.org/ns/env#``.
+
 A data point is any IRI subject carrying at least one dimension triple; its
 numeric value, when present, comes from an ``rdf:value`` literal and is kept
 as an exact Decimal until evaluation.  A derivation records which function
 computed the point and which sources fill which argument positions; argument
-positions must be exactly 1..n.
+positions must be exactly 1..n.  Where a term has several values of one
+predicate, the first in ``term_key`` order is read.
 
 Translation to OpenMath is one level deep: it applies the function symbol
 (parsed from its URI) to the argument numbers in position order, taking each
@@ -17,12 +31,22 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from decimal import Decimal, InvalidOperation
+from operator import attrgetter
 
-from .config import DEFAULT_VOCAB, StatVocab
 from .errors import NonFiniteResultError, ToolkitError
 from .om import OMApplication, OMFloat, OMInteger, OMObject, parse_symbol_uri
-from .rdf import BlankNode, Graph, Iri, Literal, Term, term_key
+from .rdf import RDF_TYPE, RDF_VALUE, BlankNode, Graph, Iri, Literal, Term, term_key
 from .value import Value, set_field
+
+_SL = "http://example.org/ns/sl#"
+COMPUTED_FROM = Iri(_SL + "computedFrom")
+FUNCTION = Iri(_SL + "function")
+ARGUMENTS = Iri(_SL + "arguments")
+ARG_POSITION = Iri(_SL + "argPosition")
+ARG_VALUE = Iri(_SL + "argValue")
+DIMENSION = Iri("http://purl.org/NET/scovo#dimension")
+VALUE = Iri(RDF_VALUE)
+REGION = Iri("http://example.org/ns/env#Region")
 
 
 class BadValueLiteralError(ToolkitError):
@@ -96,20 +120,22 @@ def _decimal(lexical: str) -> Decimal:
     return value
 
 
-def extract_data_points(graph: Graph, vocab: StatVocab = DEFAULT_VOCAB) -> list[DataPoint]:
-    """One DataPoint per IRI subject with at least one dimension triple."""
-    subjects = sorted(
-        {t.subject for t in graph.match(predicate=vocab.dimension) if isinstance(t.subject, Iri)},
-        key=lambda s: s.value,
+def _iri_subjects(graph: Graph, predicate: Iri) -> list[Iri]:
+    """The IRI subjects of ``predicate``, sorted by IRI."""
+    return sorted(
+        (s for s in graph.subjects(predicate) if isinstance(s, Iri)), key=attrgetter("value")
     )
 
+
+def extract_data_points(graph: Graph) -> list[DataPoint]:
+    """One DataPoint per IRI subject with at least one dimension triple."""
     points = []
-    for subject in subjects:
+    for subject in _iri_subjects(graph, DIMENSION):
         dims = sorted(
-            {o.value for o in graph.objects(subject, vocab.dimension) if isinstance(o, Iri)}
+            {o.value for o in graph.objects(subject, DIMENSION) if isinstance(o, Iri)}
         )
         value = None
-        values = graph.objects(subject, vocab.value)
+        values = graph.objects(subject, VALUE)
         if values:
             first = values[0]
             if not isinstance(first, Literal):
@@ -131,16 +157,11 @@ def _parse_position(term: Term) -> int | None:
         return None
 
 
-def extract_derivations(graph: Graph, vocab: StatVocab = DEFAULT_VOCAB) -> list[Derivation]:
+def extract_derivations(graph: Graph) -> list[Derivation]:
     """One Derivation per point annotated with a computed-from structure."""
-    by_point: dict[Iri, list[Term]] = {}
-    for t in graph.match(predicate=vocab.computed_from):
-        if isinstance(t.subject, Iri):
-            by_point.setdefault(t.subject, []).append(t.object)
-
     derivations = []
-    for point_id in sorted(by_point, key=lambda s: s.value):
-        nodes = sorted(by_point[point_id], key=term_key)
+    for point_id in _iri_subjects(graph, COMPUTED_FROM):
+        nodes = graph.objects(point_id, COMPUTED_FROM)
         if len(nodes) > 1:
             import logging  # only this warning logs
 
@@ -152,7 +173,7 @@ def extract_derivations(graph: Graph, vocab: StatVocab = DEFAULT_VOCAB) -> list[
             raise MissingFunctionError(point_id)
 
         function_uri = None
-        for o in graph.objects(node, vocab.function):
+        for o in graph.objects(node, FUNCTION):
             if isinstance(o, Iri):
                 function_uri = o
                 break
@@ -160,18 +181,18 @@ def extract_derivations(graph: Graph, vocab: StatVocab = DEFAULT_VOCAB) -> list[
             raise MissingFunctionError(point_id)
 
         args = []
-        for arg_node in graph.objects(node, vocab.arguments):
+        for arg_node in graph.objects(node, ARGUMENTS):
             if not isinstance(arg_node, (Iri, BlankNode)):
                 raise BadArgPositionsError(point_id, "argument entry is a literal")
             positions = [
                 p
-                for p in (_parse_position(o) for o in graph.objects(arg_node, vocab.arg_position))
+                for p in (_parse_position(o) for o in graph.objects(arg_node, ARG_POSITION))
                 if p is not None
             ]
             if len(positions) != 1:
                 raise BadArgPositionsError(point_id, "argument lacks a single integer position")
             position = positions[0]
-            values = graph.objects(arg_node, vocab.arg_value)
+            values = graph.objects(arg_node, ARG_VALUE)
             if not values:
                 raise BadArgPositionsError(point_id, f"argument {position} has no value")
             value = values[0]
@@ -193,6 +214,12 @@ def extract_derivations(graph: Graph, vocab: StatVocab = DEFAULT_VOCAB) -> list[
             Derivation(point_id=point_id, function_uri=function_uri, args=tuple(args))
         )
     return derivations
+
+
+def extract_regions(graph: Graph) -> set[Iri | BlankNode]:
+    """The subjects typed ``env:Region``."""
+    rdf_type = Iri(RDF_TYPE)
+    return {s for s in graph.subjects(rdf_type) if REGION in graph.objects(s, rdf_type)}
 
 
 def decimal_to_om(value: Decimal) -> OMInteger | OMFloat:

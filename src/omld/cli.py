@@ -3,7 +3,14 @@
 Payloads go to stdout, diagnostics to stderr, and exit codes are systematic:
 0 on success (for ``verify``: everything matched), 1 when a stored value
 mismatches, 2 on runtime failures (unreachable hosts, cycles, uncomputable
-points), 64 for usage problems such as missing files or bad config.
+points), 64 for usage problems such as missing files, bad arguments or bad
+config.
+
+A config file (``--config``) is a JSON object with any of the keys
+``tolerance``, ``cd_dirs``, ``bind_address``, ``port`` and ``base_iri``.
+Datasets are read with the fixed terms of the data format: SCOVO
+dimensions, ``rdf:value`` and ``sl:computedFrom`` derivations, with regions
+typed ``env:Region``.
 
 Every directory of the config's ``cd_dirs`` must exist, but its CDs are read
 only when a run first needs one: ``verify``, ``recompute`` and ``query-max``
@@ -79,7 +86,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--accept", default=OPENMATH_XML_MIME)
 
     p = sub.add_parser("serve", help="publish a CD directory as Linked Data")
-    p.add_argument("--dir", help="directory of .ocd files")
+    p.add_argument("--dir", required=True, help="directory of .ocd files")
     p.add_argument("--port", type=int)
     p.add_argument("--base-iri", dest="base_iri")
     common(p)
@@ -130,7 +137,7 @@ def _build_store(cfg: ToolkitConfig) -> CdStore:
 def _cmd_verify(args) -> int:
     cfg = _load_config(args)
     graph = _read_graph(args.dataset)
-    report = verify_dataset(graph, _build_store(cfg), cfg.tolerance, cfg.vocab)
+    report = verify_dataset(graph, _build_store(cfg), cfg.tolerance)
     if args.json:
         print(json.dumps(report.to_records(), indent=2))
     else:
@@ -145,7 +152,7 @@ def _cmd_verify(args) -> int:
 def _cmd_recompute(args) -> int:
     cfg = _load_config(args)
     graph = _read_graph(args.dataset)
-    result = recompute(graph, _build_store(cfg), cfg.vocab)
+    result = recompute(graph, _build_store(cfg))
     text = serialize_turtle(result)
     if args.out:
         try:
@@ -203,19 +210,16 @@ def _cmd_serve(args) -> int:
     from .server import CdServer  # only serving needs http.server
 
     cfg = _load_config(args)
-    directory = args.dir or cfg.cd_directory
-    if not directory:
-        raise _UsageError("no CD directory given (use --dir or the config file)")
-    if not Path(directory).is_dir():
-        raise _UsageError(f"CD directory not found: {directory}")
+    if not Path(args.dir).is_dir():
+        raise _UsageError(f"CD directory not found: {args.dir}")
     server = CdServer(
-        directory,
+        args.dir,
         port=cfg.port,
         bind_address=cfg.bind_address,
         base_iri=cfg.base_iri,
     )
     signal.signal(signal.SIGHUP, lambda signum, frame: server.reload())
-    print(f"serving {directory} at {server.base_iri} (SIGHUP reloads)", file=sys.stderr)
+    print(f"serving {args.dir} at {server.base_iri} (SIGHUP reloads)", file=sys.stderr)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -223,18 +227,18 @@ def _cmd_serve(args) -> int:
     return EX_OK
 
 
+def _iri_argument(name: str, text: str) -> Iri:
+    try:
+        return Iri(text)
+    except ValueError as exc:
+        raise _UsageError(f"{name}: {exc}") from None
+
+
 def _cmd_query_max(args) -> int:
     cfg = _load_config(args)
+    metric, t1, t2 = (_iri_argument(name, getattr(args, name)) for name in ("metric", "t1", "t2"))
     graph = _read_graph(args.dataset)
-    region, increase = query_max_increase(
-        graph,
-        Iri(args.metric),
-        Iri(cfg.region_type),
-        Iri(args.t1),
-        Iri(args.t2),
-        _build_store(cfg),
-        cfg.vocab,
-    )
+    region, increase = query_max_increase(graph, metric, t1, t2, _build_store(cfg))
     print(f"{region.value}\t{increase!r}")
     return EX_OK
 

@@ -1,10 +1,9 @@
-"""Toolkit configuration: prefixes, vocabulary IRIs, tolerance, CD directories, server.
+"""Toolkit configuration: tolerance, CD directories and server settings.
 
-The statistical vocabularies in the example datasets are abbreviated; the
-actual namespace IRIs are a local choice and live here (or in a user config
-file) rather than being hard-coded across modules.  ``rdf:``/``xsd:`` are the
-W3C namespaces and ``scv:`` is the published SCOVO namespace; the rest are
-minted under example.org.
+A config file is a JSON object with at most the keys of ``_KEY_TYPES``; any
+other key is a usage error, so a typo or a key of an older release does not
+pass unnoticed.  The RDF terms a dataset is read with are fixed by the data
+format and live in ``annotations``, not here.
 
 The directories of ``cd_dirs`` must exist when a command starts, but their
 CDs are read only when the run first needs a CD: a dataset whose functions
@@ -17,21 +16,8 @@ import json
 import math
 
 from .errors import ToolkitError
-from .rdf import RDF_NS, RDFS_NS, XSD_NS, Iri, _SCHEME_RE
 from .value import Value, set_field
 
-DEFAULT_PREFIXES: dict[str, str] = {
-    "rdf": RDF_NS,
-    "rdfs": RDFS_NS,
-    "xsd": XSD_NS,
-    "scv": "http://purl.org/NET/scovo#",
-    "sl": "http://example.org/ns/sl#",
-    "env": "http://example.org/ns/env#",
-    "ahs": "http://example.org/ns/ahs#",
-    "ahs2": "http://example.org/ns/ahs2#",
-}
-
-DEFAULT_REGION_TYPE = DEFAULT_PREFIXES["env"] + "Region"
 MAX_PORT = 65535
 
 
@@ -39,89 +25,28 @@ class ConfigError(ToolkitError):
     pass
 
 
-class StatVocab(Value):
-    """The RDF terms the annotation layer reads and writes."""
-
-    __slots__ = (
-        "computed_from", "function", "arguments", "arg_position", "arg_value", "dimension", "value"
-    )
-
-    def __init__(
-        self,
-        computed_from: Iri,
-        function: Iri,
-        arguments: Iri,
-        arg_position: Iri,
-        arg_value: Iri,
-        dimension: Iri,
-        value: Iri,
-    ):
-        set_field(self, "computed_from", computed_from)
-        set_field(self, "function", function)
-        set_field(self, "arguments", arguments)
-        set_field(self, "arg_position", arg_position)
-        set_field(self, "arg_value", arg_value)
-        set_field(self, "dimension", dimension)
-        set_field(self, "value", value)
-
-    @classmethod
-    def from_prefixes(cls, prefixes: dict[str, str]) -> "StatVocab":
-        sl = prefixes["sl"]
-        scv = prefixes["scv"]
-        rdf = prefixes["rdf"]
-        return cls(
-            computed_from=Iri(sl + "computedFrom"),
-            function=Iri(sl + "function"),
-            arguments=Iri(sl + "arguments"),
-            arg_position=Iri(sl + "argPosition"),
-            arg_value=Iri(sl + "argValue"),
-            dimension=Iri(scv + "dimension"),
-            value=Iri(rdf + "value"),
-        )
-
-
-DEFAULT_VOCAB = StatVocab.from_prefixes(DEFAULT_PREFIXES)
-
-
 class ToolkitConfig(Value):
-    __slots__ = (
-        *("prefixes", "tolerance", "region_type", "cd_dirs"),
-        *("bind_address", "port", "cd_directory", "base_iri"),  # server settings
-    )
+    __slots__ = ("tolerance", "cd_dirs", "bind_address", "port", "base_iri")
 
     def __init__(
         self,
-        prefixes: dict[str, str] | None = None,
         tolerance: float = 1e-9,
-        region_type: str = DEFAULT_REGION_TYPE,
         cd_dirs: tuple[str, ...] = (),
         bind_address: str = "127.0.0.1",
         port: int = 8080,
-        cd_directory: str | None = None,
         base_iri: str | None = None,
     ):
-        prefixes = dict(DEFAULT_PREFIXES) if prefixes is None else prefixes
         if not (math.isfinite(tolerance) and tolerance >= 0):
             raise ConfigError("tolerance must be a finite number >= 0")
-        for prefix, iri in prefixes.items():
-            if not _SCHEME_RE.match(iri):
-                raise ConfigError(f"prefix {prefix!r} maps to a non-absolute IRI: {iri!r}")
         if base_iri is not None and base_iri.endswith("#"):
             raise ConfigError("base_iri must not end with '#'")
         if not 0 <= port <= MAX_PORT:
             raise ConfigError(f"port must be from 0 to {MAX_PORT}, got {port}")
-        set_field(self, "prefixes", prefixes)
         set_field(self, "tolerance", tolerance)
-        set_field(self, "region_type", region_type)
         set_field(self, "cd_dirs", cd_dirs)
         set_field(self, "bind_address", bind_address)
         set_field(self, "port", port)
-        set_field(self, "cd_directory", cd_directory)
         set_field(self, "base_iri", base_iri)
-
-    @property
-    def vocab(self) -> StatVocab:
-        return StatVocab.from_prefixes(self.prefixes)
 
 
 def _is_str(value) -> bool:
@@ -130,16 +55,10 @@ def _is_str(value) -> bool:
 
 # The JSON value each config key takes, as a test and its description.
 _KEY_TYPES = {
-    "prefixes": (
-        lambda v: isinstance(v, dict) and all(map(_is_str, v.values())),
-        "an object of string values",
-    ),
     "tolerance": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
-    "region_type": (_is_str, "a string"),
     "cd_dirs": (lambda v: isinstance(v, list) and all(map(_is_str, v)), "a list of strings"),
     "bind_address": (_is_str, "a string"),
     "port": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "cd_directory": (lambda v: v is None or _is_str(v), "a string or null"),
     "base_iri": (lambda v: v is None or _is_str(v), "a string or null"),
 }
 
@@ -168,10 +87,6 @@ def load_config(path: str, overrides: dict | None = None) -> ToolkitConfig:
             raise ConfigError(f"bad config {path}: {key} must be {expected}")
 
     kwargs = dict(raw)
-    if "prefixes" in kwargs:
-        merged = dict(DEFAULT_PREFIXES)
-        merged.update(kwargs["prefixes"])
-        kwargs["prefixes"] = merged
     if "cd_dirs" in kwargs:
         kwargs["cd_dirs"] = tuple(kwargs["cd_dirs"])
     return ToolkitConfig(**{**kwargs, **(overrides or {})})

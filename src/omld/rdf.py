@@ -26,6 +26,7 @@ parse, so two parses share no term objects.
 from __future__ import annotations
 
 import re
+from collections.abc import KeysView
 from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
@@ -34,7 +35,6 @@ from .errors import ToolkitError
 from .value import Value, set_field
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
-RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
 
 RDF_TYPE = RDF_NS + "type"
@@ -132,11 +132,12 @@ def _triple_key(t: Triple) -> tuple[str, str, str]:
 class Graph(Value):
     """An immutable set of triples plus the prefix map seen at parse time.
 
-    Iteration and ``match`` return triples in ``term_key`` order of subject,
-    predicate, then object.  The sorted triples and the indexes that ``match``
-    reads (by predicate, and by subject and predicate) are built lazily: once
-    per graph, on the first iteration or ``match``, so a graph that is never
-    queried pays nothing for them.
+    Iteration returns triples in ``term_key`` order of subject, predicate,
+    then object.  ``subjects`` and ``objects`` read one table, built in one
+    pass over the triples on the first lookup: predicate, then subject, to
+    the objects in ``term_key`` order.  The sorted triples and the table are
+    each built once per graph and only when first needed, so a graph that is
+    only looked up in is never sorted.
     """
 
     __slots__ = ("triples", "prefixes", "__dict__")  # cached_property needs a __dict__
@@ -152,14 +153,23 @@ class Graph(Value):
         return tuple(sorted(self.triples, key=_triple_key))
 
     @cached_property
-    def _index(self) -> tuple[dict[Iri, list[Triple]], dict[tuple[Term, Iri], list[Triple]]]:
-        """The predicate and (subject, predicate) buckets, each in ``term_key`` order."""
-        by_p: dict[Iri, list[Triple]] = {}
-        by_sp: dict[tuple[Term, Iri], list[Triple]] = {}
-        for t in self._sorted:
-            by_p.setdefault(t.predicate, []).append(t)
-            by_sp.setdefault((t.subject, t.predicate), []).append(t)
-        return by_p, by_sp
+    def _table(self) -> dict[Iri, dict[Iri | BlankNode, list[Term]]]:
+        """Predicate to subject to objects; only a bucket of two or more needs sorting."""
+        table: dict[Iri, dict[Iri | BlankNode, list[Term]]] = {}
+        for t in self.triples:
+            by_subject = table.get(t.predicate)
+            if by_subject is None:
+                by_subject = table[t.predicate] = {}
+            objects = by_subject.get(t.subject)
+            if objects is None:
+                by_subject[t.subject] = [t.object]
+            else:
+                objects.append(t.object)
+        for by_subject in table.values():
+            for objects in by_subject.values():
+                if len(objects) > 1:
+                    objects.sort(key=term_key)
+        return table
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -170,29 +180,13 @@ class Graph(Value):
     def __contains__(self, triple: Triple) -> bool:
         return triple in self.triples
 
-    def match(
-        self,
-        subject: Iri | BlankNode | None = None,
-        predicate: Iri | None = None,
-        object: Term | None = None,
-    ) -> list[Triple]:
-        """All triples matching the bound positions, in ``term_key`` order; None is a wildcard."""
-        if predicate is None:
-            candidates = self._sorted
-        elif subject is None:
-            candidates = self._index[0].get(predicate, ())
-        else:
-            candidates = self._index[1].get((subject, predicate), ())
-            subject = None  # the bucket holds only this subject
-        return [
-            t
-            for t in candidates
-            if (subject is None or t.subject == subject)
-            and (object is None or t.object == object)
-        ]
+    def subjects(self, predicate: Iri) -> KeysView[Iri | BlankNode]:
+        """The subjects with at least one ``predicate`` triple, in no set order."""
+        return self._table.get(predicate, {}).keys()
 
-    def objects(self, subject: Iri | BlankNode, predicate: Iri) -> list[Term]:
-        return [t.object for t in self.match(subject, predicate)]
+    def objects(self, subject: Iri | BlankNode, predicate: Iri) -> tuple[Term, ...]:
+        """The objects of ``subject``'s ``predicate`` triples, in ``term_key`` order."""
+        return tuple(self._table.get(predicate, {}).get(subject, ()))
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,15 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .annotations import (
+    VALUE,
     CyclicDerivationError,
     DataPoint,
     Derivation,
     derivation_to_om,
     extract_data_points,
     extract_derivations,
+    extract_regions,
 )
-from .config import DEFAULT_VOCAB, StatVocab
 from .errors import NonFiniteResultError, ToolkitError
 from .om import (
     DEFAULT_CDBASE,
@@ -51,7 +52,7 @@ from .om import (
     serialize_om_xml,
     symbol_iri,
 )
-from .rdf import RDF_TYPE, XSD_DECIMAL, Graph, Iri, Literal, Triple
+from .rdf import XSD_DECIMAL, Graph, Iri, Literal, Triple
 from .value import Value, set_field
 
 if TYPE_CHECKING:
@@ -482,11 +483,11 @@ def _needs_cd(function: str) -> bool:
 
 
 def _extract(
-    graph: Graph, vocab: StatVocab
+    graph: Graph,
 ) -> tuple[dict[str, DataPoint], dict[str, Derivation], dict[str, Decimal]]:
     """Data points, derivations and stored values, each keyed by point IRI."""
-    points = {p.id.value: p for p in extract_data_points(graph, vocab)}
-    derivations = {d.point_id.value: d for d in extract_derivations(graph, vocab)}
+    points = {p.id.value: p for p in extract_data_points(graph)}
+    derivations = {d.point_id.value: d for d in extract_derivations(graph)}
     stored = {pid: p.value for pid, p in points.items() if p.value is not None}
     return points, derivations, stored
 
@@ -552,12 +553,7 @@ def _compute_chains(
     return results
 
 
-def verify_dataset(
-    graph: Graph,
-    store: CdStore,
-    tolerance: float,
-    vocab: StatVocab = DEFAULT_VOCAB,
-) -> VerificationReport:
+def verify_dataset(graph: Graph, store: CdStore, tolerance: float) -> VerificationReport:
     """Recompute every derived point and compare against its stored value.
 
     A point matches when |stored - computed| <= tolerance * max(1, |stored|).
@@ -570,7 +566,7 @@ def verify_dataset(
     """
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
-    _, derivations, stored = _extract(graph, vocab)
+    _, derivations, stored = _extract(graph)
     order = sorted(derivations)
     computed = _compute_chains(
         [pid for pid in order if pid in stored], derivations, stored, store
@@ -584,7 +580,7 @@ def verify_dataset(
             continue
         value, outcome = float(stored[pid]), computed[pid]
         if not math.isfinite(value):
-            lexical = graph.objects(point_id, vocab.value)[0].lexical
+            lexical = graph.objects(point_id, VALUE)[0].lexical
             reason = f"stored value {lexical!r} is beyond the float range"
             results.append(PointResult(point_id, "uncomputable", reason=reason))
             continue
@@ -612,7 +608,7 @@ def canonical_decimal(value: float) -> str:
     return text
 
 
-def recompute(graph: Graph, store: CdStore, vocab: StatVocab = DEFAULT_VOCAB) -> Graph:
+def recompute(graph: Graph, store: CdStore) -> Graph:
     """Replace every derived point's stored value with a fresh computation.
 
     Only the values of underived points are taken as given: every derived
@@ -621,7 +617,7 @@ def recompute(graph: Graph, store: CdStore, vocab: StatVocab = DEFAULT_VOCAB) ->
     the same error; the first failed point by IRI raises it.  Underived
     points are untouched.
     """
-    _, derivations, stored = _extract(graph, vocab)
+    _, derivations, stored = _extract(graph)
     fixed = {pid: value for pid, value in stored.items() if pid not in derivations}
     order = sorted(derivations)
     computed = _compute_chains(order, derivations, fixed, store)
@@ -637,10 +633,10 @@ def recompute(graph: Graph, store: CdStore, vocab: StatVocab = DEFAULT_VOCAB) ->
     triples = {
         t
         for t in graph.triples
-        if not (t.subject in derived_ids and t.predicate == vocab.value)
+        if not (t.subject in derived_ids and t.predicate == VALUE)
     }
     for pid, lexical in new_values.items():
-        triples.add(Triple(Iri(pid), vocab.value, Literal(lexical, datatype=Iri(XSD_DECIMAL))))
+        triples.add(Triple(Iri(pid), VALUE, Literal(lexical, datatype=Iri(XSD_DECIMAL))))
     return Graph(triples=frozenset(triples), prefixes=dict(graph.prefixes))
 
 
@@ -652,23 +648,21 @@ def recompute(graph: Graph, store: CdStore, vocab: StatVocab = DEFAULT_VOCAB) ->
 def query_max_increase(
     graph: Graph,
     metric_function: Iri,
-    region_type: Iri,
     t1: Iri,
     t2: Iri,
     store: CdStore,
-    vocab: StatVocab = DEFAULT_VOCAB,
 ) -> tuple[Iri, float]:
     """The region whose computed metric grew the most between t1 and t2.
 
-    Regions are the dimension IRIs typed as ``region_type``.  The metric for
+    Regions are the dimension IRIs typed as ``env:Region``.  The metric for
     a (region, time) pair is computed from the derivation whose function is
     ``metric_function``; the metric point's own stored value is ignored, but
     every stored value is taken as given where it is an input.  A failed
     input makes every point that uses it fail, and failed points are left
     out.  Ties go to the lexicographically smaller region IRI.
     """
-    points, derivations, stored = _extract(graph, vocab)
-    regions = {t.subject for t in graph.match(None, Iri(RDF_TYPE), region_type)}
+    points, derivations, stored = _extract(graph)
+    regions = extract_regions(graph)
 
     keys: dict[str, tuple[str, str]] = {}
     for pid in sorted(derivations):

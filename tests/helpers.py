@@ -12,13 +12,17 @@ from contextlib import contextmanager
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 from omld.annotations import (
+    ARG_POSITION,
+    ARG_VALUE,
+    ARGUMENTS,
+    COMPUTED_FROM,
+    FUNCTION,
     CyclicDerivationError,
     DataPoint,
     Derivation,
     UnresolvedArgumentError,
     decimal_to_om,
 )
-from omld.config import DEFAULT_VOCAB, StatVocab
 from omld import resolver
 from omld.errors import ToolkitError
 from omld.om import (
@@ -42,6 +46,7 @@ from omld.rdf import (
     _DOUBLE_RE,
     _ESCAPES,
     _INTEGER_RE,
+    _triple_key,
     XSD_DECIMAL,
     XSD_DOUBLE,
     XSD_INTEGER,
@@ -50,6 +55,7 @@ from omld.rdf import (
     Graph,
     Iri,
     Literal,
+    Term,
     Triple,
     TurtleSyntaxError,
     term_key,
@@ -76,6 +82,29 @@ class CountingTriples(frozenset):
     def __iter__(self):
         self.passes += 1
         return super().__iter__()
+
+
+def match(
+    graph: Graph,
+    subject: Iri | BlankNode | None = None,
+    predicate: Iri | None = None,
+    object: Term | None = None,
+) -> list[Triple]:
+    """The triples matching the bound positions, in ``term_key`` order; None is a wildcard.
+
+    A full scan of the graph's triples: the reference that the graph's own
+    lookups are checked against.
+    """
+    return sorted(
+        (
+            t
+            for t in graph.triples
+            if (subject is None or t.subject == subject)
+            and (predicate is None or t.predicate == predicate)
+            and (object is None or t.object == object)
+        ),
+        key=_triple_key,
+    )
 
 
 def point_turtle(name: str, value=None, function: str | None = None, args=()) -> str:
@@ -344,7 +373,6 @@ def om_to_derivation(
     point_id: Iri,
     obj: OMApplication,
     source_of: Callable[[OMObject], Iri | None],
-    vocab: StatVocab = DEFAULT_VOCAB,
 ) -> frozenset[Triple]:
     """The computed-from triples for an application, in the shape the extractor reads.
 
@@ -353,13 +381,13 @@ def om_to_derivation(
     """
     derivation_node = BlankNode("d0")
     triples = {
-        Triple(point_id, vocab.computed_from, derivation_node),
-        Triple(derivation_node, vocab.function, symbol_iri(obj.head)),
+        Triple(point_id, COMPUTED_FROM, derivation_node),
+        Triple(derivation_node, FUNCTION, symbol_iri(obj.head)),
     }
     for index, arg in enumerate(obj.args, start=1):
         arg_node = BlankNode(f"a{index}")
-        triples.add(Triple(derivation_node, vocab.arguments, arg_node))
-        triples.add(Triple(arg_node, vocab.arg_position, Literal(str(index), Iri(XSD_NS + "int"))))
+        triples.add(Triple(derivation_node, ARGUMENTS, arg_node))
+        triples.add(Triple(arg_node, ARG_POSITION, Literal(str(index), Iri(XSD_NS + "int"))))
         value = source_of(arg)
         if value is None and isinstance(arg, OMInteger):
             value = Literal(str(arg.value), Iri(XSD_INTEGER))
@@ -367,7 +395,7 @@ def om_to_derivation(
             value = Literal(repr(arg.value), Iri(XSD_DOUBLE))
         elif value is None:
             raise ValueError(f"argument {index} is neither a number nor a known point")
-        triples.add(Triple(arg_node, vocab.arg_value, value))
+        triples.add(Triple(arg_node, ARG_VALUE, value))
     return frozenset(triples)
 
 

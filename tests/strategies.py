@@ -170,3 +170,32 @@ def derivation_dags(draw) -> tuple[str, str]:
         lines.append(point_turtle(f"D{j}", value, function, args))
         names.append(f"D{j}")
     return DATASET_PREFIXES + "".join(lines), "http://example.org/ns/ahs#" + names[-1]
+
+
+# What a mutation may insert: markup, OpenMath and CD elements, and bad values.
+_XML_PIECES = (
+    *("<", ">", "/", '"', "=", "&", "&amp;", "&#0;", "&#x110000;", "\x00", "]]>", "<!-- -->"),
+    *("<!DOCTYPE CD>", '<?xml version="1.0"?>', ' xmlns="http://www.openmath.org/OpenMath"'),
+    *(' xmlns:om="urn:x"', "<om:OMI>", "<OMOBJ>", "</OMOBJ>", "<OMA>", "</OMA>", "<OMATTR>"),
+    *("<OMBIND>", "<OMBVAR>", "<OMI>", "</OMI>", "<OMSTR>", "</OMSTR>", '<OMV name="x"/>'),
+    *('<OMV name=""/>', '<OMS cd="arith1" name="plus"/>', '<OMS cd="a b" name=""/>'),
+    *('<OMF dec="nan"/>', '<OMF dec="1e400"/>', '<OMF hex="zz"/>', ' cdbase=""', ' name="1x"'),
+    *("<CDDefinition>", "</CDDefinition>", "<Name>", "</Name>", "<FMP>", "</FMP>", "<CDName>"),
+    *("<CDBase>", "x", "-", "1e999", "99999999999999999999"),
+)
+
+
+@st.composite
+def xml_mutations(draw, text: str) -> str:
+    """``text`` after one to four deletions, insertions of a piece of markup, or duplications."""
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 40)))
+        kind = draw(st.sampled_from(["delete", "insert", "duplicate"]))
+        if kind == "delete":
+            text = text[:start] + text[end:]
+        elif kind == "insert":
+            text = text[:start] + draw(st.sampled_from(_XML_PIECES)) + text[start:]
+        else:
+            text = text[:end] + text[start:end] + text[end:]
+    return text

@@ -5,6 +5,8 @@ import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omld.cd import (
     DefinitionalFMP,
@@ -29,6 +31,9 @@ from omld.om import (
 from omld.rdf import Iri
 
 from .conftest import CD_DIR, fixture_text
+from .strategies import xml_mutations
+
+FIXTURE_CDS = [path.read_text(encoding="utf-8") for path in sorted(CD_DIR.glob("*.ocd"))]
 
 
 def cd_with_fmps(*fmps: str, name: str = "sym", cdname: str = "demo") -> str:
@@ -313,3 +318,13 @@ class TestLoadCdDirectory:
         for entry in loaded:
             assert entry.raw == disk[entry.path.name]
             assert entry.cd == parse_cd_xml(entry.raw.decode(), source_url=entry.cd.source_url)
+
+
+class TestParseFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(FIXTURE_CDS).flatmap(xml_mutations))
+    def test_only_toolkit_errors_escape(self, text):
+        try:
+            parse_cd_xml(text)
+        except ToolkitError:
+            pass

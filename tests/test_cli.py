@@ -26,6 +26,7 @@ from .helpers import (
     DATASET_PREFIXES,
     CountingTransport,
     chain_turtle,
+    match,
     one_shot_server,
     point_turtle,
     recursion_limit,
@@ -83,6 +84,9 @@ class TestVerifyCommand:
             '{"max_depth": 32}',
             '{"link_predicates": ["http://www.w3.org/2000/01/rdf-schema#seeAlso"]}',
             '{"default_representation": "application/openmath+xml"}',
+            '{"prefixes": {"sl": "http://example.org/ns/sl#"}}',
+            '{"region_type": "http://example.org/ns/env#Region"}',
+            '{"cd_directory": "cds"}',
         ):
             bad.write_text(text)
             code = main(["verify", str(FIXTURES / "geese.ttl"), "--config", str(bad)])
@@ -93,7 +97,6 @@ class TestVerifyCommand:
         [
             ('{"cd_dirs": 5}', "cd_dirs must be a list of strings"),
             ('{"cd_dirs": [5]}', "cd_dirs must be a list of strings"),
-            ('{"prefixes": 5}', "prefixes must be an object of string values"),
             ('{"tolerance": NaN}', "tolerance must be a finite number >= 0"),
             ('{"tolerance": true}', "tolerance must be a number"),
             ('{"port": true}', "port must be an integer"),
@@ -266,9 +269,7 @@ class TestRecomputeCommand:
         code = main(["recompute", str(dataset), "--out", str(out), "--config", config_file])
         assert code == 0
         graph = parse_turtle(out.read_text())
-        (value,) = graph.match(
-            Iri("http://example.org/ns/ahs#PD100"), Iri(RDF_VALUE), None
-        )
+        (value,) = match(graph, Iri("http://example.org/ns/ahs#PD100"), Iri(RDF_VALUE), None)
         assert float(value.object.lexical) == 700 / 380
 
     @pytest.mark.parametrize("target", ["missing/out.ttl", "."], ids=["no-parent", "directory"])
@@ -295,9 +296,8 @@ class TestRecomputeCommand:
             dataset.write_text(chain_turtle(depth))
             code = main(["recompute", str(dataset), "--out", str(out), "--config", config_file])
         assert code == 0
-        (value,) = parse_turtle(out.read_text()).match(
-            Iri("http://example.org/ns/ahs#D1"), Iri(RDF_VALUE), None
-        )
+        graph = parse_turtle(out.read_text())
+        (value,) = match(graph, Iri("http://example.org/ns/ahs#D1"), Iri(RDF_VALUE), None)
         assert value.object.lexical == str(depth + 1)
 
     def test_cyclic_dataset_exits_2(self, tmp_path, capsys, config_file):
@@ -517,6 +517,18 @@ class TestQueryMaxCommand:
         region, value = capsys.readouterr().out.strip().split("\t")
         assert region == "http://example.org/ns/env#region-a"
         assert float(value) == 0.5
+
+    @pytest.mark.parametrize("bad", ["divide", ""], ids=["relative", "empty"])
+    @pytest.mark.parametrize("name", ["metric", "t1", "t2"])
+    def test_argument_that_is_not_an_iri_exits_64(self, capsys, config_file, name, bad):
+        args = {"metric": DIVIDE_IRI, "t1": ENV + "year-2008", "t2": ENV + "year-2009"}
+        args[name] = bad
+        dataset = str(FIXTURES / "regions.ttl")
+        assert main(["query-max", dataset, *args.values(), "--config", config_file]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"omld: {name}: IRI ")
+        assert captured.err.count("\n") == 1
 
     def test_empty_dataset_exits_2(self, tmp_path, config_file):
         empty = tmp_path / "empty.ttl"
@@ -886,7 +898,7 @@ class TestGarbageCollection:
             ("query-max", ["query-max", "x.ttl", "m", "a", "b"], True),
             ("expand", ["expand", "x.om"], True),
             ("fetch", ["fetch", "http://127.0.0.1:1/x"], True),
-            ("serve", ["serve"], False),
+            ("serve", ["serve", "--dir", "x"], False),
         ],
     )
     def test_only_serve_runs_with_gc(self, gc_state, monkeypatch, command, argv, paused):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omld.errors import ToolkitError
 from omld.om import (
     DEFAULT_CDBASE,
     EncodingError,
@@ -26,10 +29,18 @@ from omld.om import (
     symbol_iri,
 )
 
+from .conftest import CD_DIR
 from .helpers import om_from_element_recursive, recursion_limit
-from .strategies import om_objects
+from .strategies import om_objects, xml_mutations
 
 DIVIDE = OMSymbol(cd="arith1", name="divide")
+
+# Every <OMOBJ> of the fixture CDs.
+FIXTURE_OMOBJS = [
+    match.group()
+    for path in sorted(CD_DIR.glob("*.ocd"))
+    for match in re.finditer(r"<OMOBJ>.*?</OMOBJ>", path.read_text(encoding="utf-8"), re.DOTALL)
+]
 
 
 class TestParse:
@@ -360,3 +371,13 @@ class TestSymbolUris:
         cdbase = f"http://{host}.example" + "".join("/" + s for s in segments)
         sym = OMSymbol(cd=cd, name=name, cdbase=cdbase)
         assert parse_symbol_uri(symbol_iri(sym)) == sym
+
+
+class TestParseFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(FIXTURE_OMOBJS).flatmap(xml_mutations))
+    def test_only_toolkit_errors_escape(self, text):
+        try:
+            parse_om_xml(text)
+        except ToolkitError:
+            pass

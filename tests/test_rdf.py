@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import itertools
 import re
 from unittest import mock
 
@@ -30,7 +29,8 @@ from omld.rdf import (
 )
 
 from . import helpers
-from .helpers import CountingTriples, isomorphic
+from .conftest import fixture_text
+from .helpers import CountingTriples, isomorphic, match
 from .strategies import graphs, turtle_fragments
 
 AHS = "http://example.org/ns/ahs#"
@@ -56,8 +56,8 @@ class TestParsing:
     def test_listing1_six_triples_on_point(self, listing1_graph):
         point = Iri(AHS + "EH100")
         assert len(listing1_graph) == 6
-        assert len(listing1_graph.match(subject=point)) == 6
-        values = listing1_graph.match(point, Iri(RDF_VALUE), None)
+        assert len(match(listing1_graph, subject=point)) == 6
+        values = match(listing1_graph, point, Iri(RDF_VALUE), None)
         assert len(values) == 1
         literal = values[0].object
         assert literal == Literal("693", datatype=Iri(XSD_DECIMAL))
@@ -102,14 +102,14 @@ class TestParsing:
         with pytest.raises(TurtleSyntaxError):
             parse_turtle("<s> <http://x.org/p> <http://x.org/o> .")
         g = parse_turtle("<s> <http://x.org/p> 1 .", base_iri=Iri("http://x.org/base/"))
-        assert g.match(subject=Iri("http://x.org/base/s"))
+        assert match(g, subject=Iri("http://x.org/base/s"))
 
     def test_comment_and_a_keyword(self):
         g = parse_turtle(
             "@prefix ex: <http://ex.org/> .  # trailing comment\n"
             "ex:s a ex:Thing .  # typed\n"
         )
-        assert g.match(None, Iri(RDF_TYPE), Iri("http://ex.org/Thing"))
+        assert match(g, None, Iri(RDF_TYPE), Iri("http://ex.org/Thing"))
 
     def test_labelled_blank_nodes_are_renamed_consistently(self):
         g = parse_turtle(
@@ -123,7 +123,7 @@ class TestParsing:
 
     def test_string_escapes(self):
         g = parse_turtle('@prefix ex: <http://ex.org/> .\nex:s ex:p "a\\"b\\nc\\u00e4" .\n')
-        (t,) = g.match(predicate=Iri("http://ex.org/p"))
+        (t,) = match(g, predicate=Iri("http://ex.org/p"))
         assert t.object.lexical == 'a"b\ncä'
 
     def test_language_tag(self):
@@ -177,24 +177,28 @@ class TestInterning:
 
 
 class TestMatch:
+    """The graph's own lookups and iteration on the fixtures."""
+
     def test_value_lookup(self, listing1_graph):
-        found = listing1_graph.match(Iri(AHS + "EH100"), Iri(RDF_VALUE), None)
-        assert [t.object.lexical for t in found] == ["693"]
+        found = listing1_graph.objects(Iri(AHS + "EH100"), Iri(RDF_VALUE))
+        assert [o.lexical for o in found] == ["693"]
 
     def test_empty_graph_matches_nothing(self):
-        assert Graph().match() == []
+        assert Graph().objects(Iri(AHS + "a"), Iri(RDF_VALUE)) == ()
+        assert not Graph().subjects(Iri(RDF_VALUE))
+        assert list(Graph()) == []
 
     def test_arg_positions_in_listing2(self, listing2_graph):
-        found = listing2_graph.match(None, Iri(SL + "argPosition"), None)
-        assert len(found) == 2
+        assert len(listing2_graph.subjects(Iri(SL + "argPosition"))) == 2
 
     def test_all_wildcards_returns_each_triple_once(self, listing1_graph):
-        everything = listing1_graph.match()
+        everything = list(listing1_graph)
         assert len(everything) == len(listing1_graph)
         assert len(set(everything)) == len(everything)
 
     def test_deterministic_order(self, geese_graph):
-        assert geese_graph.match() == geese_graph.match()
+        again = parse_turtle(fixture_text("geese.ttl"))
+        assert list(geese_graph) == list(again)
 
 
 # A few terms, so that random triples share subjects, predicates and objects.
@@ -213,52 +217,33 @@ _SMALL_TRIPLES = st.builds(
 
 
 class TestMatchDifferential:
-    """The indexed match against a full scan of the triples, sorted."""
+    """``subjects``, ``objects`` and iteration against a full scan of the triples, sorted."""
 
-    @staticmethod
-    def scan(triples, s, p, o):
-        return sorted(
-            (
-                t
-                for t in triples
-                if (s is None or t.subject == s)
-                and (p is None or t.predicate == p)
-                and (o is None or t.object == o)
-            ),
-            key=_triple_key,
-        )
-
-    @given(
-        st.frozensets(_SMALL_TRIPLES, max_size=30),
-        st.sampled_from(_NODES),
-        st.sampled_from(_IRIS),
-        st.sampled_from(_TERMS),
-    )
+    @given(st.frozensets(_SMALL_TRIPLES, max_size=30))
     @settings(max_examples=300, deadline=None)
-    def test_every_pattern_equals_a_sorted_scan(self, triples, s, p, o):
+    def test_every_pattern_equals_a_sorted_scan(self, triples):
         graph = Graph(triples)
+        for p in _IRIS:
+            assert set(graph.subjects(p)) == {t.subject for t in match(graph, None, p)}
+            for s in _NODES:
+                assert graph.objects(s, p) == tuple(t.object for t in match(graph, s, p))
+        assert "_sorted" not in graph.__dict__
         assert list(graph) == sorted(triples, key=_triple_key)
-        for bound in itertools.product((False, True), repeat=3):
-            pattern = [term if keep else None for term, keep in zip((s, p, o), bound)]
-            expected = self.scan(triples, *pattern)
-            found = graph.match(*pattern)
-            assert found == expected
-            found.append(Triple(s, p, o))
-            found.reverse()
-            assert graph.match(*pattern) == expected
 
     def test_index_is_built_once_on_first_use(self, geese_graph):
         triples = CountingTriples(geese_graph.triples)
         graph = Graph(triples, geese_graph.prefixes)
-        assert triples.passes == 0
         assert len(graph) == len(geese_graph)
         assert triples.passes == 0
         subject = next(iter(geese_graph)).subject
-        graph.match(subject, Iri(RDF_VALUE))
-        graph.match(None, Iri(RDF_VALUE))
-        graph.match(subject)
-        assert list(graph) == list(geese_graph)
+        for _ in range(3):
+            graph.objects(subject, Iri(RDF_VALUE))
+            graph.subjects(Iri(RDF_VALUE))
+            graph.objects(subject, Iri(RDF_TYPE))
         assert triples.passes == 1
+        assert list(graph) == list(geese_graph)
+        assert list(graph) == list(geese_graph)
+        assert triples.passes == 2  # the first iteration sorts, once
 
 
 class TestSerialization:

@@ -52,6 +52,7 @@ from .helpers import (
     chain_turtle,
     expand_outermost,
     inline,
+    match,
     point_turtle,
     recursion_limit,
     substitute,
@@ -569,7 +570,7 @@ class TestRecompute:
         text = fixture_text("geese.ttl").replace('"693"', '"700"')
         graph = parse_turtle(text)
         result = recompute(graph, local_store)
-        (value,) = result.match(Iri(AHS + "PD100"), Iri(RDF_VALUE), None)
+        (value,) = match(result, Iri(AHS + "PD100"), Iri(RDF_VALUE), None)
         assert value.object.lexical == "1.8421052631578947"
         assert float(value.object.lexical) == 700 / 380
 
@@ -586,8 +587,8 @@ class TestRecompute:
         )
         graph = parse_turtle(text.replace('"693"', '"700"'))
         result = recompute(graph, local_store)
-        (pd,) = result.match(Iri(AHS + "PD100"), Iri(RDF_VALUE), None)
-        (dd,) = result.match(Iri(AHS + "DD100"), Iri(RDF_VALUE), None)
+        (pd,) = match(result, Iri(AHS + "PD100"), Iri(RDF_VALUE), None)
+        (dd,) = match(result, Iri(AHS + "DD100"), Iri(RDF_VALUE), None)
         assert float(pd.object.lexical) == 700 / 380
         assert float(dd.object.lexical) == (700 / 380) * 2
 
@@ -607,7 +608,7 @@ class TestRecompute:
             depth = limit + 50
             result = recompute(parse_turtle(chain_turtle(depth)), local_store)
         for i in (1, depth // 2, depth):
-            (value,) = result.match(Iri(AHS + f"D{i}"), Iri(RDF_VALUE), None)
+            (value,) = match(result, Iri(AHS + f"D{i}"), Iri(RDF_VALUE), None)
             assert value.object.lexical == str(depth - i + 2)
 
     def test_overflow_raises_a_typed_error(self, local_store):
@@ -698,9 +699,7 @@ class TestQueryMax:
                 continue
             point = points[pid]
             dims = {x.value for x in point.dimensions}
-            region = next(
-                x for x in dims if graph.match(Iri(x), None, self.REGION)
-            )
+            region = next(x for x in dims if match(graph, Iri(x), None, self.REGION))
             time = self.T1.value if self.T1.value in dims else self.T2.value
             value = evaluate(expand(inline(d, points, derivations), store))
             per_region.setdefault(region, {})[time] = value
@@ -714,7 +713,7 @@ class TestQueryMax:
 
     def test_three_region_fixture(self, regions_graph, local_store):
         region, increase = query_max_increase(
-            regions_graph, self.METRIC, self.REGION, self.T1, self.T2, local_store
+            regions_graph, self.METRIC, self.T1, self.T2, local_store
         )
         assert region == Iri(ENV + "region-c")
         assert abs(increase - 0.9) < 1e-12
@@ -723,18 +722,14 @@ class TestQueryMax:
 
     def test_single_region(self, local_store):
         graph = parse_turtle(regions_turtle({"a": ("10", "15")}))
-        region, increase = query_max_increase(
-            graph, self.METRIC, self.REGION, self.T1, self.T2, local_store
-        )
+        region, increase = query_max_increase(graph, self.METRIC, self.T1, self.T2, local_store)
         assert region == Iri(ENV + "region-a")
         assert abs(increase - 0.5) < 1e-12
 
     def test_tie_breaks_lexicographically(self, local_store):
         # Both regions increase by exactly 0.5; region-a wins by IRI order.
         graph = parse_turtle(regions_turtle({"b": ("20", "25"), "a": ("10", "15")}))
-        region, increase = query_max_increase(
-            graph, self.METRIC, self.REGION, self.T1, self.T2, local_store
-        )
+        region, increase = query_max_increase(graph, self.METRIC, self.T1, self.T2, local_store)
         assert abs(increase - 0.5) < 1e-12
         assert region == Iri(ENV + "region-a")
 
@@ -748,19 +743,13 @@ class TestQueryMax:
                 {r: (str(p1 * 7.3), str(p2 * 7.3)) for r, (p1, p2) in table.items()}
             )
         )
-        before, _ = query_max_increase(
-            plain, self.METRIC, self.REGION, self.T1, self.T2, local_store
-        )
-        after, _ = query_max_increase(
-            scaled, self.METRIC, self.REGION, self.T1, self.T2, local_store
-        )
+        before, _ = query_max_increase(plain, self.METRIC, self.T1, self.T2, local_store)
+        after, _ = query_max_increase(scaled, self.METRIC, self.T1, self.T2, local_store)
         assert before == after == Iri(ENV + "region-c")
 
     def test_no_computable_region(self, local_store):
         with pytest.raises(NoComputableRegionError):
-            query_max_increase(
-                Graph(), self.METRIC, self.REGION, self.T1, self.T2, local_store
-            )
+            query_max_increase(Graph(), self.METRIC, self.T1, self.T2, local_store)
 
 
 class TestFullPasses:
@@ -773,7 +762,7 @@ class TestFullPasses:
         runs = (
             lambda graph: verify_dataset(graph, store, tolerance=1e-9),
             lambda graph: recompute(graph, store),
-            lambda graph: query_max_increase(graph, q.METRIC, q.REGION, q.T1, q.T2, store),
+            lambda graph: query_max_increase(graph, q.METRIC, q.T1, q.T2, store),
         )
         counts = []
         for run in runs:
@@ -781,6 +770,25 @@ class TestFullPasses:
             run(Graph(triples, parsed.prefixes))
             counts.append(triples.passes)
         return counts
+
+    @pytest.mark.parametrize(
+        "command, fixture",
+        [
+            (lambda graph, store: verify_dataset(graph, store, 1e-9), "geese.ttl"),
+            (recompute, "geese.ttl"),
+            (
+                lambda graph, store: query_max_increase(
+                    graph, TestQueryMax.METRIC, TestQueryMax.T1, TestQueryMax.T2, store
+                ),
+                "regions.ttl",
+            ),
+        ],
+        ids=["verify", "recompute", "query-max"],
+    )
+    def test_the_input_graph_is_never_sorted(self, local_store, command, fixture):
+        graph = parse_turtle(fixture_text(fixture))
+        command(graph, local_store)
+        assert "_sorted" not in graph.__dict__
 
     def test_constant_in_dataset_size(self, local_store):
         # 6 points per region: 60 and 240 points.

@@ -21,6 +21,7 @@ from omld.server import (
 )
 
 from .conftest import CD_DIR, fixture_text
+from .helpers import match
 
 BASE = "http://cds.example"
 BAD_NAME_CD = (
@@ -83,8 +84,8 @@ class TestRouting:
         assert status == 200
         assert headers["Content-Type"] == "text/turtle"
         graph = parse_turtle(body.decode())
-        name_triples = graph.match(
-            Iri(f"{BASE}/statistics#hdi"), Iri(f"{BASE}/vocab#name"), Literal("hdi")
+        name_triples = match(
+            graph, Iri(f"{BASE}/statistics#hdi"), Iri(f"{BASE}/vocab#name"), Literal("hdi")
         )
         assert len(name_triples) == 1
 
@@ -150,7 +151,7 @@ class TestHtmlRendering:
 class TestCdToRdf:
     def test_symbol_description_triples(self, statistics_cd):
         graph = cd_to_rdf(statistics_cd, BASE)
-        about_hdi = graph.match(Iri(f"{BASE}/statistics#hdi"))
+        about_hdi = match(graph, Iri(f"{BASE}/statistics#hdi"))
         assert len(about_hdi) >= 3
 
     def test_empty_cd_has_cd_level_triples_only(self):
@@ -162,7 +163,7 @@ class TestCdToRdf:
     def test_link_triple_present(self):
         cd = parse_cd_xml(fixture_text("cds/elementary.ocd"))
         graph = cd_to_rdf(cd, BASE)
-        dbpedia = graph.match(None, None, Iri("http://dbpedia.org/resource/Logarithm"))
+        dbpedia = match(graph, None, None, Iri("http://dbpedia.org/resource/Logarithm"))
         assert len(dbpedia) == 1
         assert dbpedia[0].subject == Iri(f"{BASE}/elementary#logarithm")
 
@@ -202,7 +203,7 @@ class TestLiveServer:
     def test_turtle_over_http(self, cd_server):
         result = negotiate_fetch(f"{cd_server.base_iri}/statistics", "text/turtle")
         graph = parse_turtle(result.body.decode())
-        assert graph.match(None, None, Literal("hdi"))
+        assert match(graph, None, None, Literal("hdi"))
 
     def test_reload_swaps_snapshot(self, tmp_path):
         directory = tmp_path / "cds"

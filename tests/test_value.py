@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from omld.annotations import DataPoint, Derivation, DerivationArg
 from omld.cd import ContentDictionary, DefinitionalFMP, LoadedCd, SymbolDefinition, TypedLink
-from omld.config import StatVocab, ToolkitConfig
+from omld.config import ToolkitConfig
 from omld.om import (
     DEFAULT_CDBASE,
     OMApplication,
@@ -70,26 +70,13 @@ FIELDS = {
         ("binder", "variables", "body"),
         st.tuples(symbols, st.sampled_from([(OMVariable("x"),), (OMVariable("a"),)]), leaves),
     ),
-    StatVocab: (
-        (
-            *("computed_from", "function", "arguments", "arg_position"),
-            *("arg_value", "dimension", "value"),
-        ),
-        st.tuples(*[iris] * 7),
-    ),
     ToolkitConfig: (
-        (
-            *("prefixes", "tolerance", "region_type", "cd_dirs"),
-            *("bind_address", "port", "cd_directory", "base_iri"),
-        ),
+        ("tolerance", "cd_dirs", "bind_address", "port", "base_iri"),
         st.tuples(
-            st.dictionaries(names, iri_texts, max_size=1),
             floats,
-            iri_texts,
             _tuples_of(names),
             st.just("127.0.0.1"),
             st.sampled_from([0, 8080]),
-            st.none() | names,
             st.none() | iri_texts,
         ),
     ),
@@ -224,8 +211,9 @@ def test_fields_are_read_only(obj):
             "OMSymbol(cd='arith1', name='plus', cdbase='http://www.openmath.org/cd')",
         ),
         (
-            StatVocab(*[Iri("urn:v")] * 7),
-            "StatVocab(" + ", ".join(f"{n}=Iri(value='urn:v')" for n in FIELDS[StatVocab][0]) + ")",
+            ToolkitConfig(),
+            "ToolkitConfig(tolerance=1e-09, cd_dirs=(), bind_address='127.0.0.1', port=8080, "
+            "base_iri=None)",
         ),
         (
             DerivationArg(1, literal=Decimal("2")),
