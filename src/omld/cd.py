@@ -14,7 +14,6 @@ both ends denote IRIs.
 
 from __future__ import annotations
 
-import logging
 import xml.etree.ElementTree as ET
 from functools import cached_property
 from pathlib import Path
@@ -39,8 +38,6 @@ from .om import (
 )
 from .rdf import Iri
 from .value import Value, set_field
-
-log = logging.getLogger(__name__)
 
 EQ_SYMBOL = OMSymbol(cd="relation1", name="eq")
 
@@ -116,7 +113,9 @@ class ContentDictionary(Value):
                 if found is None:
                     continue
                 if definition.name in table:
-                    log.warning(
+                    import logging  # only this warning logs
+
+                    logging.getLogger(__name__).warning(
                         "%s#%s has more than one definitional FMP; keeping the first",
                         self.cdname,
                         definition.name,

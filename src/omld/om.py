@@ -12,10 +12,11 @@ and slash (``cdbase/cd/name``); ``symbol_iri`` renders the hash shape.  Hash
 URIs make a client fetch the whole CD, since the fragment never reaches the
 server; slash URIs allow per-symbol documents.
 
-Decoding walks the XML on an explicit stack, so a nest of any depth
-decodes without recursion.  One decode shares one object per distinct
-symbol and per variable name (``om_from_element``'s ``memo``); the memo
-lives only as long as that decode, so nothing is cached across documents.
+Decoding, encoding and every walk over a term keep their own stack, so a
+nest of any depth is read, written and walked without recursion.  One
+decode shares one object per distinct symbol and per variable name
+(``om_from_element``'s ``memo``); the memo lives only as long as that
+decode, so nothing is cached across documents.
 
 A document type declaration in OpenMath or CD XML is rejected before any
 entity is expanded, so a document cannot define entities at all.
@@ -33,6 +34,7 @@ from .value import Value, set_field
 
 if TYPE_CHECKING:
     import xml.etree.ElementTree as ET
+    from collections.abc import Iterator
 
 OPENMATH_XML_MIME = "application/openmath+xml"
 DEFAULT_CDBASE = "http://www.openmath.org/cd"
@@ -140,30 +142,36 @@ OMObject = OMSymbol | OMInteger | OMFloat | OMVariable | OMString | OMApplicatio
 
 
 def free_variables(obj: OMObject) -> frozenset[str]:
-    if isinstance(obj, OMVariable):
-        return frozenset({obj.name})
-    if isinstance(obj, OMApplication):
-        out = free_variables(obj.head)
-        for a in obj.args:
-            out |= free_variables(a)
-        return out
-    if isinstance(obj, OMBinding):
-        bound = {v.name for v in obj.variables}
-        return free_variables(obj.binder) | (free_variables(obj.body) - bound)
-    return frozenset()
+    """The names of the variables with a free occurrence in ``obj``."""
+    free = set()
+    stack = [(obj, frozenset())]  # each subterm still to visit, with the names bound around it
+    while stack:
+        obj, bound = stack.pop()
+        if isinstance(obj, OMVariable):
+            if obj.name not in bound:
+                free.add(obj.name)
+        elif isinstance(obj, OMApplication):
+            stack.append((obj.head, bound))
+            stack.extend((a, bound) for a in obj.args)
+        elif isinstance(obj, OMBinding):
+            stack.append((obj.binder, bound))
+            stack.append((obj.body, bound | {v.name for v in obj.variables}))
+    return frozenset(free)
 
 
-def iter_symbols(obj: OMObject):
+def iter_symbols(obj: OMObject) -> Iterator[OMSymbol]:
     """Yield every OMSymbol in the tree, in document order."""
-    if isinstance(obj, OMSymbol):
-        yield obj
-    elif isinstance(obj, OMApplication):
-        yield from iter_symbols(obj.head)
-        for a in obj.args:
-            yield from iter_symbols(a)
-    elif isinstance(obj, OMBinding):
-        yield from iter_symbols(obj.binder)
-        yield from iter_symbols(obj.body)
+    stack = [obj]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, OMSymbol):
+            yield obj
+        elif isinstance(obj, OMApplication):
+            stack.extend(reversed(obj.args))
+            stack.append(obj.head)
+        elif isinstance(obj, OMBinding):
+            stack.append(obj.body)
+            stack.append(obj.binder)
 
 
 # ---------------------------------------------------------------------------
@@ -328,27 +336,35 @@ def _quote_attr(value: str) -> str:
 
 def om_element_text(obj: OMObject) -> str:
     """Encode one object (without the OMOBJ wrapper)."""
-    if isinstance(obj, OMSymbol):
-        base = "" if obj.cdbase == DEFAULT_CDBASE else f" cdbase={_quote_attr(obj.cdbase)}"
-        return f"<OMS{base} cd={_quote_attr(obj.cd)} name={_quote_attr(obj.name)}/>"
-    if isinstance(obj, OMInteger):
-        return f"<OMI>{obj.value}</OMI>"
-    if isinstance(obj, OMFloat):
-        return f"<OMF dec={_quote_attr(repr(obj.value))}/>"
-    if isinstance(obj, OMVariable):
-        return f"<OMV name={_quote_attr(obj.name)}/>"
-    if isinstance(obj, OMString):
-        return f"<OMSTR>{xml_escape(obj.value)}</OMSTR>"
-    if isinstance(obj, OMApplication):
-        inner = om_element_text(obj.head) + "".join(om_element_text(a) for a in obj.args)
-        return f"<OMA>{inner}</OMA>"
-    if isinstance(obj, OMBinding):
-        bvars = "".join(om_element_text(v) for v in obj.variables)
-        return (
-            f"<OMBIND>{om_element_text(obj.binder)}"
-            f"<OMBVAR>{bvars}</OMBVAR>{om_element_text(obj.body)}</OMBIND>"
-        )
-    raise TypeError(f"not an OpenMath object: {obj!r}")
+    parts = []
+    stack = [obj]  # the objects still to encode and the closing tags, last first
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, str):
+            parts.append(obj)
+        elif isinstance(obj, OMApplication):
+            parts.append("<OMA>")
+            stack.append("</OMA>")
+            stack.extend(reversed(obj.args))
+            stack.append(obj.head)
+        elif isinstance(obj, OMBinding):
+            parts.append("<OMBIND>")
+            stack += ["</OMBIND>", obj.body, "</OMBVAR>", *reversed(obj.variables), "<OMBVAR>"]
+            stack.append(obj.binder)
+        elif isinstance(obj, OMSymbol):
+            base = "" if obj.cdbase == DEFAULT_CDBASE else f" cdbase={_quote_attr(obj.cdbase)}"
+            parts.append(f"<OMS{base} cd={_quote_attr(obj.cd)} name={_quote_attr(obj.name)}/>")
+        elif isinstance(obj, OMInteger):
+            parts.append(f"<OMI>{obj.value}</OMI>")
+        elif isinstance(obj, OMFloat):
+            parts.append(f"<OMF dec={_quote_attr(repr(obj.value))}/>")
+        elif isinstance(obj, OMVariable):
+            parts.append(f"<OMV name={_quote_attr(obj.name)}/>")
+        elif isinstance(obj, OMString):
+            parts.append(f"<OMSTR>{xml_escape(obj.value)}</OMSTR>")
+        else:
+            raise TypeError(f"not an OpenMath object: {obj!r}")
+    return "".join(parts)
 
 
 def serialize_om_xml(obj: OMObject) -> str:

@@ -1,11 +1,21 @@
-"""Definition expansion, arithmetic evaluation, and dataset verification.
+"""Definition expansion, compiled evaluation, and dataset verification.
 
 Expansion rewrites every application whose head has a definitional FMP in its
 CD, innermost first, pass by pass until nothing changes.  The base
 operations, the seven arith1 operations under the default cdbase, are never
 expanded; symbols without a definition stay in place and show up in the
 residual set.  A definition-set that still rewrites after ``MAX_PASSES``
-passes is reported as cyclic.
+passes is reported as cyclic.  Every walk over a term keeps its own stack,
+so a term of any depth expands.
+
+A derived point is computed in two steps.  Its function is compiled once per
+run and arity (``CdStore.program``): the function applied to parameter slots
+is expanded, its residual symbols are checked, and the result becomes a
+``Program``, flat postfix code over the slots.  An error of these steps is
+kept in place of the program and stands for every point that uses it.  Each
+point then runs the program in one loop over its input floats, on a value
+stack.  Its errors come in the order a walk of its own expanded term would
+meet them, with the same messages.
 
 Evaluation is plain 64-bit float arithmetic over the base operations;
 integers widen to float at application time.  Division by zero is an error,
@@ -29,6 +39,8 @@ from .annotations import (
     CyclicDerivationError,
     DataPoint,
     Derivation,
+    UnresolvedArgumentError,
+    decimal_to_om,
     derivation_to_om,
     extract_data_points,
     extract_derivations,
@@ -129,6 +141,7 @@ class CdStore:
         self._fetch = fetch
         self._cds: dict[str, ContentDictionary] = {}
         self._fetch_errors: dict[str, Exception] = {}
+        self._programs: dict[tuple[str, int], Program | ToolkitError] = {}
         self._unread: list[str | Path] = []
         self._lock = threading.RLock()
 
@@ -138,6 +151,7 @@ class CdStore:
             existing = self._cds.get(url)
             if existing is None:
                 self._cds[url] = cd
+                self._programs.clear()  # a new CD may define what a program lacked
             elif existing != cd:
                 raise ToolkitError(f"a different CD is already stored for {url}")
 
@@ -179,6 +193,21 @@ class CdStore:
 
     def fetch_error(self, url: str) -> Exception | None:
         return self._fetch_errors.get(url)
+
+    def program(self, function: str, arity: int) -> Program | ToolkitError:
+        """``compile_function``'s program for a function IRI, or the error it raised.
+
+        Each is compiled at its first use and kept until a CD is added.
+        """
+        key = (function, arity)
+        program = self._programs.get(key)
+        if program is None:
+            try:
+                program = compile_function(function, arity, self)
+            except ToolkitError as exc:
+                program = exc
+            self._programs[key] = program
+        return program
 
 
 # ---------------------------------------------------------------------------
@@ -236,52 +265,73 @@ def _fresh_name(base: str, taken: set[str]) -> str:
 
 def _replace(obj: OMObject, mapping: dict[str, OMObject], bound: frozenset[str]) -> OMObject:
     """Replace free occurrences of mapped variables; unmapped ones survive."""
-    if isinstance(obj, OMVariable):
-        if obj.name in bound or obj.name not in mapping:
+    # Each open node: the node, its bound variables as renamed, the subterms to
+    # replace in order, each with its mapping and bound names, and the results
+    # so far.  A subterm of None is the result before it: a binding's body
+    # whose clashing variables are renamed.
+    stack: list[tuple[OMObject, tuple[OMVariable, ...], list, list[OMObject]]] = []
+    while True:
+        if isinstance(obj, OMVariable):
+            if obj.name not in bound and obj.name in mapping:
+                obj = mapping[obj.name]
+        elif isinstance(obj, (OMApplication, OMBinding)):
+            if isinstance(obj, OMApplication):
+                variables = ()
+                tasks = [(c, mapping, bound) for c in (obj.head, *obj.args)]
+            else:
+                variables, tasks = _binding_tasks(obj, mapping, bound)
+            stack.append((obj, variables, tasks, []))
+            obj, mapping, bound = tasks[0]
+            continue
+        while stack:
+            node, variables, tasks, done = stack[-1]
+            done.append(obj)
+            if len(done) < len(tasks):
+                obj, mapping, bound = tasks[len(done)]
+                if obj is None:
+                    obj = done[-1]
+                break
+            stack.pop()
+            if isinstance(node, OMBinding):
+                obj = OMBinding(done[0], variables, done[-1])
+            else:
+                obj = OMApplication(done[0], tuple(done[1:]))
+        else:
             return obj
-        return mapping[obj.name]
-    if isinstance(obj, OMApplication):
-        return OMApplication(
-            _replace(obj.head, mapping, bound),
-            tuple(_replace(a, mapping, bound) for a in obj.args),
-        )
-    if isinstance(obj, OMBinding):
-        names = {v.name for v in obj.variables}
-        body_free = free_variables(obj.body)
-        active = {
-            k: v
-            for k, v in mapping.items()
-            if k in body_free and k not in names and k not in bound
-        }
-        # Rename any bound variable that would capture a free variable of an
-        # incoming replacement value.
-        incoming = set()
-        for value in active.values():
-            incoming |= free_variables(value)
-        clashes = sorted(names & incoming)
-        variables = obj.variables
-        body = obj.body
-        if clashes:
-            taken = names | incoming | set(mapping) | bound | free_variables(body)
-            renames: dict[str, OMObject] = {}
-            new_vars = []
-            for v in variables:
-                if v.name in clashes:
-                    fresh = _fresh_name(v.name, taken)
-                    taken.add(fresh)
-                    renames[v.name] = OMVariable(fresh)
-                    new_vars.append(OMVariable(fresh))
-                else:
-                    new_vars.append(v)
-            body = _replace(body, renames, frozenset())
-            variables = tuple(new_vars)
-            names = {v.name for v in variables}
-        return OMBinding(
-            _replace(obj.binder, mapping, bound),
-            variables,
-            _replace(body, mapping, bound | frozenset(names)),
-        )
-    return obj
+
+
+def _binding_tasks(
+    obj: OMBinding, mapping: dict[str, OMObject], bound: frozenset[str]
+) -> tuple[tuple[OMVariable, ...], list]:
+    """A binding's variables and the replacements of its binder and body.
+
+    Any bound variable that would capture a free variable of an incoming
+    replacement value is renamed first, throughout the body.
+    """
+    names = {v.name for v in obj.variables}
+    body_free = free_variables(obj.body)
+    incoming = set()
+    for k, v in mapping.items():
+        if k in body_free and k not in names and k not in bound:
+            incoming |= free_variables(v)
+    clashes = names & incoming
+    tasks = [(obj.binder, mapping, bound)]
+    if not clashes:
+        tasks.append((obj.body, mapping, bound | names))
+        return obj.variables, tasks
+    taken = names | incoming | set(mapping) | bound | body_free
+    renames: dict[str, OMObject] = {}
+    variables = []
+    for v in obj.variables:
+        if v.name in clashes:
+            fresh = _fresh_name(v.name, taken)
+            taken.add(fresh)
+            renames[v.name] = OMVariable(fresh)
+            v = OMVariable(fresh)
+        variables.append(v)
+    tasks.append((obj.body, renames, frozenset()))
+    tasks.append((None, mapping, bound | {v.name for v in variables}))
+    return tuple(variables), tasks
 
 
 # ---------------------------------------------------------------------------
@@ -290,37 +340,58 @@ def _replace(obj: OMObject, mapping: dict[str, OMObject], bound: frozenset[str])
 
 
 def _rewrite_pass(obj: OMObject, store: CdStore, rewritten: list[OMSymbol]) -> OMObject:
-    """One innermost-first pass; substituted bodies wait for the next pass."""
-    if isinstance(obj, OMApplication):
-        new_args = tuple(_rewrite_pass(a, store, rewritten) for a in obj.args)
-        head = obj.head
-        if isinstance(head, OMSymbol):
-            if _base_op(head) is None:
-                defn = store.definition(head)
-                if defn is not None:
-                    if defn.arity != len(new_args):
-                        raise ArityMismatchError(
-                            symbol_iri(head).value, defn.arity, len(new_args)
-                        )
-                    rewritten.append(head)
-                    mapping = {p.name: a for p, a in zip(defn.params, new_args)}
-                    return _replace(defn.body, mapping, frozenset())
+    """One innermost-first pass; substituted bodies wait for the next pass.
+
+    An application's arguments are rewritten left to right, then a head that
+    is not a symbol; a binding's binder, then its body.
+    """
+    # Each open node: the node, its subterms to rewrite in order, and the results so far.
+    stack: list[tuple[OMObject, tuple[OMObject, ...], list[OMObject]]] = []
+    while True:
+        if isinstance(obj, OMApplication):
+            todo = obj.args if isinstance(obj.head, OMSymbol) else (*obj.args, obj.head)
+            stack.append((obj, todo, []))
+            obj = todo[0]
+            continue
+        if isinstance(obj, OMBinding):
+            stack.append((obj, (obj.binder, obj.body), []))
+            obj = obj.binder
+            continue
+        if isinstance(obj, OMSymbol) and _base_op(obj) is None:
+            defn = store.definition(obj)
+            if defn is not None and defn.arity == 0:
+                rewritten.append(obj)
+                obj = defn.body
+        while stack:
+            node, todo, done = stack[-1]
+            done.append(obj)
+            if len(done) < len(todo):
+                obj = todo[len(done)]
+                break
+            stack.pop()
+            if isinstance(node, OMBinding):
+                obj = OMBinding(done[0], node.variables, done[1])
+            elif isinstance(node.head, OMSymbol):
+                obj = _rewrite_application(node.head, tuple(done), store, rewritten)
+            else:
+                obj = OMApplication(done[-1], tuple(done[:-1]))
         else:
-            head = _rewrite_pass(head, store, rewritten)
-        return OMApplication(head, new_args)
-    if isinstance(obj, OMSymbol) and _base_op(obj) is None:
-        defn = store.definition(obj)
-        if defn is not None and defn.arity == 0:
-            rewritten.append(obj)
-            return defn.body
-        return obj
-    if isinstance(obj, OMBinding):
-        return OMBinding(
-            _rewrite_pass(obj.binder, store, rewritten),
-            obj.variables,
-            _rewrite_pass(obj.body, store, rewritten),
-        )
-    return obj
+            return obj
+
+
+def _rewrite_application(
+    head: OMSymbol, args: tuple[OMObject, ...], store: CdStore, rewritten: list[OMSymbol]
+) -> OMObject:
+    """``head(args)``, or the body of head's definition with its parameters replaced."""
+    if _base_op(head) is None:
+        defn = store.definition(head)
+        if defn is not None:
+            if defn.arity != len(args):
+                raise ArityMismatchError(symbol_iri(head).value, defn.arity, len(args))
+            rewritten.append(head)
+            mapping = {p.name: a for p, a in zip(defn.params, args)}
+            return _replace(defn.body, mapping, frozenset())
+    return OMApplication(head, args)
 
 
 def expand(obj: OMObject, store: CdStore) -> OMObject:
@@ -345,52 +416,179 @@ def residual_symbols(obj: OMObject) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Compilation and evaluation
 # ---------------------------------------------------------------------------
 
 
-def evaluate(obj: OMObject) -> float:
-    """Evaluate a closed, fully-expanded term to a finite 64-bit float."""
+class Program:
+    """An expanded term as flat postfix code over parameter slots.
+
+    Each instruction is ``(n, apply, term)``.  Without ``apply`` it pushes
+    value n: the input of slot n, or after the slots one of the term's
+    constants.  A value that is an error, from a leaf without a finite real
+    value, is raised where it is pushed, as the tree walk would reach it.
+    With ``apply`` it pops n values and pushes ``apply`` of them; ``term``
+    is the sub-term it computes, rendered only when it fails.
+    """
+
+    __slots__ = ("params", "code", "constants")
+
+    def __init__(self, term: OMObject, params: tuple[str, ...] = ()):
+        slots = {name: i for i, name in enumerate(params)}
+        code: list[tuple] = []
+        constants: list[float | ToolkitError] = []
+
+        def push(value: float | ToolkitError) -> tuple:
+            constants.append(value)
+            return (len(params) + len(constants) - 1, None, None)
+
+        # The subterms still to compile and the operations that follow them, last first.
+        todo: list = [term]
+        while todo:
+            obj = todo.pop()
+            if isinstance(obj, tuple):
+                code.append(obj)
+            elif isinstance(obj, OMApplication):
+                # A bad head fails before the arguments are evaluated.
+                head = obj.head
+                if not isinstance(head, OMSymbol):
+                    code.append(push(NonNumericLeafError("application head is not a symbol")))
+                elif (op := _base_op(head)) is None:
+                    code.append(push(UnknownSymbolError(symbol_iri(head).value)))
+                else:
+                    arity, apply = op
+                    n = len(obj.args)
+                    if arity is None or n == arity:
+                        todo.append((n, apply, obj))
+                    else:
+                        todo.append(push(ArityMismatchError(symbol_iri(head).value, arity, n)))
+                    todo.extend(reversed(obj.args))
+            elif isinstance(obj, OMVariable) and obj.name in slots:
+                code.append((slots[obj.name], None, None))
+            else:
+                code.append(push(_leaf_value(obj)))
+        self.params = params
+        self.code = code
+        self.constants = constants
+
+    def run(
+        self, inputs: list[float | ToolkitError], leaves: Callable[[], tuple[OMObject, ...]]
+    ) -> float:
+        """The term's finite 64-bit float value for one input per slot.
+
+        ``leaves`` gives the objects the inputs stand for, to render a
+        failing sub-term.
+        """
+        values = inputs + self.constants
+        stack: list[float] = []
+        push = stack.append
+        for n, apply, term in self.code:
+            if apply is None:
+                value = values[n]
+                if isinstance(value, ToolkitError):
+                    raise value.with_traceback(None)
+                push(value)
+                continue
+            args = stack[-n:]
+            del stack[-n:]
+            try:
+                value = apply(args)
+            except ZeroDivisionError:
+                raise DivisionByZeroError(self._render(term, leaves)) from None
+            except OverflowError:
+                raise NonFiniteResultError(f"overflow in {self._render(term, leaves)}") from None
+            if not isinstance(value, float) or not math.isfinite(value):
+                raise NonFiniteResultError(
+                    f"{value!r} is not a finite real number, in {self._render(term, leaves)}"
+                )
+            push(value)
+        return stack[-1]
+
+    def _render(self, term: OMObject, leaves: Callable[[], tuple[OMObject, ...]]) -> str:
+        mapping = dict(zip(self.params, leaves()))
+        return serialize_om_xml(_replace(term, mapping, frozenset()))
+
+
+def _leaf_value(obj: OMObject) -> float | ToolkitError:
+    """The number of a leaf, or the error the tree walk raises at it."""
     if isinstance(obj, OMInteger):
         try:
             return float(obj.value)
         except OverflowError:
-            raise NonFiniteResultError(
+            return NonFiniteResultError(
                 f"a {obj.value.bit_length()}-bit integer is too large for a float"
-            ) from None
+            )
     if isinstance(obj, OMFloat):
         if not math.isfinite(obj.value):
-            raise NonFiniteResultError(f"{obj.value!r} is not a finite number")
+            return NonFiniteResultError(f"{obj.value!r} is not a finite number")
         return obj.value
     if isinstance(obj, OMVariable):
-        raise FreeVariableError(obj.name)
-    if isinstance(obj, OMApplication):
-        head = obj.head
-        if not isinstance(head, OMSymbol):
-            raise NonNumericLeafError("application head is not a symbol")
-        op = _base_op(head)
-        if op is None:
-            raise UnknownSymbolError(symbol_iri(head).value)
-        arity, apply = op
-        args = [evaluate(a) for a in obj.args]
-        if arity is not None and len(args) != arity:
-            raise ArityMismatchError(symbol_iri(head).value, arity, len(args))
-        try:
-            value = apply(args)
-        except ZeroDivisionError:
-            raise DivisionByZeroError(serialize_om_xml(obj)) from None
-        except OverflowError:
-            raise NonFiniteResultError(f"overflow in {serialize_om_xml(obj)}") from None
-        if not isinstance(value, float) or not math.isfinite(value):
-            raise NonFiniteResultError(
-                f"{value!r} is not a finite real number, in {serialize_om_xml(obj)}"
-            )
-        return value
+        return FreeVariableError(obj.name)
     if isinstance(obj, OMSymbol):
         if _base_op(obj) is not None:
-            raise NonNumericLeafError(f"bare operation {obj.cd}#{obj.name} is not a number")
-        raise UnknownSymbolError(symbol_iri(obj).value)
-    raise NonNumericLeafError(f"cannot evaluate {type(obj).__name__}")
+            return NonNumericLeafError(f"bare operation {obj.cd}#{obj.name} is not a number")
+        return UnknownSymbolError(symbol_iri(obj).value)
+    return NonNumericLeafError(f"cannot evaluate {type(obj).__name__}")
+
+
+def compile_function(function: str, arity: int, store: CdStore) -> Program:
+    """The program of a function IRI applied to ``arity`` parameter slots.
+
+    The application is expanded, and a symbol left without a definition
+    fails as its CD's remembered fetch error or as UnknownSymbolError.
+    """
+    params = tuple(f"\0{i}" for i in range(arity))  # no XML document names such a variable
+    term = OMApplication(parse_symbol_uri(function), tuple(OMVariable(p) for p in params))
+    expanded = expand(term, store)
+    residual = [s for s in iter_symbols(expanded) if _base_op(s) is None]
+    if residual:
+        sym = min(residual, key=lambda s: symbol_iri(s).value)
+        fetch_exc = store.fetch_error(cd_url(sym.cdbase, sym.cd))
+        if fetch_exc is not None:
+            if isinstance(fetch_exc, ToolkitError):
+                raise fetch_exc
+            raise ToolkitError(f"{type(fetch_exc).__name__}: {fetch_exc}")
+        raise UnknownSymbolError(symbol_iri(sym).value)
+    return Program(expanded, params)
+
+
+def _input_value(value: Decimal | float) -> float | ToolkitError:
+    """An input as its leaf in ``derivation_to_om`` evaluates: a float, or the
+    leaf's error.  A Decimal beyond the float range raises, as it does there."""
+    if not isinstance(value, Decimal):
+        return value if math.isfinite(value) else _leaf_value(OMFloat(value))
+    if value.adjusted() > 308:
+        raise NonFiniteResultError(f"{value} is beyond the float range")
+    if not value:
+        return 0.0  # an integer leaf, so never -0.0
+    number = float(value)
+    if math.isfinite(number):
+        return number
+    return _leaf_value(decimal_to_om(value))
+
+
+def _compute_point(
+    derivation: Derivation, inputs: Mapping[str, Decimal | float], store: CdStore
+) -> float:
+    """The derivation's value, from its function's program in the store.
+
+    ``inputs`` maps each source point's IRI string to its number.  Failures
+    come in the order of computing ``derivation_to_om`` and then walking
+    the expanded term: the arguments in position order, the function IRI,
+    its expansion, then each leaf and operation in post-order.
+    """
+    values = []
+    for arg in derivation.args:
+        if arg.source is None:
+            values.append(_input_value(arg.literal))
+        elif arg.source.value in inputs:
+            values.append(_input_value(inputs[arg.source.value]))
+        else:
+            raise UnresolvedArgumentError(arg.source)
+    program = store.program(derivation.function_uri.value, len(values))
+    if isinstance(program, ToolkitError):
+        raise program.with_traceback(None)
+    return program.run(values, lambda: derivation_to_om(derivation, inputs).args)
 
 
 # ---------------------------------------------------------------------------
@@ -460,20 +658,6 @@ class VerificationReport(Value):
         ]
 
 
-def _compute_term(term: OMObject, store: CdStore) -> float:
-    expanded = expand(term, store)
-    residual = [s for s in iter_symbols(expanded) if _base_op(s) is None]
-    if residual:
-        sym = min(residual, key=lambda s: symbol_iri(s).value)
-        fetch_exc = store.fetch_error(cd_url(sym.cdbase, sym.cd))
-        if fetch_exc is not None:
-            if isinstance(fetch_exc, ToolkitError):
-                raise fetch_exc
-            raise ToolkitError(f"{type(fetch_exc).__name__}: {fetch_exc}")
-        raise UnknownSymbolError(symbol_iri(sym).value)
-    return evaluate(expanded)
-
-
 def _needs_cd(function: str) -> bool:
     """Whether computing with a function IRI may look a CD up."""
     try:
@@ -531,7 +715,7 @@ def _compute_chains(
             if isinstance(value, ToolkitError):
                 return value
         try:
-            return _compute_term(derivation_to_om(derivations[pid], inputs), store)
+            return _compute_point(derivations[pid], inputs, store)
         except ToolkitError as exc:
             return exc
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import math
 import re
 import socket
 import sys
@@ -24,7 +25,7 @@ from omld.annotations import (
     decimal_to_om,
 )
 from omld import resolver
-from omld.errors import ToolkitError
+from omld.errors import NonFiniteResultError, ToolkitError
 from omld.om import (
     DEFAULT_CDBASE,
     OPENMATH_XML_MIME,
@@ -37,8 +38,11 @@ from omld.om import (
     OMString,
     OMSymbol,
     OMVariable,
+    cd_url,
     free_variables,
+    iter_symbols,
     parse_symbol_uri,
+    serialize_om_xml,
     symbol_iri,
 )
 from omld.rdf import (
@@ -60,7 +64,17 @@ from omld.rdf import (
     TurtleSyntaxError,
     term_key,
 )
-from omld.rewrite import CdStore, _base_op, _replace
+from omld.rewrite import (
+    ArityMismatchError,
+    CdStore,
+    DivisionByZeroError,
+    FreeVariableError,
+    NonNumericLeafError,
+    UnknownSymbolError,
+    _base_op,
+    _replace,
+    expand,
+)
 
 
 ARITH1 = "http://www.openmath.org/cd/arith1#"
@@ -317,6 +331,74 @@ def expand_outermost(obj: OMObject, store: CdStore, max_passes: int = 64) -> OMO
             return term2
         term = term2
     raise AssertionError("outermost expansion did not reach a fixpoint")
+
+
+def evaluate(obj: OMObject) -> float:
+    """Evaluate a closed, fully-expanded term to a finite 64-bit float.
+
+    A recursive tree walk: the differential reference for
+    ``omld.rewrite.Program``, which must give the same values, errors and
+    messages.
+    """
+    if isinstance(obj, OMInteger):
+        try:
+            return float(obj.value)
+        except OverflowError:
+            raise NonFiniteResultError(
+                f"a {obj.value.bit_length()}-bit integer is too large for a float"
+            ) from None
+    if isinstance(obj, OMFloat):
+        if not math.isfinite(obj.value):
+            raise NonFiniteResultError(f"{obj.value!r} is not a finite number")
+        return obj.value
+    if isinstance(obj, OMVariable):
+        raise FreeVariableError(obj.name)
+    if isinstance(obj, OMApplication):
+        head = obj.head
+        if not isinstance(head, OMSymbol):
+            raise NonNumericLeafError("application head is not a symbol")
+        op = _base_op(head)
+        if op is None:
+            raise UnknownSymbolError(symbol_iri(head).value)
+        arity, apply = op
+        args = [evaluate(a) for a in obj.args]
+        if arity is not None and len(args) != arity:
+            raise ArityMismatchError(symbol_iri(head).value, arity, len(args))
+        try:
+            value = apply(args)
+        except ZeroDivisionError:
+            raise DivisionByZeroError(serialize_om_xml(obj)) from None
+        except OverflowError:
+            raise NonFiniteResultError(f"overflow in {serialize_om_xml(obj)}") from None
+        if not isinstance(value, float) or not math.isfinite(value):
+            raise NonFiniteResultError(
+                f"{value!r} is not a finite real number, in {serialize_om_xml(obj)}"
+            )
+        return value
+    if isinstance(obj, OMSymbol):
+        if _base_op(obj) is not None:
+            raise NonNumericLeafError(f"bare operation {obj.cd}#{obj.name} is not a number")
+        raise UnknownSymbolError(symbol_iri(obj).value)
+    raise NonNumericLeafError(f"cannot evaluate {type(obj).__name__}")
+
+
+def compute_term(term: OMObject, store: CdStore) -> float:
+    """Expand a term, check its residual symbols and ``evaluate`` it.
+
+    The reference for ``omld.rewrite._compute_point``, applied to
+    ``derivation_to_om``'s term of the same point.
+    """
+    expanded = expand(term, store)
+    residual = [s for s in iter_symbols(expanded) if _base_op(s) is None]
+    if residual:
+        sym = min(residual, key=lambda s: symbol_iri(s).value)
+        fetch_exc = store.fetch_error(cd_url(sym.cdbase, sym.cd))
+        if fetch_exc is not None:
+            if isinstance(fetch_exc, ToolkitError):
+                raise fetch_exc
+            raise ToolkitError(f"{type(fetch_exc).__name__}: {fetch_exc}")
+        raise UnknownSymbolError(symbol_iri(sym).value)
+    return evaluate(expanded)
 
 
 class UnboundVariableError(ToolkitError):

@@ -7,6 +7,16 @@ from decimal import Decimal
 from hypothesis import strategies as st
 
 from omld.annotations import Derivation, DerivationArg
+from omld.cd import ContentDictionary, SymbolDefinition
+from omld.om import (
+    OMApplication,
+    OMFloat,
+    OMInteger,
+    OMString,
+    OMSymbol,
+    OMVariable,
+    parse_symbol_uri,
+)
 from omld.rdf import XSD_NS, BlankNode, Graph, Iri, Literal, Triple
 
 from .helpers import DATASET_PREFIXES, point_turtle
@@ -170,6 +180,110 @@ def derivation_dags(draw) -> tuple[str, str]:
         lines.append(point_turtle(f"D{j}", value, function, args))
         names.append(f"D{j}")
     return DATASET_PREFIXES + "".join(lines), "http://example.org/ns/ahs#" + names[-1]
+
+
+ARITH1_OPERATIONS = ("plus", "times", "minus", "divide", "power", "unary_minus", "abs")
+_RANDOM_CD = "http://example.org/rand#"
+# Decimal inputs at the edges: zeros, integer values, and magnitudes at,
+# past and just under the float range.  2**1024 - 2**970 lies halfway
+# between the largest float and 2**1024, so it rounds to infinity; anything
+# below it rounds to the largest float.
+_EDGE_DECIMALS = (
+    *("0", "-0", "-0.0", "0E+5", "1", "-2", "5.000", "2E+3", "0.5", "-1.25", "1e-400"),
+    *("-1e-400", "1e308", "-9.99e308", "1.7976931348623157e308", "1E+309", "-1e400"),
+    *(str(2**1024 - 2**970), str(2**1024 - 2**970 - 1), f"{2**1024 - 2**970 - 1}.5"),
+)
+_DECIMALS = st.one_of(
+    st.sampled_from(_EDGE_DECIMALS).map(Decimal),
+    st.sampled_from(_EDGE_DECIMALS[:4]).map(Decimal),
+    st.integers(-(10**6), 10**6).map(Decimal),
+    st.decimals(allow_nan=False, allow_infinity=False),
+)
+_CONSTANTS = st.one_of(
+    st.integers(-3, 3).map(OMInteger),
+    st.sampled_from([0.0, -0.0, 0.5, 1e300]).map(OMFloat),
+    st.sampled_from([10**400, -(2**1024), 2**1023]).map(OMInteger),
+    st.floats(width=64).map(OMFloat),
+)
+
+
+def arith1_terms(draw, params: tuple[str, ...], callees: dict[str, int], depth: int):
+    """A random term over arith1 operations, constants, ``params`` and calls of
+    ``callees`` (name to arity in the random CD), at most ``depth`` levels deep.
+
+    Mostly well formed; now and then an operation or call has the wrong
+    number of arguments, or a leaf or head cannot be evaluated.
+    """
+    kind = draw(st.sampled_from(["leaf", "leaf", "op", "op", "op", "call", "odd"]))
+    if depth == 0 or kind == "leaf":
+        if params and draw(st.booleans()):
+            return OMVariable(draw(st.sampled_from(params)))
+        return draw(_CONSTANTS)
+    if kind == "odd":
+        return draw(
+            st.sampled_from(
+                [
+                    OMString("s"),
+                    OMSymbol("arith1", "plus"),
+                    OMApplication(OMSymbol("transc1", "sin"), (OMInteger(1),)),
+                    OMApplication(OMInteger(1), (OMInteger(1),)),
+                ]
+            )
+        )
+    if kind == "call" and callees:
+        name = draw(st.sampled_from(sorted(callees)))
+        head = parse_symbol_uri(_RANDOM_CD + name)
+        n = callees[name] if draw(st.integers(0, 24)) else draw(st.integers(1, 3))
+    else:
+        name = draw(st.sampled_from(ARITH1_OPERATIONS))
+        head = OMSymbol("arith1", name)
+        usual = {"minus": 2, "divide": 2, "power": 2, "unary_minus": 1, "abs": 1}
+        n = usual.get(name) if draw(st.integers(0, 24)) else None
+        n = n or draw(st.integers(1, 3))
+    args = tuple(arith1_terms(draw, params, callees, depth - 1) for _ in range(n))
+    return OMApplication(head, args)
+
+
+@st.composite
+def random_cd_points(draw):
+    """A random CD, a derivation over it or over arith1, and its inputs.
+
+    The CD ``http://example.org/rand`` defines f0..fk; each body may call
+    the later ones, and need not use every parameter.  The derivation's
+    arguments are inline Decimals or sources, and each source's input is a
+    Decimal, a float (as a computed input is), or missing.
+    """
+    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    definitions = []
+    for i in reversed(range(len(arities))):
+        params = tuple(f"x{j}" for j in range(arities[i]))
+        callees = {f"f{j}": arities[j] for j in range(i + 1, len(arities))}
+        body = arith1_terms(draw, params, callees, 4)
+        own = parse_symbol_uri(f"{_RANDOM_CD}f{i}")
+        lhs = OMApplication(own, tuple(OMVariable(p) for p in params))
+        fmp = OMApplication(OMSymbol("relation1", "eq"), (lhs, body))
+        definitions.append(SymbolDefinition(f"f{i}", "", (), (fmp,)))
+    cd = ContentDictionary("http://example.org", "rand", "", tuple(definitions))
+
+    if draw(st.booleans()):
+        function, n = _RANDOM_CD + "f0", arities[0]
+    else:
+        function = "http://www.openmath.org/cd/arith1#" + draw(st.sampled_from(ARITH1_OPERATIONS))
+        n = draw(st.integers(1, 3))
+    args, inputs = [], {}
+    for position in range(1, n + 1):
+        if draw(st.booleans()):
+            args.append(DerivationArg(position, literal=draw(_DECIMALS)))
+            continue
+        source = f"http://example.org/ns/ahs#s{position}"
+        args.append(DerivationArg(position, source=Iri(source)))
+        kind = draw(st.integers(0, 9))
+        if kind < 6:
+            inputs[source] = draw(_DECIMALS)
+        elif kind < 9:
+            inputs[source] = draw(st.floats(width=64))
+    derivation = Derivation(Iri("http://example.org/ns/ahs#p"), Iri(function), tuple(args))
+    return cd, derivation, inputs
 
 
 # What a mutation may insert: markup, OpenMath and CD elements, and bad values.

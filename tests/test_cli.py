@@ -18,14 +18,24 @@ import pytest
 from omld import cd as cd_module
 from omld import cli, resolver
 from omld.cli import main
-from omld.om import OPENMATH_XML_MIME, parse_om_xml, serialize_om_xml
+from omld.om import (
+    OPENMATH_XML_MIME,
+    OMApplication,
+    OMInteger,
+    OMSymbol,
+    om_element_text,
+    parse_om_xml,
+    serialize_om_xml,
+)
 from omld.rdf import RDF_VALUE, Iri, parse_turtle
+from omld.rewrite import CdStore
 
 from .conftest import CD_DIR, FIXTURES, fixture_text
 from .helpers import (
     DATASET_PREFIXES,
     CountingTransport,
     chain_turtle,
+    expand_outermost,
     match,
     one_shot_server,
     point_turtle,
@@ -374,6 +384,23 @@ class TestExpandCommand:
         captured = capsys.readouterr()
         assert 'name="sin"' in captured.out
         assert "residual: http://www.openmath.org/cd/transc1#sin" in captured.err
+
+    def test_term_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        minus = '<OMS cd="arith1" name="unary_minus"/>'
+        c1 = OMApplication(OMSymbol("chain", "c1", "http://example.org"), (OMInteger(5),))
+        store = CdStore()
+        store.add_directory(CD_DIR)
+        c1_expanded = om_element_text(expand_outermost(c1, store))
+        with recursion_limit(150) as limit:
+            depth = limit * 20
+            source = tmp_path / "deep.om"
+            nest = f"<OMA>{minus}" * depth + "{}" + "</OMA>" * depth
+            source.write_text(f"<OMOBJ>{nest.format(om_element_text(c1))}</OMOBJ>")
+            code = main(["expand", str(source), str(CD_DIR)])
+            captured = capsys.readouterr()
+            reparsed = serialize_om_xml(parse_om_xml(captured.out))
+        assert (code, captured.err) == (0, "")
+        assert reparsed == f"<OMOBJ>{nest.format(c1_expanded)}</OMOBJ>"
 
     def test_non_utf8_openmath_file_exits_2(self, tmp_path, capsys):
         source = tmp_path / "latin.om"
@@ -829,7 +856,8 @@ class TestUsage:
             DATASET_PREFIXES + point_turtle("L", 1) + point_turtle("H", 1, hdi, ["ahs:L"] * 4)
         )
         runs = [["verify", str(dataset), "--config", config_file]]
-        assert self._loaded_after(runs, ("omld.cd", "omld.resolver")) == ["omld.cd"]
+        loaded = self._loaded_after(runs, ("omld.cd", "omld.resolver", "logging"))
+        assert loaded == ["omld.cd"]
 
     @pytest.mark.parametrize("command", ["verify", "fetch"])
     def test_closed_stdout_exits_2_without_a_traceback(self, cd_server, command):

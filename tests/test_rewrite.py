@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from omld import cd as cd_module
 from omld import rewrite
-from omld.annotations import CyclicDerivationError, extract_data_points, extract_derivations
+from omld.annotations import (
+    CyclicDerivationError,
+    derivation_to_om,
+    extract_data_points,
+    extract_derivations,
+)
 from omld.cd import ContentDictionary, parse_cd_xml
 from omld.errors import ToolkitError
 from omld.om import (
@@ -34,9 +39,9 @@ from omld.rewrite import (
     NoComputableRegionError,
     NonFiniteResultError,
     NonNumericLeafError,
+    Program,
     UnknownSymbolError,
     canonical_decimal,
-    evaluate,
     expand,
     query_max_increase,
     recompute,
@@ -50,6 +55,8 @@ from .helpers import (
     CountingTriples,
     UnboundVariableError,
     chain_turtle,
+    compute_term,
+    evaluate as evaluate_tree,
     expand_outermost,
     inline,
     match,
@@ -57,7 +64,7 @@ from .helpers import (
     recursion_limit,
     substitute,
 )
-from .strategies import derivation_dags
+from .strategies import arith1_terms, derivation_dags, random_cd_points
 
 DIVIDE = OMSymbol(cd="arith1", name="divide")
 PLUS = OMSymbol(cd="arith1", name="plus")
@@ -71,6 +78,30 @@ ENV = "http://example.org/ns/env#"
 
 def hdi_application(*values) -> OMApplication:
     return OMApplication(HDI, tuple(OMFloat(float(v)) for v in values))
+
+
+def outcome(compute):
+    """What a computation gives: its float, or its error's class and message."""
+    try:
+        return compute()
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+
+
+def same_outcome(a, b) -> bool:
+    """Equal error classes and messages, or floats with equal bits."""
+    if isinstance(a, float) and isinstance(b, float):
+        return a.hex() == b.hex()
+    return a == b
+
+
+def evaluate(term):
+    """A closed term's value by its compiled program, which must agree with the tree walk."""
+    compiled = outcome(lambda: Program(term).run([], lambda: ()))
+    assert same_outcome(compiled, outcome(lambda: evaluate_tree(term)))
+    if isinstance(compiled, float):
+        return compiled
+    return Program(term).run([], lambda: ())
 
 
 def hdi_oracle(le, ali, gei, gdp) -> Fraction:
@@ -856,3 +887,94 @@ class TestDefinitionTable:
         assert {r.status for r in report.results} == {"match"}
         warned = [r for r in caplog.records if "more than one definitional" in r.getMessage()]
         assert len(warned) == 1
+
+
+class TestCompiledPrograms:
+    """Each function is compiled once per run, and its program gives what
+    expanding and walking each point's own term gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_cd_points())
+    def test_program_agrees_with_the_tree_walk(self, case):
+        cd, derivation, inputs = case
+        store = CdStore()
+        store.add(cd)
+        reference = outcome(lambda: compute_term(derivation_to_om(derivation, inputs), store))
+        for _ in range(2):  # compiled, then from the store
+            compiled = outcome(lambda: rewrite._compute_point(derivation, inputs, store))
+            assert same_outcome(compiled, reference), (compiled, reference)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.composite(lambda draw: arith1_terms(draw, (), {}, 5))())
+    def test_closed_terms_agree(self, term):
+        assert same_outcome(
+            outcome(lambda: Program(term).run([], lambda: ())),
+            outcome(lambda: evaluate_tree(term)),
+        )
+
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_each_function_is_expanded_once_per_run(self, monkeypatch, n):
+        expanded = []
+        original = rewrite.expand
+
+        def counting(term, store):
+            expanded.append(term)
+            return original(term, store)
+
+        monkeypatch.setattr(rewrite, "expand", counting)
+        hdi = "http://example.org/statistics#hdi"
+        text = DATASET_PREFIXES + point_turtle("L", "0.5")
+        for i in range(n):
+            text += point_turtle(f"H{i}", "0.5", hdi, ("ahs:L",) * 4)
+        graph = parse_turtle(text)
+        for run in (lambda store: verify_dataset(graph, store, 1e-9), lambda store: recompute(graph, store)):
+            store = CdStore()
+            store.add_directory(CD_DIR)
+            expanded.clear()
+            run(store)
+            assert len(expanded) == 1
+        statuses = [r.status for r in verify_dataset(graph, store, 1e-9).results]
+        assert statuses == ["match"] * n
+
+    @pytest.mark.parametrize("lexical", ["-0", "-0.00", "-0E+3"])
+    def test_negative_zero_input_is_the_integer_zero(self, lexical):
+        # decimal_to_om makes any zero an OMInteger, which evaluates to +0.0.
+        text = DATASET_PREFIXES + point_turtle("Z", lexical)
+        text += point_turtle("P", 0, "plus", ("ahs:Z", "ahs:Z"))
+        graph = parse_turtle(text)
+        (derivation,) = extract_derivations(graph)
+        inputs = {AHS + "Z": Decimal(lexical)}
+        value = rewrite._compute_point(derivation, inputs, CdStore())
+        reference = compute_term(derivation_to_om(derivation, inputs), CdStore())
+        assert value.hex() == reference.hex() == "0x0.0p+0"
+        assert recompute(graph, CdStore()) == graph
+
+    def test_an_added_cd_is_used_by_the_next_point(self):
+        f = "http://example.org/late#f"
+        derivation = extract_derivations(
+            parse_turtle(DATASET_PREFIXES + point_turtle("P", 1, f, ('"3"^^xsd:decimal',)))
+        )[0]
+        store = CdStore()
+        with pytest.raises(UnknownSymbolError):
+            rewrite._compute_point(derivation, {}, store)
+        store.add(parse_cd_xml(demo_cd("late", '<OMV name="x"/>')))
+        assert rewrite._compute_point(derivation, {}, store) == 3.0
+
+    def test_definition_deeper_than_the_recursion_limit(self):
+        f = "http://example.org/deep#f"
+        dataset = DATASET_PREFIXES + point_turtle("A", 3) + point_turtle("B", "1e200")
+        dataset += point_turtle("P", 9, f, ("ahs:A",)) + point_turtle("Q", 1, f, ("ahs:B",))
+        minus = '<OMS cd="arith1" name="unary_minus"/>'
+        with recursion_limit(150) as limit:
+            depth = limit * 20  # even, so the nest is the identity
+            nest = f"<OMA>{minus}" * depth + '<OMV name="x"/>' + "</OMA>" * depth
+            times = f'<OMA><OMS cd="arith1" name="times"/>{nest}<OMV name="x"/></OMA>'
+            store = CdStore()
+            store.add(parse_cd_xml(demo_cd("deep", times)))
+            p, q = verify_dataset(parse_turtle(dataset), store, 1e-9).results
+        assert (p.status, p.computed) == ("match", 9.0)
+        # B's value overflows the product and is rendered in the failing sub-term.
+        assert q.status == "uncomputable"
+        assert q.reason.startswith("NonFiniteResultError: inf is not a finite real number, in ")
+        assert q.reason.count(minus) == depth
+        assert q.reason.count(f"<OMI>{10**200}</OMI>") == 2
