@@ -20,11 +20,11 @@ computed the point and which sources fill which argument positions; argument
 positions must be exactly 1..n.  Where a term has several values of one
 predicate, the first in ``term_key`` order is read.
 
-Translation to OpenMath is one level deep: it applies the function symbol
-(parsed from its URI) to the argument numbers in position order, taking each
-source's number from the caller.  Following a chain of derived sources is
-the evaluator's job (``rewrite``).  Annotations are only read here, never
-written.
+Translation to OpenMath is one level deep: each argument number, a
+source's taken from the caller, becomes a leaf in position order, and the
+function symbol (parsed from its URI) is applied to the leaves.  Following a
+chain of derived sources is the evaluator's job (``rewrite``).  Annotations
+are only read here, never written.
 """
 
 from __future__ import annotations
@@ -235,19 +235,30 @@ def decimal_to_om(value: Decimal) -> OMInteger | OMFloat:
     return OMFloat(float(value))
 
 
-def derivation_to_om(derivation: Derivation, inputs: Mapping[str, Decimal | float]) -> OMObject:
-    """Apply the derivation's function to its arguments in position order.
+def argument_leaves(
+    derivation: Derivation, inputs: Mapping[str, Decimal | float]
+) -> tuple[OMInteger | OMFloat, ...]:
+    """The derivation's arguments as OpenMath leaves, in position order.
 
     ``inputs`` maps each source point's IRI string to its number: a Decimal
     becomes OMI or OMF as ``decimal_to_om`` decides, a computed value becomes
     OMF.  A source missing from ``inputs`` raises UnresolvedArgumentError,
-    a Decimal beyond the float range NonFiniteResultError, and a function
-    IRI that is not a symbol URI MalformedSymbolUriError.
+    and a Decimal beyond the float range NonFiniteResultError.
     """
-    om_args: list[OMObject] = []
+    leaves = []
     for arg in derivation.args:
         if arg.source is not None and arg.source.value not in inputs:
             raise UnresolvedArgumentError(arg.source)
         value = arg.literal if arg.source is None else inputs[arg.source.value]
-        om_args.append(decimal_to_om(value) if isinstance(value, Decimal) else OMFloat(value))
-    return OMApplication(parse_symbol_uri(derivation.function_uri), tuple(om_args))
+        leaves.append(decimal_to_om(value) if isinstance(value, Decimal) else OMFloat(value))
+    return tuple(leaves)
+
+
+def derivation_to_om(derivation: Derivation, inputs: Mapping[str, Decimal | float]) -> OMObject:
+    """Apply the derivation's function to its ``argument_leaves``.
+
+    After any error of the arguments, a function IRI that is not a symbol URI
+    raises MalformedSymbolUriError.
+    """
+    leaves = argument_leaves(derivation, inputs)
+    return OMApplication(parse_symbol_uri(derivation.function_uri), leaves)

@@ -6,21 +6,24 @@ The Turtle subset covers what SCOVO-style statistical data needs:
   * absolute ``<...>`` IRIs
   * the ``a`` keyword
   * ``;`` / ``,`` predicate-object lists
-  * anonymous ``[...]`` and labelled ``_:x`` blank nodes
+  * anonymous ``[...]`` blank nodes, nested at most ``MAX_NESTING`` deep,
+    and labelled ``_:x`` ones
   * string, numeric, typed, and language-tagged literals; a ``\\u``/``\\U``
     escape must name a Unicode scalar value (at most U+10FFFF, no surrogate)
   * ``#`` comments
 
-Collections ``( )``, ``@base``, and multiline strings are deliberately not
-supported.  Numeric shorthand (``693``, ``1.5``, ``2e3``) is normalized to a
-typed literal with the matching XSD datatype, so downstream code only ever
-sees typed literals.  Blank-node labels are rewritten to ``_:b0``, ``_:b1``,
-... in first-seen order, which keeps parses deterministic.
+Collections ``( )``, ``@base`` and relative IRIs, and multiline strings are
+deliberately not supported.  Numeric shorthand (``693``, ``1.5``, ``2e3``) is
+normalized to a typed literal with the matching XSD datatype, so downstream
+code only ever sees typed literals.  Blank-node labels are rewritten to
+``_:b0``, ``_:b1``, ... in first-seen order, which keeps parses deterministic.
 
-A parse interns its terms: it builds one ``Iri`` per distinct string, so
-the scheme check runs once per string, and one ``Literal`` per distinct
-lexical form, datatype and language.  The tables live only as long as the
-parse, so two parses share no term objects.
+A token keeps only the offset where it starts; a syntax error turns its
+offset into the line and column it reports.  A parse interns its terms: it
+builds one ``Iri`` per distinct string, so the scheme check runs once per
+string, and one ``Literal`` per distinct lexical form, datatype and language.
+The tables live only as long as the parse, so two parses share no term
+objects.
 """
 
 from __future__ import annotations
@@ -171,14 +174,8 @@ class Graph(Value):
                     objects.sort(key=term_key)
         return table
 
-    def __len__(self) -> int:
-        return len(self.triples)
-
     def __iter__(self):
         return iter(self._sorted)
-
-    def __contains__(self, triple: Triple) -> bool:
-        return triple in self.triples
 
     def subjects(self, predicate: Iri) -> KeysView[Iri | BlankNode]:
         """The subjects with at least one ``predicate`` triple, in no set order."""
@@ -229,8 +226,8 @@ _TOKEN_RE = re.compile(
 )
 
 
-# A token: its kind, its value, and the line and column where it starts.
-_Token = tuple[str, object, int, int]
+# A token: its kind, its value, and the offset where it starts.
+_Token = tuple[str, object, int]
 
 
 def _error(text: str, pos: int, expected: str) -> TurtleSyntaxError:
@@ -276,15 +273,11 @@ def _string_error(text: str, start: int, end: int) -> TurtleSyntaxError:
 def _tokenize(text: str) -> list[_Token]:
     """Split Turtle text into tokens, the last of which is EOF."""
     tokens: list[_Token] = []
-    line, line_start, pos = 1, 0, 0
+    pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         kind, end, value = m.lastgroup, m.end(), None
         if kind == "SKIP":
-            newlines = text.count("\n", pos, end)
-            if newlines:
-                line += newlines
-                line_start = text.rfind("\n", pos, end) + 1
             pos = end
             continue
         if kind == "PNAME":
@@ -324,9 +317,9 @@ def _tokenize(text: str) -> list[_Token]:
             if c == "^":
                 raise _error(text, pos + 1, "'^^'")
             raise _error(text, pos, f"a Turtle token (got {c!r})")
-        tokens.append((kind, value, line, pos - line_start + 1))
+        tokens.append((kind, value, pos))
         pos = end
-    tokens.append(("EOF", None, line, pos - line_start + 1))
+    tokens.append(("EOF", None, pos))
     return tokens
 
 
@@ -335,11 +328,15 @@ def _tokenize(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 
 
+MAX_NESTING = 100  # levels of '[' ... ']'; each level takes four parser frames
+
+
 class _Parser:
-    def __init__(self, text: str, base_iri: Iri | None):
+    def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.base_iri = base_iri
+        self.depth = 0  # the '[' open around the next token
         self.prefixes: dict[str, str] = {}
         self.triples: set[Triple] = set()
         self._bnode_counter = 0
@@ -359,8 +356,7 @@ class _Parser:
 
     def _expected(self, expected: str, tok: _Token | None = None) -> TurtleSyntaxError:
         """A syntax error at ``tok``, by default the next token."""
-        _, _, line, column = self.tokens[self.pos] if tok is None else tok
-        return TurtleSyntaxError(line, column, expected)
+        return _error(self.text, (self.tokens[self.pos] if tok is None else tok)[2], expected)
 
     def _take(self, kind: str, expected: str) -> _Token:
         if self._kind() != kind:
@@ -395,14 +391,10 @@ class _Parser:
         return literal
 
     def _resolve_iriref(self, tok: _Token) -> Iri:
-        text = tok[1]
-        if text in self._iris or _SCHEME_RE.match(text):
-            return self._iri(text)
-        if self.base_iri is not None:
-            from urllib.parse import urljoin
-
-            return self._iri(urljoin(self.base_iri.value, text))
-        raise self._expected(f"an absolute IRI (got <{text}>)", tok)
+        try:
+            return self._iri(tok[1])
+        except ValueError:  # empty or without a scheme
+            raise self._expected(f"an absolute IRI (got <{tok[1]}>)", tok) from None
 
     def _expand_pname(self, tok: _Token) -> Iri:
         prefix, local = tok[1]
@@ -515,25 +507,28 @@ class _Parser:
 
     def _bnode_property_list(self) -> BlankNode:
         open_tok = self._take("LBRACKET", "'['")
+        if self.depth == MAX_NESTING:
+            raise self._expected(f"at most {MAX_NESTING} nested '['", open_tok)
         node = self._fresh_bnode()
         if self._kind() == "RBRACKET":
             self.pos += 1
             return node
+        self.depth += 1
         self._predicate_object_list(node)
+        self.depth -= 1
         if self._kind() != "RBRACKET":
             raise self._expected("']' closing the blank node", open_tok)
         self.pos += 1
         return node
 
 
-def parse_turtle(text: str, base_iri: Iri | None = None) -> Graph:
+def parse_turtle(text: str) -> Graph:
     """Parse Turtle text into a Graph.
 
     Prefixed names are expanded eagerly; the result contains only absolute
-    IRIs.  ``base_iri`` is used to resolve relative ``<...>`` references;
-    without it, relative references are a syntax error.
+    IRIs, and a relative ``<...>`` reference is a syntax error.
     """
-    return _Parser(text, base_iri).parse()
+    return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------------------

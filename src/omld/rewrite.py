@@ -13,9 +13,11 @@ run and arity (``CdStore.program``): the function applied to parameter slots
 is expanded, its residual symbols are checked, and the result becomes a
 ``Program``, flat postfix code over the slots.  An error of these steps is
 kept in place of the program and stands for every point that uses it.  Each
-point then runs the program in one loop over its input floats, on a value
-stack.  Its errors come in the order a walk of its own expanded term would
-meet them, with the same messages.
+point then turns its arguments into leaves (``annotations.argument_leaves``,
+the leaves ``derivation_to_om`` applies the function to) and runs the
+program in one loop over their values, on a value stack.  Its errors come in
+the order a walk of its own expanded term would meet them, with the same
+messages; a failing sub-term is rendered with the leaves in the slots.
 
 Evaluation is plain 64-bit float arithmetic over the base operations;
 integers widen to float at application time.  Division by zero is an error,
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from decimal import Decimal
 from pathlib import Path
@@ -39,9 +40,7 @@ from .annotations import (
     CyclicDerivationError,
     DataPoint,
     Derivation,
-    UnresolvedArgumentError,
-    decimal_to_om,
-    derivation_to_om,
+    argument_leaves,
     extract_data_points,
     extract_derivations,
     extract_regions,
@@ -134,7 +133,8 @@ class CdStore:
     A directory given to ``add_directory`` is read when the store first
     needs a CD: at the first ``lookup``, or at ``read_directories``.  The
     directories are read once each, in the order they were added, so a run
-    that looks no CD up never opens them.
+    that looks no CD up never opens them.  A store serves one thread: each
+    batch run makes its own, and the server does not use one.
     """
 
     def __init__(self, fetch: Callable[[str], ContentDictionary] | None = None):
@@ -143,48 +143,44 @@ class CdStore:
         self._fetch_errors: dict[str, Exception] = {}
         self._programs: dict[tuple[str, int], Program | ToolkitError] = {}
         self._unread: list[str | Path] = []
-        self._lock = threading.RLock()
 
     def add(self, cd: ContentDictionary) -> None:
         url = cd_url(cd.cdbase, cd.cdname)
-        with self._lock:
-            existing = self._cds.get(url)
-            if existing is None:
-                self._cds[url] = cd
-                self._programs.clear()  # a new CD may define what a program lacked
-            elif existing != cd:
+        existing = self._cds.get(url)
+        if existing is None:
+            self._cds[url] = cd
+            self._programs.clear()  # a new CD may define what a program lacked
+        else:
+            from .cd import serialize_cd_xml as text  # compares at any depth, where == recurses
+
+            if existing.source_url != cd.source_url or text(existing) != text(cd):
                 raise ToolkitError(f"a different CD is already stored for {url}")
 
     def add_directory(self, path: str | Path) -> None:
         """Add the CDs of a directory when the store first needs a CD."""
-        with self._lock:
-            self._unread.append(path)
+        self._unread.append(path)
 
     def read_directories(self) -> None:
         """Add every CD of ``cd.load_cd_directory`` for each directory not yet read."""
         from .cd import load_cd_directory  # a run that reads no CD needs no CD parser
 
-        with self._lock:
-            while self._unread:
-                for loaded in load_cd_directory(self._unread.pop(0)):
-                    self.add(loaded.cd)
+        while self._unread:
+            for loaded in load_cd_directory(self._unread.pop(0)):
+                self.add(loaded.cd)
 
     def lookup(self, url: str) -> ContentDictionary | None:
-        with self._lock:
-            self.read_directories()
-            if url in self._cds:
-                return self._cds[url]
-            if self._fetch is None or url in self._fetch_errors:
-                return None
+        self.read_directories()
+        if url in self._cds:
+            return self._cds[url]
+        if self._fetch is None or url in self._fetch_errors:
+            return None
         try:
             cd = self._fetch(url)
         except Exception as exc:
-            with self._lock:
-                self._fetch_errors.setdefault(url, exc)
+            self._fetch_errors[url] = exc
             return None
-        with self._lock:
-            self._cds.setdefault(url, cd)
-            return self._cds[url]
+        self._cds[url] = cd
+        return cd
 
     def definition(self, sym: OMSymbol) -> DefinitionalFMP | None:
         """The symbol's definitional FMP from its CD's table, or None."""
@@ -471,13 +467,11 @@ class Program:
         self.code = code
         self.constants = constants
 
-    def run(
-        self, inputs: list[float | ToolkitError], leaves: Callable[[], tuple[OMObject, ...]]
-    ) -> float:
+    def run(self, inputs: list[float | ToolkitError], leaves: tuple[OMObject, ...]) -> float:
         """The term's finite 64-bit float value for one input per slot.
 
-        ``leaves`` gives the objects the inputs stand for, to render a
-        failing sub-term.
+        ``leaves`` are the objects the inputs stand for, to render a failing
+        sub-term.
         """
         values = inputs + self.constants
         stack: list[float] = []
@@ -504,8 +498,8 @@ class Program:
             push(value)
         return stack[-1]
 
-    def _render(self, term: OMObject, leaves: Callable[[], tuple[OMObject, ...]]) -> str:
-        mapping = dict(zip(self.params, leaves()))
+    def _render(self, term: OMObject, leaves: tuple[OMObject, ...]) -> str:
+        mapping = dict(zip(self.params, leaves))
         return serialize_om_xml(_replace(term, mapping, frozenset()))
 
 
@@ -540,31 +534,15 @@ def compile_function(function: str, arity: int, store: CdStore) -> Program:
     params = tuple(f"\0{i}" for i in range(arity))  # no XML document names such a variable
     term = OMApplication(parse_symbol_uri(function), tuple(OMVariable(p) for p in params))
     expanded = expand(term, store)
-    residual = [s for s in iter_symbols(expanded) if _base_op(s) is None]
+    residual = residual_symbols(expanded)
     if residual:
-        sym = min(residual, key=lambda s: symbol_iri(s).value)
-        fetch_exc = store.fetch_error(cd_url(sym.cdbase, sym.cd))
+        fetch_exc = store.fetch_error(residual[0].rpartition("#")[0])
         if fetch_exc is not None:
             if isinstance(fetch_exc, ToolkitError):
                 raise fetch_exc
             raise ToolkitError(f"{type(fetch_exc).__name__}: {fetch_exc}")
-        raise UnknownSymbolError(symbol_iri(sym).value)
+        raise UnknownSymbolError(residual[0])
     return Program(expanded, params)
-
-
-def _input_value(value: Decimal | float) -> float | ToolkitError:
-    """An input as its leaf in ``derivation_to_om`` evaluates: a float, or the
-    leaf's error.  A Decimal beyond the float range raises, as it does there."""
-    if not isinstance(value, Decimal):
-        return value if math.isfinite(value) else _leaf_value(OMFloat(value))
-    if value.adjusted() > 308:
-        raise NonFiniteResultError(f"{value} is beyond the float range")
-    if not value:
-        return 0.0  # an integer leaf, so never -0.0
-    number = float(value)
-    if math.isfinite(number):
-        return number
-    return _leaf_value(decimal_to_om(value))
 
 
 def _compute_point(
@@ -577,18 +555,11 @@ def _compute_point(
     the expanded term: the arguments in position order, the function IRI,
     its expansion, then each leaf and operation in post-order.
     """
-    values = []
-    for arg in derivation.args:
-        if arg.source is None:
-            values.append(_input_value(arg.literal))
-        elif arg.source.value in inputs:
-            values.append(_input_value(inputs[arg.source.value]))
-        else:
-            raise UnresolvedArgumentError(arg.source)
-    program = store.program(derivation.function_uri.value, len(values))
+    leaves = argument_leaves(derivation, inputs)
+    program = store.program(derivation.function_uri.value, len(leaves))
     if isinstance(program, ToolkitError):
         raise program.with_traceback(None)
-    return program.run(values, lambda: derivation_to_om(derivation, inputs).args)
+    return program.run([_leaf_value(leaf) for leaf in leaves], leaves)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,21 @@ DATASET_PREFIXES = """\
 """
 
 
+def demo_cd(cdname: str, *fmps: str) -> str:
+    """A CD at http://example.org whose one symbol ``f`` has the given FMP bodies."""
+    own = f'<OMS cdbase="http://example.org" cd="{cdname}" name="f"/>'
+    fmp_xml = "".join(
+        f'<FMP><OMOBJ><OMA><OMS cd="relation1" name="eq"/><OMA>{own}<OMV name="x"/></OMA>'
+        f"{body}</OMA></OMOBJ></FMP>"
+        for body in fmps
+    )
+    return (
+        f"<CD><CDName>{cdname}</CDName><CDBase>http://example.org</CDBase>"
+        f"<Description>d</Description><CDDefinition><Name>f</Name>{fmp_xml}"
+        "</CDDefinition></CD>"
+    )
+
+
 class CountingTriples(frozenset):
     """A triple set that counts the full passes made over it."""
 
@@ -562,8 +577,8 @@ def isomorphic(g1: Graph, g2: Graph) -> bool:
 
 # The character-at-a-time Turtle tokenizer that ``omld.rdf._tokenize`` replaced,
 # kept unchanged as the reference for the differential tokenizer test.  Its
-# tokens are named tuples equal to the (kind, value, line, column) tuples of
-# ``_tokenize``.
+# tokens are (kind, value, line, column) named tuples; the test turns each
+# offset of a ``_tokenize`` token into its line and column to compare them.
 
 
 class _Token(NamedTuple):

@@ -11,9 +11,14 @@ import sys
 import time
 import urllib.request
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from omld import cd as cd_module
 from omld import cli, resolver
@@ -27,7 +32,8 @@ from omld.om import (
     parse_om_xml,
     serialize_om_xml,
 )
-from omld.rdf import RDF_VALUE, Iri, parse_turtle
+from omld.rdf import MAX_NESTING, RDF_VALUE, Iri, parse_turtle
+from omld.resolver import FetchError
 from omld.rewrite import CdStore
 
 from .conftest import CD_DIR, FIXTURES, fixture_text
@@ -35,6 +41,7 @@ from .helpers import (
     DATASET_PREFIXES,
     CountingTransport,
     chain_turtle,
+    demo_cd,
     expand_outermost,
     match,
     one_shot_server,
@@ -56,6 +63,11 @@ ENV = "http://example.org/ns/env#"
 QUERY_MAX_ARGS = [ENV + "metric", ENV + "t1", ENV + "t2"]
 
 
+def nest_statement(depth: int) -> str:
+    """A data point whose dimension is ``depth`` nested blank-node property lists."""
+    return "ahs:N scv:dimension " + "[ scv:dimension " * depth + "env:x" + " ]" * depth + " .\n"
+
+
 @pytest.fixture
 def config_file(tmp_path) -> str:
     path = tmp_path / "omld.json"
@@ -75,6 +87,16 @@ class TestVerifyCommand:
         code = main(["verify", str(tampered), "--config", config_file])
         assert code == 1
         assert "MISMATCH" in capsys.readouterr().out
+
+    def test_nesting_past_the_bound_exits_2(self, tmp_path, capsys):
+        dataset = tmp_path / "deep.ttl"
+        dataset.write_text(DATASET_PREFIXES + nest_statement(20 * sys.getrecursionlimit()))
+        assert main(["verify", str(dataset)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("omld: line ")
+        assert captured.err.endswith(f": expected at most {MAX_NESTING} nested '['\n")
+        assert captured.err.count("\n") == 1
 
     def test_missing_config_exits_64(self):
         code = main(["verify", str(FIXTURES / "geese.ttl"), "--config", "/no/such/config.json"])
@@ -714,6 +736,25 @@ class TestConflictingCds:
         err = capsys.readouterr().err
         assert err == "omld: a different CD is already stored for http://example.org/demo\n"
 
+    def test_one_dir_listed_twice_with_a_deep_definition_verifies(self, tmp_path, capsys):
+        minus = '<OMS cd="arith1" name="unary_minus"/>'
+        dataset = tmp_path / "data.ttl"
+        dataset.write_text(
+            DATASET_PREFIXES
+            + point_turtle("L", 3)
+            + point_turtle("A", 3, "http://example.org/deep#f", ["ahs:L"])
+        )
+        config = tmp_path / "omld.json"
+        config.write_text(json.dumps({"cd_dirs": [str(tmp_path)] * 2}))
+        with recursion_limit(150) as limit:
+            depth = limit * 20  # even, so deep#f is the identity
+            nest = f"<OMA>{minus}" * depth + '<OMV name="x"/>' + "</OMA>" * depth
+            (tmp_path / "deep.ocd").write_text(demo_cd("deep", nest))
+            code = main(["verify", str(dataset), "--config", str(config)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out == "MATCH http://example.org/ns/ahs#A stored=3.0 computed=3.0\n"
+
 
 class TestCdDirectoriesReadOnDemand:
     """A run reads ``cd_dirs`` only once it needs a CD, and then once each."""
@@ -934,3 +975,61 @@ class TestGarbageCollection:
         monkeypatch.setitem(cli._COMMANDS, command, lambda args: seen.append(gc.isenabled()) or 0)
         assert main(argv) == 0
         assert seen == [gc_state and not paused]
+
+
+# Pieces spliced into fixture datasets: Turtle punctuation, broken tokens and values.
+FUZZ_PIECES = [
+    "[", "]", "[ scv:dimension ", '"', "<", ">", "<rel>", "\\u", ".", ";", ",", "_:", "ahs:",
+    "@prefix", "^^", "\n", "#", "1e400", '"0"^^xsd:decimal', "\udc80", "\u00e9",
+]
+FUZZ_RUNS = [
+    ["verify"],
+    ["verify", "--json"],
+    ["recompute"],
+    ["query-max", DIVIDE_IRI, ENV + "year-2008", ENV + "year-2009"],
+]
+
+
+@st.composite
+def mutated_datasets(draw) -> str:
+    """A fixture dataset with pieces spliced in, maybe truncated, maybe with a deep nest."""
+    name = draw(st.sampled_from(["geese.ttl", "listing1.ttl", "listing2.ttl", "regions.ttl"]))
+    text = fixture_text(name)
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 8)))
+        piece = draw(st.sampled_from(FUZZ_PIECES) | st.text(max_size=3))
+        text = text[:start] + piece + text[end:]
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    depth = draw(st.sampled_from([0, 0, 1, MAX_NESTING, MAX_NESTING + 1, 3000]))
+    return text + nest_statement(depth) if depth else text
+
+
+def _offline(url: str):
+    raise FetchError(url, "offline")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory) -> Path:
+    directory = tmp_path_factory.mktemp("fuzz")
+    (directory / "omld.json").write_text(json.dumps({"cd_dirs": [str(CD_DIR)]}))
+    return directory
+
+
+class TestMainFuzz:
+    """``main`` on mutated datasets returns a documented exit code and raises nothing."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=mutated_datasets(), run=st.sampled_from(FUZZ_RUNS))
+    @example(text=fixture_text("geese.ttl") + nest_statement(3000), run=["verify"])
+    def test_only_documented_exit_codes(self, fuzz_dir, text, run):
+        dataset = fuzz_dir / "data.ttl"
+        dataset.write_bytes(text.encode("utf-8", "surrogatepass"))
+        argv = [run[0], str(dataset), *run[1:], "--config", str(fuzz_dir / "omld.json")]
+        err = StringIO()
+        # A mutated function IRI may name a CD outside cd_dirs: fail its fetch offline.
+        with mock.patch.object(cli, "_fetch_cd", _offline):
+            with redirect_stdout(StringIO()), redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2, 64), err.getvalue()

@@ -56,6 +56,7 @@ from .helpers import (
     UnboundVariableError,
     chain_turtle,
     compute_term,
+    demo_cd,
     evaluate as evaluate_tree,
     expand_outermost,
     inline,
@@ -97,11 +98,11 @@ def same_outcome(a, b) -> bool:
 
 def evaluate(term):
     """A closed term's value by its compiled program, which must agree with the tree walk."""
-    compiled = outcome(lambda: Program(term).run([], lambda: ()))
+    compiled = outcome(lambda: Program(term).run([], ()))
     assert same_outcome(compiled, outcome(lambda: evaluate_tree(term)))
     if isinstance(compiled, float):
         return compiled
-    return Program(term).run([], lambda: ())
+    return Program(term).run([], ())
 
 
 def hdi_oracle(le, ali, gei, gdp) -> Fraction:
@@ -374,6 +375,18 @@ class TestCdStore:
         )
         with pytest.raises(ToolkitError, match="stored for http://example.org/statistics$"):
             store.add(changed)
+
+    def test_deep_cd_compares_without_recursion(self):
+        minus = '<OMS cd="arith1" name="unary_minus"/>'
+        with recursion_limit(150) as limit:
+            nest = f"<OMA>{minus}" * (limit * 20) + '<OMV name="x"/>' + "</OMA>" * (limit * 20)
+            text = demo_cd("deep", nest)
+            store = CdStore()
+            store.add(parse_cd_xml(text, source_url="file:///deep.ocd"))
+            store.add(parse_cd_xml(text, source_url="file:///deep.ocd"))  # a no-op
+            for changed, url in [(text.replace(">d<", ">e<"), "file:///deep.ocd"), (text, None)]:
+                with pytest.raises(ToolkitError, match="stored for http://example.org/deep$"):
+                    store.add(parse_cd_xml(changed, source_url=url))
 
     def test_fetch_hook_called_once_per_key(self):
         calls = []
@@ -829,21 +842,6 @@ class TestFullPasses:
         assert max(small) <= 2
 
 
-def demo_cd(cdname: str, *fmps: str) -> str:
-    """A CD at http://example.org whose one symbol ``f`` has the given FMP bodies."""
-    own = f'<OMS cdbase="http://example.org" cd="{cdname}" name="f"/>'
-    fmp_xml = "".join(
-        f'<FMP><OMOBJ><OMA><OMS cd="relation1" name="eq"/><OMA>{own}<OMV name="x"/></OMA>'
-        f"{body}</OMA></OMOBJ></FMP>"
-        for body in fmps
-    )
-    return (
-        f"<CD><CDName>{cdname}</CDName><CDBase>http://example.org</CDBase>"
-        f"<Description>d</Description><CDDefinition><Name>f</Name>{fmp_xml}"
-        "</CDDefinition></CD>"
-    )
-
-
 class TestDefinitionTable:
     def test_each_fmp_read_once_per_cd(self, monkeypatch):
         calls = []
@@ -908,7 +906,7 @@ class TestCompiledPrograms:
     @given(st.composite(lambda draw: arith1_terms(draw, (), {}, 5))())
     def test_closed_terms_agree(self, term):
         assert same_outcome(
-            outcome(lambda: Program(term).run([], lambda: ())),
+            outcome(lambda: Program(term).run([], ())),
             outcome(lambda: evaluate_tree(term)),
         )
 

@@ -157,7 +157,7 @@ class TestCdToRdf:
     def test_empty_cd_has_cd_level_triples_only(self):
         cd = ContentDictionary("http://example.org", "bare", "d", ())
         graph = cd_to_rdf(cd, BASE)
-        assert len(graph) == 2
+        assert len(graph.triples) == 2
         assert all(t.subject == Iri(f"{BASE}/bare") for t in graph.triples)
 
     def test_link_triple_present(self):
