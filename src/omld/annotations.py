@@ -21,8 +21,8 @@ positions must be exactly 1..n.  Where a term has several values of one
 predicate, the first in ``term_key`` order is read.
 
 Translation to OpenMath is one level deep: each argument number, a
-source's taken from the caller, becomes a leaf in position order, and the
-function symbol (parsed from its URI) is applied to the leaves.  Following a
+source's taken from the caller, becomes a leaf in position order
+(``argument_leaves``).  Applying the function to the leaves and following a
 chain of derived sources is the evaluator's job (``rewrite``).  Annotations
 are only read here, never written.
 """
@@ -34,7 +34,7 @@ from decimal import Decimal, InvalidOperation
 from operator import attrgetter
 
 from .errors import NonFiniteResultError, ToolkitError
-from .om import OMApplication, OMFloat, OMInteger, OMObject, parse_symbol_uri
+from .om import OMFloat, OMInteger
 from .rdf import RDF_TYPE, RDF_VALUE, BlankNode, Graph, Iri, Literal, Term, term_key
 from .value import Value, set_field
 
@@ -252,13 +252,3 @@ def argument_leaves(
         value = arg.literal if arg.source is None else inputs[arg.source.value]
         leaves.append(decimal_to_om(value) if isinstance(value, Decimal) else OMFloat(value))
     return tuple(leaves)
-
-
-def derivation_to_om(derivation: Derivation, inputs: Mapping[str, Decimal | float]) -> OMObject:
-    """Apply the derivation's function to its ``argument_leaves``.
-
-    After any error of the arguments, a function IRI that is not a symbol URI
-    raises MalformedSymbolUriError.
-    """
-    leaves = argument_leaves(derivation, inputs)
-    return OMApplication(parse_symbol_uri(derivation.function_uri), leaves)

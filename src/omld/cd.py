@@ -19,7 +19,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
-from .errors import ToolkitError, decode_utf8
+from .errors import ToolkitError, read_file
 from .om import (
     DEFAULT_CDBASE,
     EncodingError,
@@ -240,12 +240,11 @@ class LoadedCd(Value):
 def load_cd_directory(directory: str | Path) -> Iterator[LoadedCd]:
     """Parse each ``*.ocd`` file of a directory, in name order, from one read of it.
 
-    Any error of a file, a parse error or bytes that are not UTF-8, is a
+    Any error of a file (unreadable, not UTF-8, or a parse error) is a
     ToolkitError whose message starts with the file's path.
     """
     for file in sorted(Path(directory).glob("*.ocd")):
-        raw = file.read_bytes()
-        text = decode_utf8(raw, file)
+        raw, text = read_file(file)
         try:
             cd = parse_cd_xml(text, source_url=file.resolve().as_uri())
         except ToolkitError as exc:

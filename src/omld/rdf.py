@@ -18,18 +18,20 @@ normalized to a typed literal with the matching XSD datatype, so downstream
 code only ever sees typed literals.  Blank-node labels are rewritten to
 ``_:b0``, ``_:b1``, ... in first-seen order, which keeps parses deterministic.
 
-A token keeps only the offset where it starts; a syntax error turns its
-offset into the line and column it reports.  A parse interns its terms: it
-builds one ``Iri`` per distinct string, so the scheme check runs once per
-string, and one ``Literal`` per distinct lexical form, datatype and language.
-The tables live only as long as the parse, so two parses share no term
-objects.
+The parser reads the text in one pass: it pulls each token from the text
+when it needs it and holds only the next one, so the first error in the text
+is the one reported.  A token keeps only the offset where it starts; a
+syntax error turns its offset into the line and column it reports.  A parse
+interns its terms: it builds one ``Iri`` per distinct string, so the scheme
+check runs once per string, and one ``Literal`` per distinct lexical form,
+datatype and language.  The tables live only as long as the parse, so two
+parses share no term objects.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import KeysView
+from collections.abc import Iterator, KeysView
 from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
@@ -200,14 +202,15 @@ _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'"
 # A string body: characters other than a quote, backslash or newline, and complete escapes.
 _STRING_BODY = r"""(?:[^"\\\n]|\\[tbnrf"'\\]|\\u[0-9A-Fa-f]{4}|\\U[0-9A-Fa-f]{8})*"""
 
-# One alternative per token kind, tried in order; only SKIP spans newlines.
+# Whitespace and comments, then one alternative per token kind, tried in
+# order, so every match is one token; only the leading part spans newlines.
 # Numerals, '_:' labels and prefixed names take every character that may
 # continue them and are checked afterwards.  BAD_STRING (the valid part of
 # an unclosed string), BAD_AT and ERROR only ever end in a syntax error.
 _TOKEN_RE = re.compile(
     rf"""
-      (?P<SKIP>(?:[ \t\r\n]|\#[^\n]*)+)
-    | (?P<IRIREF><[^<>\n]*>)
+    (?:[ \t\r\n]|\#[^\n]*)* (?:
+      (?P<IRIREF><[^<>\n]*>)
     | (?P<STRING>"{_STRING_BODY}")
     | (?P<BAD_STRING>"{_STRING_BODY})
     | (?P<PREFIX_KW>@prefix)(?![^\W_]|-)
@@ -220,7 +223,8 @@ _TOKEN_RE = re.compile(
     | (?P<BLANK>_:[A-Za-z0-9_-]*)
     | (?P<A>a)(?![A-Za-z0-9_:-])
     | (?P<PNAME>[A-Za-z_:][A-Za-z0-9_:-]*)
-    | (?P<ERROR>.)
+    | (?P<EOF>\Z)
+    | (?P<ERROR>.) )
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -270,16 +274,11 @@ def _string_error(text: str, start: int, end: int) -> TurtleSyntaxError:
     return _error(text, end + 2, f"a valid escape (got \\{esc})")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    """Split Turtle text into tokens, the last of which is EOF."""
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        kind, end, value = m.lastgroup, m.end(), None
-        if kind == "SKIP":
-            pos = end
-            continue
+def _tokenize(text: str) -> Iterator[_Token]:
+    """The tokens of Turtle text, each read when it is asked for; the last is EOF."""
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        pos, end, value = m.start(kind), m.end(), None
         if kind == "PNAME":
             prefix, colon, local = text[pos:end].partition(":")
             if not colon:
@@ -317,10 +316,9 @@ def _tokenize(text: str) -> list[_Token]:
             if c == "^":
                 raise _error(text, pos + 1, "'^^'")
             raise _error(text, pos, f"a Turtle token (got {c!r})")
-        tokens.append((kind, value, pos))
-        pos = end
-    tokens.append(("EOF", None, pos))
-    return tokens
+        yield kind, value, pos
+        if kind == "EOF":  # finditer would yield one more, empty match
+            return
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +332,8 @@ MAX_NESTING = 100  # levels of '[' ... ']'; each level takes four parser frames
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self._tokens = _tokenize(text)
+        self.tok = next(self._tokens)  # the next token
         self.depth = 0  # the '[' open around the next token
         self.prefixes: dict[str, str] = {}
         self.triples: set[Triple] = set()
@@ -347,16 +345,17 @@ class _Parser:
 
     def _kind(self) -> str:
         """The kind of the next token."""
-        return self.tokens[self.pos][0]
+        return self.tok[0]
 
     def _next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        """Take the next token and read the one after it."""
+        tok = self.tok
+        self.tok = next(self._tokens)
         return tok
 
     def _expected(self, expected: str, tok: _Token | None = None) -> TurtleSyntaxError:
         """A syntax error at ``tok``, by default the next token."""
-        return _error(self.text, (self.tokens[self.pos] if tok is None else tok)[2], expected)
+        return _error(self.text, (self.tok if tok is None else tok)[2], expected)
 
     def _take(self, kind: str, expected: str) -> _Token:
         if self._kind() != kind:
@@ -425,7 +424,7 @@ class _Parser:
             subject = self._bnode_property_list()
             # A bracketed subject may stand alone or carry more predicates.
             if self._kind() == "DOT":
-                self.pos += 1
+                self._next()
                 return
         else:
             subject = self._subject()
@@ -447,7 +446,7 @@ class _Parser:
             predicate = self._verb()
             self._object_list(subject, predicate)
             if self._kind() == "SEMI":
-                self.pos += 1
+                self._next()
                 # Tolerate a dangling ';' before '.' or ']'.
                 if self._kind() in ("DOT", "RBRACKET"):
                     return
@@ -457,7 +456,7 @@ class _Parser:
     def _verb(self) -> Iri:
         kind = self._kind()
         if kind == "A":
-            self.pos += 1
+            self._next()
             return self._iri(RDF_TYPE)
         if kind == "IRIREF":
             return self._resolve_iriref(self._next())
@@ -470,7 +469,7 @@ class _Parser:
             obj = self._object()
             self.triples.add(Triple(subject, predicate, obj))
             if self._kind() == "COMMA":
-                self.pos += 1
+                self._next()
                 continue
             return
 
@@ -494,7 +493,7 @@ class _Parser:
     def _literal_tail(self, lexical: str) -> Literal:
         kind = self._kind()
         if kind == "HATHAT":
-            self.pos += 1
+            self._next()
             kind = self._kind()
             if kind == "IRIREF":
                 return self._literal(lexical, self._resolve_iriref(self._next()))
@@ -511,14 +510,14 @@ class _Parser:
             raise self._expected(f"at most {MAX_NESTING} nested '['", open_tok)
         node = self._fresh_bnode()
         if self._kind() == "RBRACKET":
-            self.pos += 1
+            self._next()
             return node
         self.depth += 1
         self._predicate_object_list(node)
         self.depth -= 1
         if self._kind() != "RBRACKET":
             raise self._expected("']' closing the blank node", open_tok)
-        self.pos += 1
+        self._next()
         return node
 
 

@@ -13,11 +13,11 @@ run and arity (``CdStore.program``): the function applied to parameter slots
 is expanded, its residual symbols are checked, and the result becomes a
 ``Program``, flat postfix code over the slots.  An error of these steps is
 kept in place of the program and stands for every point that uses it.  Each
-point then turns its arguments into leaves (``annotations.argument_leaves``,
-the leaves ``derivation_to_om`` applies the function to) and runs the
-program in one loop over their values, on a value stack.  Its errors come in
-the order a walk of its own expanded term would meet them, with the same
-messages; a failing sub-term is rendered with the leaves in the slots.
+point then turns its arguments into leaves (``annotations.argument_leaves``)
+and runs the program in one loop over their values, on a value stack.  Its
+errors come in the order a walk of its own expanded term would meet them,
+with the same messages; a failing sub-term is rendered with the leaves in
+the slots.
 
 Evaluation is plain 64-bit float arithmetic over the base operations;
 integers widen to float at application time.  Division by zero is an error,
@@ -551,9 +551,9 @@ def _compute_point(
     """The derivation's value, from its function's program in the store.
 
     ``inputs`` maps each source point's IRI string to its number.  Failures
-    come in the order of computing ``derivation_to_om`` and then walking
-    the expanded term: the arguments in position order, the function IRI,
-    its expansion, then each leaf and operation in post-order.
+    come in this order: the arguments in position order, the function IRI,
+    its expansion, then each leaf and operation of the expanded term in
+    post-order.
     """
     leaves = argument_leaves(derivation, inputs)
     program = store.program(derivation.function_uri.value, len(leaves))

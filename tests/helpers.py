@@ -10,6 +10,7 @@ import sys
 import threading
 import xml.etree.ElementTree as ET
 from contextlib import contextmanager
+from decimal import Decimal
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 from omld.annotations import (
@@ -22,6 +23,7 @@ from omld.annotations import (
     DataPoint,
     Derivation,
     UnresolvedArgumentError,
+    argument_leaves,
     decimal_to_om,
 )
 from omld import resolver
@@ -395,6 +397,16 @@ def evaluate(obj: OMObject) -> float:
             raise NonNumericLeafError(f"bare operation {obj.cd}#{obj.name} is not a number")
         raise UnknownSymbolError(symbol_iri(obj).value)
     raise NonNumericLeafError(f"cannot evaluate {type(obj).__name__}")
+
+
+def derivation_to_om(derivation: Derivation, inputs: Mapping[str, Decimal | float]) -> OMObject:
+    """Apply the derivation's function to its ``argument_leaves``.
+
+    After any error of the arguments, a function IRI that is not a symbol URI
+    raises MalformedSymbolUriError.
+    """
+    leaves = argument_leaves(derivation, inputs)
+    return OMApplication(parse_symbol_uri(derivation.function_uri), leaves)
 
 
 def compute_term(term: OMObject, store: CdStore) -> float:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import string
 from decimal import Decimal
+from operator import add
 
 from hypothesis import strategies as st
 
@@ -21,8 +23,18 @@ from omld.rdf import XSD_NS, BlankNode, Graph, Iri, Literal, Triple
 
 from .helpers import DATASET_PREFIXES, point_turtle
 
-_WORD = st.from_regex(r"[a-z][a-z0-9]{0,8}", fullmatch=True)
-_LOCAL = st.from_regex(r"[A-Za-z0-9_][A-Za-z0-9_\-]{0,10}", fullmatch=True)
+
+def _word(first: str, rest: str, max_rest: int) -> st.SearchStrategy[str]:
+    """One character of ``first``, then at most ``max_rest`` of ``rest``.
+
+    Drawn as characters, which costs hypothesis far less than ``from_regex``.
+    """
+    return st.builds(add, st.sampled_from(first), st.text(alphabet=rest, max_size=max_rest))
+
+
+_ALNUM = string.ascii_letters + string.digits
+_WORD = _word(string.ascii_lowercase, string.ascii_lowercase + string.digits, 8)  # [a-z][a-z0-9]{0,8}
+_LOCAL = _word(_ALNUM + "_", _ALNUM + "_-", 10)  # [A-Za-z0-9_][A-Za-z0-9_\-]{0,10}
 
 
 @st.composite

@@ -14,7 +14,6 @@ from omld.annotations import (
     MissingFunctionError,
     UnresolvedArgumentError,
     decimal_to_om,
-    derivation_to_om,
     extract_data_points,
     extract_derivations,
 )
@@ -22,7 +21,7 @@ from omld.errors import NonFiniteResultError
 from omld.om import OMApplication, OMFloat, OMInteger, OMSymbol
 from omld.rdf import Graph, Iri, parse_turtle
 
-from .helpers import inline, isomorphic, om_to_derivation
+from .helpers import derivation_to_om, inline, isomorphic, om_to_derivation
 from .strategies import derivations
 
 AHS = "http://example.org/ns/ahs#"

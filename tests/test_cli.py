@@ -756,6 +756,38 @@ class TestConflictingCds:
         assert out == "MATCH http://example.org/ns/ahs#A stored=3.0 computed=3.0\n"
 
 
+class TestUnreadableCdEntry:
+    """A ``*.ocd`` entry that cannot be read ends a run with exit 2 and one line naming it."""
+
+    @pytest.mark.parametrize("command", ["verify", "serve"])
+    @pytest.mark.parametrize("entry", ["directory", "dangling-symlink"])
+    def test_exits_2_naming_the_entry(self, tmp_path, capsys, command, entry):
+        directory = tmp_path / "cds"
+        directory.mkdir()
+        (directory / "statistics.ocd").write_text(fixture_text("cds/statistics.ocd"))
+        bad = directory / "x.ocd"
+        if entry == "directory":
+            bad.mkdir()
+        else:
+            bad.symlink_to(tmp_path / "missing.ocd")
+        if command == "serve":
+            argv = ["serve", "--dir", str(directory), "--port", "0"]
+        else:
+            dataset = tmp_path / "data.ttl"
+            dataset.write_text(
+                DATASET_PREFIXES
+                + point_turtle("L", 1)
+                + point_turtle("H", 1, "http://example.org/statistics#hdi", ["ahs:L"] * 4)
+            )
+            config = tmp_path / "omld.json"
+            config.write_text(json.dumps({"cd_dirs": [str(directory)]}))
+            argv = ["verify", str(dataset), "--config", str(config)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"omld: {bad}: cannot read (")
+        assert err.count("\n") == 1
+
+
 class TestCdDirectoriesReadOnDemand:
     """A run reads ``cd_dirs`` only once it needs a CD, and then once each."""
 

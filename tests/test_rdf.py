@@ -388,7 +388,7 @@ def _reference_tokens(text: str):
 def _tokens(text: str):
     """``_tokenize``'s tokens with each offset as a line and column, or its error."""
     try:
-        tokens = _tokenize(text)
+        tokens = list(_tokenize(text))
     except TurtleSyntaxError as exc:
         return (exc.line, exc.column, exc.expected)
     return [
@@ -408,6 +408,28 @@ class TestTokenizerDifferential:
         for text, column, escape in [('"\\U00110000', 2, "\\U00110000"), ('ex:x "\\uD800', 7, "\\uD800")]:
             expected = (1, column, f"a Unicode scalar value (got {escape})")
             assert _tokens(text) == _reference_tokens(text) == expected
+
+
+class TestOnePass:
+    """Tokens are read as the parser asks for them, so the first error in the text wins."""
+
+    UNCLOSED = 'ex:c ex:d "open\n'  # a lexical error at line 3, column 11
+
+    def test_a_token_is_read_before_a_later_lexical_error(self):
+        assert next(_tokenize('ex:a "open')) == ("PNAME", ("ex", "a"), 0)
+
+    def test_a_grammar_error_before_a_lexical_error_wins(self):
+        text = "@prefix ex: <http://ex.org/> .\nex:a ex:b .\n" + self.UNCLOSED
+        with pytest.raises(TurtleSyntaxError) as err:
+            parse_turtle(text)
+        assert (err.value.line, err.value.column) == (2, 11)
+        assert err.value.expected == "an object (IRI, blank node, or literal)"
+
+    def test_an_undeclared_prefix_before_a_lexical_error_wins(self):
+        text = "@prefix ex: <http://ex.org/> .\nno:a ex:b ex:c .\n" + self.UNCLOSED
+        with pytest.raises(UnknownPrefixError) as err:
+            parse_turtle(text)
+        assert err.value.prefix == "no"
 
 
 class TestParseFuzz:

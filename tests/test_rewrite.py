@@ -12,7 +12,6 @@ from omld import cd as cd_module
 from omld import rewrite
 from omld.annotations import (
     CyclicDerivationError,
-    derivation_to_om,
     extract_data_points,
     extract_derivations,
 )
@@ -57,6 +56,7 @@ from .helpers import (
     chain_turtle,
     compute_term,
     demo_cd,
+    derivation_to_om,
     evaluate as evaluate_tree,
     expand_outermost,
     inline,
