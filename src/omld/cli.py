@@ -207,7 +207,7 @@ def _cmd_fetch(args) -> int:
 def _cmd_serve(args) -> int:
     import signal
 
-    from .server import CdServer  # only serving needs http.server
+    from .server import CdServer  # only serving needs the HTTP server
 
     cfg = _load_config(args)
     if not Path(args.dir).is_dir():

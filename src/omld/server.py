@@ -7,15 +7,21 @@ description.  Slash routes serve a one-definition CD fragment so clients
 interested in a single symbol need not download the whole dictionary.
 
 Routing is a pure function over an immutable snapshot of loaded CDs, so
-requests can run concurrently and a reload just swaps the snapshot.
+requests can run concurrently and a reload just swaps the snapshot.  HTTP is
+a small HTTP/1.1 loop on ``socketserver`` that writes each response at once
+on a TCP_NODELAY socket: Nagle's algorithm would hold a body written after
+its headers until the client's delayed ACK, ~40 ms per keep-alive request.
 """
 
 from __future__ import annotations
 
 import html
+import re
+import socketserver
 import sys
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
+from http import HTTPStatus
 from pathlib import Path
 
 from .cd import ContentDictionary, LoadedCd, extract_links, load_cd_directory, serialize_cd_xml
@@ -148,41 +154,47 @@ def cd_to_rdf(cd: ContentDictionary, base_iri: str) -> Graph:
 
 
 class CdApp:
-    """Pure request routing over an immutable snapshot of CDs."""
+    """Pure request routing over an immutable snapshot of CDs.
+
+    Turtle, HTML and fragment bodies are rendered at first request and kept
+    with the snapshot; a 404 is not kept.  Two threads rendering one body at
+    once store the same bytes, so no lock is needed.
+    """
 
     def __init__(self, cds: dict[str, LoadedCd], base_iri: str):
         self.cds = cds
         self.base_iri = base_iri
+        self._bodies: dict[tuple[str, ...], bytes] = {}
 
     def route(
         self, method: str, path: str, accept: str | None
     ) -> tuple[int, dict[str, str], bytes]:
         if method != "GET":
-            return 405, {"Content-Type": "text/plain", "Allow": "GET"}, b"GET only\n"
-        path = path.partition("?")[0]
-        segments = [s for s in path.split("/") if s]
-
-        if len(segments) == 1 and segments[0].endswith(".xhtml"):
-            name = segments[0][: -len(".xhtml")]
-            loaded = self.cds.get(name)
-            if loaded is None:
-                return self._not_found(path)
-            body = render_cd_html(loaded.cd).encode("utf-8")
+            allow = {"Content-Type": "text/plain", "Allow": "GET, HEAD"}
+            return 405, allow, b"GET and HEAD only\n"
+        segments = _segments(path) or [""]
+        page = len(segments) == 1 and segments[0].endswith(".xhtml")
+        name = segments[0][: -len(".xhtml")] if page else segments[0]
+        loaded = self.cds.get(name)
+        if loaded is None or len(segments) > 2:
+            return self._not_found(path.partition("?")[0])
+        if page:
+            body = self._rendered(("html", name), lambda: render_cd_html(loaded.cd))
             return 200, {"Content-Type": f"{TEXT_HTML}; charset=utf-8"}, body
-
         if len(segments) == 1:
-            loaded = self.cds.get(segments[0])
-            if loaded is None:
-                return self._not_found(path)
-            return self._negotiated_cd(segments[0], loaded, accept)
+            return self._negotiated_cd(name, loaded, accept)
+        return self._symbol_fragment(name, loaded, segments[1])
 
-        if len(segments) == 2:
-            loaded = self.cds.get(segments[0])
-            if loaded is None:
-                return self._not_found(path)
-            return self._symbol_fragment(loaded, segments[1])
+    def negotiates(self, path: str) -> bool:
+        """Whether a GET of ``path`` is answered by the Accept header: a loaded CD's URI."""
+        segments = _segments(path)
+        return len(segments) == 1 and not segments[0].endswith(".xhtml") and segments[0] in self.cds
 
-        return self._not_found(path)
+    def _rendered(self, key: tuple[str, ...], render) -> bytes:
+        body = self._bodies.get(key)
+        if body is None:
+            body = self._bodies[key] = render().encode("utf-8")
+        return body
 
     def _not_found(self, path: str) -> tuple[int, dict[str, str], bytes]:
         return 404, {"Content-Type": "text/plain"}, f"not found: {path}\n".encode()
@@ -197,22 +209,29 @@ class CdApp:
         if chosen == TEXT_HTML:
             location = cd_url(self.base_iri, name) + ".xhtml"
             return 303, {"Location": location, "Content-Type": "text/plain"}, b"see " + location.encode() + b"\n"
-        graph = cd_to_rdf(loaded.cd, self.base_iri)
-        return 200, {"Content-Type": TEXT_TURTLE}, serialize_turtle(graph).encode("utf-8")
-
-    def _symbol_fragment(self, loaded: LoadedCd, symbol: str):
-        definition = loaded.cd.definition(symbol)
-        if definition is None:
-            return self._not_found(f"/{loaded.cd.cdname}/{symbol}")
-        fragment = ContentDictionary(
-            cdbase=loaded.cd.cdbase,
-            cdname=loaded.cd.cdname,
-            description=loaded.cd.description,
-            definitions=(definition,),
-            source_url=loaded.cd.source_url,
+        body = self._rendered(
+            ("turtle", name), lambda: serialize_turtle(cd_to_rdf(loaded.cd, self.base_iri))
         )
-        body = serialize_cd_xml(fragment).encode("utf-8")
+        return 200, {"Content-Type": TEXT_TURTLE}, body
+
+    def _symbol_fragment(self, name: str, loaded: LoadedCd, symbol: str):
+        key = ("fragment", name, symbol)
+        body = self._bodies.get(key)
+        if body is None:
+            cd = loaded.cd
+            definition = cd.definition(symbol)
+            if definition is None:
+                return self._not_found(f"/{cd.cdname}/{symbol}")
+            fragment = ContentDictionary(
+                cd.cdbase, cd.cdname, cd.description, (definition,), source_url=cd.source_url
+            )
+            body = self._bodies[key] = serialize_cd_xml(fragment).encode("utf-8")
         return 200, {"Content-Type": OPENMATH_XML_MIME}, body
+
+
+def _segments(path: str) -> list[str]:
+    """The non-empty segments of a request target's path."""
+    return [s for s in path.partition("?")[0].split("/") if s]
 
 
 def load_snapshot(directory: str | Path) -> dict[str, LoadedCd]:
@@ -229,21 +248,90 @@ def load_snapshot(directory: str | Path) -> dict[str, LoadedCd]:
     return cds
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+MAX_LINE = 65536  # bytes in a request line or header line, as in http.server
+MAX_HEADERS = 100
+_VERSION_RE = re.compile(r"HTTP/[0-9]\.[0-9]")
 
-    def do_GET(self):  # noqa: N802 (http.server API)
-        app = self.server.app  # type: ignore[attr-defined]
-        status, headers, body = app.route("GET", self.path, self.headers.get("Accept"))
-        self.send_response(status)
-        for key, value in headers.items():
-            self.send_header(key, value)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
 
-    def log_message(self, format, *args):  # quiet by default
-        pass
+class _Handler(socketserver.StreamRequestHandler):
+    """HTTP/1.1 on one connection: read a request, write its whole response at once, repeat."""
+
+    disable_nagle_algorithm = True
+
+    def handle(self) -> None:
+        try:
+            while self._exchange():
+                pass
+        except OSError:  # the client reset the connection or stopped reading
+            pass
+
+    def _exchange(self) -> bool:
+        """Answer one request; whether the connection stays open for the next."""
+        line = self.rfile.readline(MAX_LINE + 1)
+        if len(line) > MAX_LINE:
+            return self._error(414)
+        if not line.endswith(b"\n"):  # the client closed the connection
+            return False
+        words = line.decode("latin-1").split()
+        if len(words) != 3 or not _VERSION_RE.fullmatch(words[2]):
+            return self._error(400)
+        method, target, version = words
+        if version not in ("HTTP/1.0", "HTTP/1.1"):
+            return self._error(505)
+        fields: dict[str, str] = {}
+        for _ in range(MAX_HEADERS + 1):  # the fields, then the empty line
+            line = self.rfile.readline(MAX_LINE + 1)
+            if line in (b"\r\n", b"\n"):
+                break
+            if len(line) > MAX_LINE:
+                return self._error(431)
+            if not line.endswith(b"\n"):
+                return False
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon or not name or name != name.strip():  # also an obsolete folded line
+                return self._error(400)
+            fields.setdefault(name.lower(), value.strip())
+        else:
+            return self._error(431)
+
+        # This server reads no request body: a request that has one is
+        # answered, and then the connection closes before the body is read.
+        has_body = "transfer-encoding" in fields or fields.get("content-length", "0") != "0"
+        tokens = {t.strip().lower() for t in fields.get("connection", "").split(",")}
+        wanted = "keep-alive" in tokens if version == "HTTP/1.0" else "close" not in tokens
+        keep = wanted and not has_body
+        app: CdApp = self.server.app  # type: ignore[attr-defined]
+        status, headers, body = app.route(
+            "GET" if method == "HEAD" else method, target, fields.get("accept")
+        )
+        if method in ("GET", "HEAD") and app.negotiates(target):
+            headers = {**headers, "Vary": "Accept"}
+        if not keep or version == "HTTP/1.0":
+            headers = {**headers, "Connection": "keep-alive" if keep else "close"}
+        self._send(status, headers, body, send_body=method != "HEAD")
+        return keep
+
+    def _error(self, status: int) -> bool:
+        """Answer a request that cannot be read with ``status``, and close."""
+        body = f"{HTTPStatus(status).phrase}\n".encode()
+        self._send(status, {"Content-Type": "text/plain", "Connection": "close"}, body)
+        return False
+
+    def _send(self, status: int, headers: dict[str, str], body: bytes, send_body: bool = True):
+        """Write the status line, headers and body with one write, so Nagle has nothing to hold."""
+        lines = [
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
+            "Date: " + time.strftime("%a, %d %b %Y %H:%M:%S GMT", time.gmtime()),
+            *(f"{key}: {value}" for key, value in headers.items()),
+            f"Content-Length: {len(body)}",
+        ]
+        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+        self.wfile.write(head + body if send_body else head)
+
+
+class _TcpServer(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
+    daemon_threads = True
 
 
 class CdServer:
@@ -259,10 +347,9 @@ class CdServer:
         self.cd_directory = str(cd_directory)
         cds = load_snapshot(self.cd_directory)
         try:  # on failure the server has already closed its socket
-            self._httpd = ThreadingHTTPServer((bind_address, port), _Handler)
+            self._httpd = _TcpServer((bind_address, port), _Handler)
         except OSError as exc:
             raise ToolkitError(f"cannot listen on {bind_address}:{port}: {exc}") from None
-        self._httpd.daemon_threads = True
         actual_port = self._httpd.server_address[1]
         self.base_iri = (base_iri or f"http://{bind_address}:{actual_port}").rstrip("/")
         self.port = actual_port

@@ -1,9 +1,22 @@
 from __future__ import annotations
 
+import http.client
+import json
+import os
 import shutil
+import socket
+import statistics
+import subprocess
+import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import omld.server
 
 from omld.cd import ContentDictionary, parse_cd_xml
 from omld.errors import ToolkitError
@@ -275,3 +288,287 @@ class TestLiveServer:
         monkeypatch.chdir(CD_DIR.parent)
         cds = load_snapshot(CD_DIR.name)
         assert cds["statistics"].cd.source_url == (CD_DIR / "statistics.ocd").resolve().as_uri()
+
+
+KNOWN_STATUSES = {200, 303, 400, 404, 405, 406, 414, 431, 505}
+# One request of each route kind: CD XML, Turtle, 303, HTML page, fragment.
+ROUTE_KINDS = (
+    ("/statistics", OPENMATH_XML_MIME),
+    ("/statistics", "text/turtle"),
+    ("/statistics", "text/html"),
+    ("/statistics.xhtml", "text/html"),
+    ("/statistics/hdi", OPENMATH_XML_MIME),
+)
+KEEP_ALIVE_MEDIAN_S = 0.010  # a Nagle/delayed-ACK stall costs ~40 ms per request
+
+
+def _exchange(port: int, data: bytes, half_close: bool = False) -> bytes:
+    """Send raw bytes and read until the server closes (a 5 s timeout fails the test)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(data)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _responses(data: bytes, methods: list[str]) -> list[tuple[int, dict[str, str], bytes]]:
+    """Split a response stream into (status, headers, body), one per request method."""
+    out = []
+    for method in methods:
+        head, blank, data = data.partition(b"\r\n\r\n")
+        assert blank, "incomplete response head"
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        version, status, _ = status_line.split(" ", 2)
+        assert version == "HTTP/1.1"
+        headers = dict(line.split(": ", 1) for line in lines)
+        length = 0 if method == "HEAD" else int(headers["Content-Length"])
+        assert len(data) >= length
+        out.append((int(status), headers, data[:length]))
+        data = data[length:]
+    assert data == b"", "more bytes than responses"
+    return out
+
+
+def _request(method: str, path: str, *headers: str, version: str = "HTTP/1.1") -> bytes:
+    return "\r\n".join([f"{method} {path} {version}", *headers, "", ""]).encode("latin-1")
+
+
+def _keep_alive_times(port: int, requests, rounds: int) -> dict[tuple, list[float]]:
+    """Seconds per request for each (path, accept), all on one connection."""
+    times: dict[tuple, list[float]] = {request: [] for request in requests}
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+    try:
+        for _ in range(rounds):
+            for path, accept in requests:
+                start = time.perf_counter()
+                conn.request("GET", path, headers={"Accept": accept})
+                response = conn.getresponse()
+                response.read()
+                times[path, accept].append(time.perf_counter() - start)
+                assert response.status in (200, 303)
+                assert not response.will_close
+    finally:
+        conn.close()
+    return times
+
+
+class TestHttp:
+    def test_keep_alive_has_no_stall(self, cd_server):
+        times = _keep_alive_times(cd_server.port, ROUTE_KINDS, rounds=20)
+        for request, samples in times.items():
+            assert statistics.median(samples) < KEEP_ALIVE_MEDIAN_S, request
+
+    def test_keep_alive_large_body_has_no_stall(self, tmp_path):
+        description = "A definition with a long description to make the file large. " * 2
+        definitions = "".join(
+            f"<CDDefinition><Name>d{i}</Name><Description>{description}</Description>"
+            "</CDDefinition>"
+            for i in range(1200)
+        )
+        (tmp_path / "big.ocd").write_text(
+            "<CD><CDName>big</CDName><CDBase>http://example.org</CDBase>"
+            f"<Description>many definitions</Description>{definitions}</CD>"
+        )
+        size = (tmp_path / "big.ocd").stat().st_size
+        assert size > 200_000
+        server = CdServer(tmp_path, port=0).start()
+        try:
+            requests = [("/big", OPENMATH_XML_MIME), ("/big.xhtml", "text/html")]
+            times = _keep_alive_times(server.port, requests, rounds=20)
+            for request, samples in times.items():
+                assert statistics.median(samples) < KEEP_ALIVE_MEDIAN_S, request
+            body = _exchange(server.port, _request("GET", "/big", "Connection: close"))
+            assert _responses(body, ["GET"])[0][2] == (tmp_path / "big.ocd").read_bytes()
+        finally:
+            server.close()
+
+    def test_http_answers_are_the_routes_answers(self, cd_server):
+        app = cd_server.app
+        requests = [*ROUTE_KINDS, ("/statistics", "image/png"), ("/nothing", None)]
+        data = b"".join(
+            _request("GET", path, *([f"Accept: {accept}"] if accept else []))
+            for path, accept in requests
+        )
+        reply = _exchange(cd_server.port, data, half_close=True)
+        replies = _responses(reply, ["GET"] * len(requests))
+        for (path, accept), (status, headers, body) in zip(requests, replies):
+            route_status, route_headers, route_body = app.route("GET", path, accept)
+            assert (status, body) == (route_status, route_body)
+            assert {k: headers[k] for k in route_headers} == route_headers
+            assert headers["Content-Length"] == str(len(body))
+            assert "Server" not in headers and "Connection" not in headers
+            negotiated = path == "/statistics"
+            assert (headers.get("Vary") == "Accept") == negotiated, (path, accept)
+
+    def test_a_request_body_is_not_read_as_the_next_request(self, cd_server):
+        smuggled = b"GET /nothere HTTP/1.1\r\nHost: x\r\n\r\n"
+        assert len(smuggled) == 34
+        for framing in ("Content-Length: 34", "Transfer-Encoding: chunked"):
+            data = _request("GET", "/statistics", framing) + smuggled
+            [(status, headers, _)] = _responses(_exchange(cd_server.port, data), ["GET"])
+            assert status == 200
+            assert headers["Connection"] == "close"
+
+    def test_http_1_0_closes_unless_kept_alive(self, cd_server):
+        one = _request("GET", "/statistics", version="HTTP/1.0")
+        [(status, headers, _)] = _responses(_exchange(cd_server.port, one), ["GET"])
+        assert (status, headers["Connection"]) == (200, "close")
+        kept = _request("GET", "/statistics", "Connection: keep-alive", version="HTTP/1.0")
+        data = kept + _request("GET", "/chain", "Connection: close")
+        replies = _responses(_exchange(cd_server.port, data), ["GET", "GET"])
+        assert [(s, h["Connection"]) for s, h, _ in replies] == [
+            (200, "keep-alive"),
+            (200, "close"),
+        ]
+
+    def test_connection_close_is_honoured(self, cd_server):
+        data = _request("GET", "/statistics/hdi", "Connection: Keep-Alive, Close")
+        [(status, headers, _)] = _responses(_exchange(cd_server.port, data), ["GET"])
+        assert (status, headers["Connection"]) == (200, "close")
+
+    def test_head_gets_the_get_headers_and_no_body(self, cd_server):
+        data = _request("HEAD", "/statistics", "Accept: text/turtle") + _request(
+            "GET", "/statistics", "Accept: text/turtle", "Connection: close"
+        )
+        head, get = _responses(_exchange(cd_server.port, data), ["HEAD", "GET"])
+        assert head[0] == get[0] == 200
+        assert head[2] == b""
+        assert head[1]["Content-Length"] == str(len(get[2]))
+        assert head[1]["Vary"] == "Accept"
+        assert {k: v for k, v in head[1].items() if k not in ("Date", "Connection")} == {
+            k: v for k, v in get[1].items() if k not in ("Date", "Connection")
+        }
+
+    def test_other_methods_get_405(self, cd_server):
+        data = _request("DELETE", "/statistics", "Connection: close")
+        [(status, headers, _)] = _responses(_exchange(cd_server.port, data), ["DELETE"])
+        assert status == 405
+        assert headers["Allow"] == "GET, HEAD"
+        assert "Vary" not in headers
+
+    @pytest.mark.parametrize(
+        "data, status",
+        [
+            (b"GET /" + b"a" * omld.server.MAX_LINE, 414),
+            (_request("GET", "/statistics")[:-2] + b"X-Long: " + b"a" * omld.server.MAX_LINE, 431),
+            (_request("GET", "/statistics", *["X-Many: 1"] * (omld.server.MAX_HEADERS + 1)), 431),
+            (_request("GET", "/statistics", version="HTTP/2.0"), 505),
+            (_request("GET", "/statistics", version="HTTP/1.x"), 400),
+            (b"GET /statistics\r\n\r\n", 400),
+            (_request("GET", "/statistics", "No colon"), 400),
+            (_request("GET", "/statistics", " folded: line"), 400),
+        ],
+        ids=["long-line", "long-header", "many-headers", "version", "bad-version", "no-version",
+             "no-colon", "folded"],
+    )
+    def test_unreadable_requests(self, cd_server, data, status):
+        [(got, headers, body)] = _responses(_exchange(cd_server.port, data), ["GET"])
+        assert (got, headers["Connection"]) == (status, "close")
+        assert headers["Content-Type"] == "text/plain"
+        assert body
+
+    def test_one_hundred_fields_are_accepted(self, cd_server):
+        many = ["X-Many: 1"] * (omld.server.MAX_HEADERS - 1)
+        data = _request("GET", "/statistics", *many, "Connection: close")
+        [(status, _, _)] = _responses(_exchange(cd_server.port, data), ["GET"])
+        assert status == 200
+
+    def test_raw_request_bytes(self, cd_server, capsys):
+        """Whatever a client sends, each reply is well formed and no handler thread fails."""
+        pieces = st.sampled_from([
+            b"GET", b"POST", b" ", b"/", b"statistics", b"/statistics/hdi", b".xhtml", b"?q=/",
+            b"HTTP/1.1", b"HTTP/1.0", b"HTTP/3.0", b"HTTP/", b"\r\n", b"\n", b":", b"\x00",
+            b"\xff", b"Accept: text/turtle", b"Accept: text/html", b"Accept: image/png",
+            b"Connection: close", b"Connection: keep-alive", b"Content-Length: 0",
+            b"Content-Length: 3", b"Transfer-Encoding: chunked",
+        ])
+        raw = st.one_of(
+            st.binary(max_size=120),
+            st.lists(st.one_of(pieces, st.binary(max_size=4)), max_size=40).map(b"".join),
+        )
+        failures: list = []
+        hook = threading.excepthook
+        threading.excepthook = failures.append
+
+        @settings(max_examples=150, deadline=None, database=None)
+        @given(data=raw)
+        def check(data):
+            reply = _exchange(cd_server.port, data, half_close=True)
+            count = reply.count(b"HTTP/1.1 ")
+            for status, _, _ in _responses(reply, ["GET"] * count):
+                assert status in KNOWN_STATUSES
+
+        try:
+            check()
+        finally:
+            threading.excepthook = hook
+        assert failures == []
+        assert capsys.readouterr().err == ""
+
+    def test_a_client_that_hangs_up_mid_request(self, cd_server):
+        with socket.create_connection(("127.0.0.1", cd_server.port), timeout=5) as sock:
+            sock.sendall(b"GET /statistics HTTP/1.1\r\nAccept: text/tur")
+        data = _request("GET", "/statistics", "Connection: close")
+        assert _responses(_exchange(cd_server.port, data), ["GET"])[0][0] == 200
+
+
+class TestRenderedOnce:
+    @pytest.fixture
+    def renders(self, monkeypatch):
+        calls: list[str] = []
+        for name in ("render_cd_html", "serialize_turtle", "serialize_cd_xml"):
+            real = getattr(omld.server, name)
+
+            def counted(*args, real=real, name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(omld.server, name, counted)
+        return calls
+
+    REQUESTS = (
+        ("/statistics.xhtml", None),
+        ("/statistics", "text/turtle"),
+        ("/statistics/hdi", None),
+        ("/statistics/nosuch", None),
+    )
+
+    def test_each_body_is_rendered_once(self, renders):
+        app = CdApp(load_snapshot(CD_DIR), BASE)
+        first = [app.route("GET", path, accept) for path, accept in self.REQUESTS]
+        assert renders == ["render_cd_html", "serialize_turtle", "serialize_cd_xml"]
+        assert [app.route("GET", path, accept) for path, accept in self.REQUESTS] == first
+        assert len(renders) == 3
+        assert first[-1][0] == 404
+
+    def test_reload_drops_the_rendered_bodies(self, renders):
+        server = CdServer(CD_DIR, port=0).start()
+        try:
+            for _ in range(2):
+                for path, accept in self.REQUESTS:
+                    server.app.route("GET", path, accept)
+            assert len(renders) == 3
+            server.reload()
+            for path, accept in self.REQUESTS:
+                server.app.route("GET", path, accept)
+            assert len(renders) == 6
+        finally:
+            server.close()
+
+
+def test_server_import_loads_no_http_library():
+    # The server speaks HTTP itself; http.server would bring in http.client,
+    # ssl and email, which cost start-up time and memory and no route uses.
+    modules = ("http.server", "http.client", "ssl", "email")
+    probe = (
+        "import json, sys, omld.server\n"
+        f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert json.loads(out) == []
