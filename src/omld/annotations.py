@@ -1,4 +1,4 @@
-"""Data points, derivation annotations, and their OpenMath translation.
+"""A dataset's stored values and derivations, and their OpenMath translation.
 
 The statistical vocabulary is fixed by the data format, so it is a set of
 module constants, and this is the only module that decides which triples
@@ -13,12 +13,14 @@ mean a data point, a derivation or a region:
   * a region is a dimension typed ``env:Region``, where ``env:`` is
     ``http://example.org/ns/env#``.
 
-A data point is any IRI subject carrying at least one dimension triple; its
-numeric value, when present, comes from an ``rdf:value`` literal and is kept
-as an exact Decimal until evaluation.  A derivation records which function
-computed the point and which sources fill which argument positions; argument
-positions must be exactly 1..n.  Where a term has several values of one
-predicate, the first in ``term_key`` order is read.
+A dataset is its stored values and its derivations, each a dict keyed by
+point IRI (``stored_values``, ``extract_derivations``); no object stands for
+a data point.  A data point is an IRI subject with a dimension triple, and
+its stored value an ``rdf:value`` literal, kept as an exact Decimal until
+evaluation.  A derivation holds the function and the arguments in position
+order, each a source point's IRI or a constant; ``extract_derivations``
+checks that the positions are exactly 1..n.  Where a term has several
+values of one predicate, the first in ``term_key`` order is read.
 
 Translation to OpenMath is one level deep: each argument number, a
 source's taken from the caller, becomes a leaf in position order
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from decimal import Decimal, InvalidOperation
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .errors import NonFiniteResultError, ToolkitError
 from .om import OMFloat, OMInteger
@@ -79,35 +81,13 @@ class CyclicDerivationError(ToolkitError):
         super().__init__("cyclic derivation: " + " -> ".join(chain))
 
 
-class DataPoint(Value):
-    __slots__ = ("id", "dimensions", "value")
-
-    def __init__(self, id: Iri, dimensions: tuple[Iri, ...], value: Decimal | None = None):
-        set_field(self, "id", id)
-        set_field(self, "dimensions", dimensions)
-        set_field(self, "value", value)
-
-
-class DerivationArg(Value):
-    """One argument slot: either a data-point reference or an inline constant."""
-
-    __slots__ = ("position", "source", "literal")
-
-    def __init__(self, position: int, source: Iri | None = None, literal: Decimal | None = None):
-        if (source is None) == (literal is None):
-            raise ValueError("exactly one of source/literal must be set")
-        set_field(self, "position", position)
-        set_field(self, "source", source)
-        set_field(self, "literal", literal)
-
-
 class Derivation(Value):
+    """A point's function and arguments: ``args[i]``, a source point's IRI or a
+    constant, fills position i + 1."""
+
     __slots__ = ("point_id", "function_uri", "args")
 
-    def __init__(self, point_id: Iri, function_uri: Iri, args: tuple[DerivationArg, ...]):
-        positions = [a.position for a in args]
-        if positions != list(range(1, len(positions) + 1)):
-            raise ValueError(f"argument positions must be 1..n, got {positions}")
+    def __init__(self, point_id: Iri, function_uri: Iri, args: tuple[Iri | Decimal, ...]):
         set_field(self, "point_id", point_id)
         set_field(self, "function_uri", function_uri)
         set_field(self, "args", args)
@@ -127,25 +107,25 @@ def _iri_subjects(graph: Graph, predicate: Iri) -> list[Iri]:
     )
 
 
-def extract_data_points(graph: Graph) -> list[DataPoint]:
-    """One DataPoint per IRI subject with at least one dimension triple."""
-    points = []
+def stored_values(graph: Graph) -> dict[str, Decimal]:
+    """Each data point's number by point IRI, for the points that have one.
+
+    A value that is not a finite number raises BadValueLiteralError for the
+    first such point by IRI.
+    """
+    stored = {}
     for subject in _iri_subjects(graph, DIMENSION):
-        dims = sorted(
-            {o.value for o in graph.objects(subject, DIMENSION) if isinstance(o, Iri)}
-        )
-        value = None
         values = graph.objects(subject, VALUE)
-        if values:
-            first = values[0]
-            if not isinstance(first, Literal):
-                raise BadValueLiteralError(subject, term_key(first))
-            try:
-                value = _decimal(first.lexical)
-            except InvalidOperation:
-                raise BadValueLiteralError(subject, first.lexical) from None
-        points.append(DataPoint(id=subject, dimensions=tuple(Iri(d) for d in dims), value=value))
-    return points
+        if not values:
+            continue
+        first = values[0]
+        if not isinstance(first, Literal):
+            raise BadValueLiteralError(subject, term_key(first))
+        try:
+            stored[subject.value] = _decimal(first.lexical)
+        except InvalidOperation:
+            raise BadValueLiteralError(subject, first.lexical) from None
+    return stored
 
 
 def _parse_position(term: Term) -> int | None:
@@ -158,7 +138,7 @@ def _parse_position(term: Term) -> int | None:
 
 
 def extract_derivations(graph: Graph) -> list[Derivation]:
-    """One Derivation per point annotated with a computed-from structure."""
+    """One Derivation per point with a computed-from structure, in point IRI order."""
     derivations = []
     for point_id in _iri_subjects(graph, COMPUTED_FROM):
         nodes = graph.objects(point_id, COMPUTED_FROM)
@@ -196,23 +176,20 @@ def extract_derivations(graph: Graph) -> list[Derivation]:
             if not values:
                 raise BadArgPositionsError(point_id, f"argument {position} has no value")
             value = values[0]
-            if isinstance(value, Iri):
-                args.append(DerivationArg(position=position, source=value))
-            elif isinstance(value, Literal):
+            if isinstance(value, BlankNode):
+                raise BadArgPositionsError(point_id, f"argument {position} points at a blank node")
+            if isinstance(value, Literal):
                 try:
-                    args.append(DerivationArg(position=position, literal=_decimal(value.lexical)))
+                    value = _decimal(value.lexical)
                 except InvalidOperation:
                     raise BadValueLiteralError(point_id, value.lexical) from None
-            else:
-                raise BadArgPositionsError(point_id, f"argument {position} points at a blank node")
+            args.append((position, value))
 
-        args.sort(key=lambda a: a.position)
-        positions = [a.position for a in args]
+        args.sort(key=itemgetter(0))
+        positions = [position for position, _ in args]
         if not positions or positions != list(range(1, len(args) + 1)):
             raise BadArgPositionsError(point_id, f"positions {positions} are not exactly 1..n")
-        derivations.append(
-            Derivation(point_id=point_id, function_uri=function_uri, args=tuple(args))
-        )
+        derivations.append(Derivation(point_id, function_uri, tuple(v for _, v in args)))
     return derivations
 
 
@@ -247,8 +224,8 @@ def argument_leaves(
     """
     leaves = []
     for arg in derivation.args:
-        if arg.source is not None and arg.source.value not in inputs:
-            raise UnresolvedArgumentError(arg.source)
-        value = arg.literal if arg.source is None else inputs[arg.source.value]
+        value = inputs.get(arg.value) if isinstance(arg, Iri) else arg
+        if value is None:
+            raise UnresolvedArgumentError(arg)
         leaves.append(decimal_to_om(value) if isinstance(value, Decimal) else OMFloat(value))
     return tuple(leaves)

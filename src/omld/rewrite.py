@@ -36,14 +36,14 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .annotations import (
+    DIMENSION,
     VALUE,
     CyclicDerivationError,
-    DataPoint,
     Derivation,
     argument_leaves,
-    extract_data_points,
     extract_derivations,
     extract_regions,
+    stored_values,
 )
 from .errors import NonFiniteResultError, ToolkitError
 from .om import (
@@ -637,14 +637,11 @@ def _needs_cd(function: str) -> bool:
         return True
 
 
-def _extract(
-    graph: Graph,
-) -> tuple[dict[str, DataPoint], dict[str, Derivation], dict[str, Decimal]]:
-    """Data points, derivations and stored values, each keyed by point IRI."""
-    points = {p.id.value: p for p in extract_data_points(graph)}
-    derivations = {d.point_id.value: d for d in extract_derivations(graph)}
-    stored = {pid: p.value for pid, p in points.items() if p.value is not None}
-    return points, derivations, stored
+def _extract(graph: Graph) -> tuple[dict[str, Decimal], dict[str, Derivation]]:
+    """Stored values, read first so that a bad one is reported before a bad
+    derivation, and derivations in IRI order; each keyed by point IRI."""
+    stored = stored_values(graph)
+    return stored, {d.point_id.value: d for d in extract_derivations(graph)}
 
 
 def _compute_chains(
@@ -672,7 +669,7 @@ def _compute_chains(
     results: dict[str, float | ToolkitError] = {}
 
     def sources(pid: str) -> list[str]:
-        return [a.source.value for a in derivations[pid].args if a.source is not None]
+        return [a.value for a in derivations[pid].args if isinstance(a, Iri)]
 
     def uncomputed_inputs(pid: str) -> Iterator[str]:
         for sid in sources(pid):
@@ -721,14 +718,13 @@ def verify_dataset(graph: Graph, store: CdStore, tolerance: float) -> Verificati
     """
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
-    _, derivations, stored = _extract(graph)
-    order = sorted(derivations)
+    stored, derivations = _extract(graph)
     computed = _compute_chains(
-        [pid for pid in order if pid in stored], derivations, stored, store
+        [pid for pid in derivations if pid in stored], derivations, stored, store
     )
 
     results = []
-    for pid in order:
+    for pid in derivations:
         point_id = derivations[pid].point_id
         if pid not in stored:
             results.append(PointResult(point_id, "uncomputable", reason="no stored value"))
@@ -772,13 +768,12 @@ def recompute(graph: Graph, store: CdStore) -> Graph:
     the same error; the first failed point by IRI raises it.  Underived
     points are untouched.
     """
-    _, derivations, stored = _extract(graph)
+    stored, derivations = _extract(graph)
     fixed = {pid: value for pid, value in stored.items() if pid not in derivations}
-    order = sorted(derivations)
-    computed = _compute_chains(order, derivations, fixed, store)
+    computed = _compute_chains(derivations, derivations, fixed, store)
 
     new_values: dict[str, str] = {}
-    for pid in order:
+    for pid in derivations:
         outcome = computed[pid]
         if isinstance(outcome, ToolkitError):
             raise outcome
@@ -816,17 +811,16 @@ def query_max_increase(
     input makes every point that uses it fail, and failed points are left
     out.  Ties go to the lexicographically smaller region IRI.
     """
-    points, derivations, stored = _extract(graph)
+    stored, derivations = _extract(graph)
     regions = extract_regions(graph)
 
     keys: dict[str, tuple[str, str]] = {}
-    for pid in sorted(derivations):
-        point = points.get(pid)
-        if point is None or derivations[pid].function_uri != metric_function:
+    for pid, derivation in derivations.items():
+        if derivation.function_uri != metric_function:
             continue
-        dims = set(point.dimensions)
+        dims = {d for d in graph.objects(derivation.point_id, DIMENSION) if isinstance(d, Iri)}
         time = t1 if t1 in dims else (t2 if t2 in dims else None)
-        in_region = [d for d in point.dimensions if d in regions]
+        in_region = [d for d in dims if d in regions]
         if time is not None and len(in_region) == 1:
             keys[pid] = (in_region[0].value, time.value)
 

@@ -23,6 +23,7 @@ import threading
 import time
 from http import HTTPStatus
 from pathlib import Path
+from urllib.parse import quote
 
 from .cd import ContentDictionary, LoadedCd, extract_links, load_cd_directory, serialize_cd_xml
 from .errors import ToolkitError
@@ -32,6 +33,7 @@ from .rdf import XSD_NS, Graph, Iri, Literal, Triple, serialize_turtle
 TEXT_HTML = "text/html"
 TEXT_TURTLE = "text/turtle"
 SUPPORTED_TYPES = (OPENMATH_XML_MIME, TEXT_HTML, TEXT_TURTLE)
+_ASCII = "".join(map(chr, range(128)))
 
 
 def parse_accept(header: str | None) -> list[tuple[str, float]]:
@@ -208,6 +210,8 @@ class CdApp:
             return 200, {"Content-Type": OPENMATH_XML_MIME}, loaded.raw
         if chosen == TEXT_HTML:
             location = cd_url(self.base_iri, name) + ".xhtml"
+            if not location.isascii():  # a header holds ASCII: map the IRI to a URI (RFC 3987, 3.1)
+                location = quote(location, safe=_ASCII)
             return 303, {"Location": location, "Content-Type": "text/plain"}, b"see " + location.encode() + b"\n"
         body = self._rendered(
             ("turtle", name), lambda: serialize_turtle(cd_to_rdf(loaded.cd, self.base_iri))
@@ -250,6 +254,7 @@ def load_snapshot(directory: str | Path) -> dict[str, LoadedCd]:
 
 MAX_LINE = 65536  # bytes in a request line or header line, as in http.server
 MAX_HEADERS = 100
+IDLE_TIMEOUT = 30.0  # seconds a connection may wait for its next request before it closes
 _VERSION_RE = re.compile(r"HTTP/[0-9]\.[0-9]")
 
 
@@ -257,6 +262,7 @@ class _Handler(socketserver.StreamRequestHandler):
     """HTTP/1.1 on one connection: read a request, write its whole response at once, repeat."""
 
     disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT  # a timed-out read raises OSError, which ends handle()
 
     def handle(self) -> None:
         try:

@@ -20,7 +20,6 @@ from omld.annotations import (
     COMPUTED_FROM,
     FUNCTION,
     CyclicDerivationError,
-    DataPoint,
     Derivation,
     UnresolvedArgumentError,
     argument_leaves,
@@ -448,7 +447,7 @@ def substitute(body: OMObject, bindings: dict[str, OMObject]) -> OMObject:
 
 def inline(
     derivation: Derivation,
-    points: Mapping[str, DataPoint],
+    stored: Mapping[str, Decimal],
     derivations: Mapping[str, Derivation],
 ) -> OMObject:
     """Translate a derivation, inlining each derived source that has no stored value.
@@ -463,16 +462,14 @@ def inline(
             raise CyclicDerivationError([*visiting, pid])
         om_args: list[OMObject] = []
         for arg in d.args:
-            if arg.literal is not None:
-                om_args.append(decimal_to_om(arg.literal))
-                continue
-            point = points.get(arg.source.value)
-            if point is not None and point.value is not None:
-                om_args.append(decimal_to_om(point.value))
-            elif arg.source.value in derivations:
-                om_args.append(translate(derivations[arg.source.value], (*visiting, pid)))
+            if not isinstance(arg, Iri):
+                om_args.append(decimal_to_om(arg))
+            elif arg.value in stored:
+                om_args.append(decimal_to_om(stored[arg.value]))
+            elif arg.value in derivations:
+                om_args.append(translate(derivations[arg.value], (*visiting, pid)))
             else:
-                raise UnresolvedArgumentError(arg.source)
+                raise UnresolvedArgumentError(arg)
         return OMApplication(parse_symbol_uri(d.function_uri), tuple(om_args))
 
     return translate(derivation, ())

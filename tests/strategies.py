@@ -8,7 +8,7 @@ from operator import add
 
 from hypothesis import strategies as st
 
-from omld.annotations import Derivation, DerivationArg
+from omld.annotations import Derivation
 from omld.cd import ContentDictionary, SymbolDefinition
 from omld.om import (
     OMApplication,
@@ -159,12 +159,12 @@ def derivations(draw) -> Derivation:
     function = Iri(f"http://cds.example/{cd}#{name}")
     n = draw(st.integers(1, 5))
     args = []
-    for position in range(1, n + 1):
+    for _ in range(n):
         if draw(st.booleans()):
-            args.append(DerivationArg(position=position, source=draw(iris())))
+            args.append(draw(iris()))
         else:
             value = Decimal(draw(st.integers(-999, 999))) / Decimal(draw(st.sampled_from([1, 2, 4, 8])))
-            args.append(DerivationArg(position=position, literal=value))
+            args.append(value)
     return Derivation(point_id=point, function_uri=function, args=tuple(args))
 
 
@@ -285,10 +285,10 @@ def random_cd_points(draw):
     args, inputs = [], {}
     for position in range(1, n + 1):
         if draw(st.booleans()):
-            args.append(DerivationArg(position, literal=draw(_DECIMALS)))
+            args.append(draw(_DECIMALS))
             continue
         source = f"http://example.org/ns/ahs#s{position}"
-        args.append(DerivationArg(position, source=Iri(source)))
+        args.append(Iri(source))
         kind = draw(st.integers(0, 9))
         if kind < 6:
             inputs[source] = draw(_DECIMALS)

@@ -8,14 +8,12 @@ from hypothesis import given, settings
 from omld.annotations import (
     BadArgPositionsError,
     BadValueLiteralError,
-    DataPoint,
     Derivation,
-    DerivationArg,
     MissingFunctionError,
     UnresolvedArgumentError,
     decimal_to_om,
-    extract_data_points,
     extract_derivations,
+    stored_values,
 )
 from omld.errors import NonFiniteResultError
 from omld.om import OMApplication, OMFloat, OMInteger, OMSymbol
@@ -25,7 +23,6 @@ from .helpers import derivation_to_om, inline, isomorphic, om_to_derivation
 from .strategies import derivations
 
 AHS = "http://example.org/ns/ahs#"
-ENV = "http://example.org/ns/env#"
 DIVIDE_URI = Iri("http://www.openmath.org/cd/arith1#divide")
 DIVIDE = OMSymbol(cd="arith1", name="divide")
 
@@ -40,31 +37,30 @@ PREFIXES = """\
 
 
 class TestExtractDataPoints:
+    """``stored_values``: the number of each data point that has one."""
+
     def test_listing1(self, listing1_graph):
-        (point,) = extract_data_points(listing1_graph)
-        assert point.id == Iri(AHS + "EH100")
-        assert point.value == Decimal("693")
-        assert [d.value for d in point.dimensions] == sorted(
-            [ENV + "isle-of-wight", ENV + "year-2008", ENV + "geese"]
-        )
+        assert stored_values(listing1_graph) == {AHS + "EH100": Decimal("693")}
 
     def test_empty_graph(self):
-        assert extract_data_points(Graph()) == []
+        assert stored_values(Graph()) == {}
 
     def test_point_without_value(self):
         g = parse_turtle(PREFIXES + "ahs:X scv:dimension env:geese .\n")
-        (point,) = extract_data_points(g)
-        assert point.value is None
+        assert stored_values(g) == {}
+
+    def test_value_without_a_dimension(self):
+        g = parse_turtle(PREFIXES + 'ahs:X rdf:value "1"^^xsd:decimal .\n')
+        assert stored_values(g) == {}
+
+    def test_first_value_in_term_key_order(self):
+        g = parse_turtle(PREFIXES + 'ahs:X scv:dimension env:geese ; rdf:value "2" , "1" .\n')
+        assert stored_values(g) == {AHS + "X": Decimal("1")}
 
     def test_bad_value_literal(self):
         g = parse_turtle(PREFIXES + 'ahs:X scv:dimension env:geese ; rdf:value "many" .\n')
-        with pytest.raises(BadValueLiteralError):
-            extract_data_points(g)
-
-    def test_dimensions_sorted(self, geese_graph):
-        for point in extract_data_points(geese_graph):
-            values = [d.value for d in point.dimensions]
-            assert values == sorted(values)
+        with pytest.raises(BadValueLiteralError, match=r"ahs#X: rdf:value 'many' is not numeric"):
+            stored_values(g)
 
 
 class TestExtractDerivations:
@@ -72,10 +68,7 @@ class TestExtractDerivations:
         (derivation,) = extract_derivations(listing2_graph)
         assert derivation.point_id == Iri(AHS + "PD100")
         assert derivation.function_uri == DIVIDE_URI
-        assert [(a.position, a.source.value) for a in derivation.args] == [
-            (1, AHS + "EH100"),
-            (2, AHS + "AR100"),
-        ]
+        assert derivation.args == (Iri(AHS + "EH100"), Iri(AHS + "AR100"))
 
     def test_gap_in_positions(self):
         g = parse_turtle(
@@ -85,6 +78,17 @@ class TestExtractDerivations:
             ' [ sl:argPosition "3"^^xsd:int ; sl:argValue ahs:B ] ] .\n'
         )
         with pytest.raises(BadArgPositionsError):
+            extract_derivations(g)
+
+    def test_duplicate_positions(self):
+        g = parse_turtle(
+            PREFIXES
+            + "ahs:X sl:computedFrom [ sl:function <http://www.openmath.org/cd/arith1#plus> ;"
+            ' sl:arguments [ sl:argPosition "1"^^xsd:int ; sl:argValue ahs:A ] ,'
+            ' [ sl:argPosition "1"^^xsd:int ; sl:argValue ahs:B ] ,'
+            ' [ sl:argPosition "2"^^xsd:int ; sl:argValue ahs:C ] ] .\n'
+        )
+        with pytest.raises(BadArgPositionsError, match=r"positions \[1, 1, 2\] are not exactly"):
             extract_derivations(g)
 
     def test_missing_function(self):
@@ -108,7 +112,7 @@ class TestExtractDerivations:
         )
         (derivation,) = extract_derivations(g)
         assert derivation.function_uri == Iri("http://example.org/statistics#hdi")
-        assert [a.source.value.rsplit("#")[-1] for a in derivation.args] == [
+        assert [a.value.rsplit("#")[-1] for a in derivation.args] == [
             "LE",
             "ALI",
             "GEI",
@@ -123,22 +127,12 @@ class TestExtractDerivations:
             ' [ sl:argPosition "2"^^xsd:int ; sl:argValue "2"^^xsd:decimal ] ] .\n'
         )
         (derivation,) = extract_derivations(g)
-        assert derivation.args[1].literal == Decimal("2")
-        assert derivation.args[1].source is None
-
-    def test_positions_validated_in_model(self):
-        with pytest.raises(ValueError):
-            Derivation(
-                point_id=Iri(AHS + "X"),
-                function_uri=DIVIDE_URI,
-                args=(DerivationArg(position=2, source=Iri(AHS + "A")),),
-            )
+        assert derivation.args == (Iri(AHS + "A"), Decimal("2"))
 
 
 class TestDerivationToOm:
     def test_listing2_with_values(self, geese_graph):
-        points = extract_data_points(geese_graph)
-        inputs = {p.id.value: p.value for p in points if p.value is not None}
+        inputs = stored_values(geese_graph)
         derivation = next(
             d for d in extract_derivations(geese_graph) if d.point_id == Iri(AHS + "PD100")
         )
@@ -149,18 +143,12 @@ class TestDerivationToOm:
         inner = Derivation(
             point_id=Iri(AHS + "D1"),
             function_uri=DIVIDE_URI,
-            args=(
-                DerivationArg(position=1, source=Iri(AHS + "A")),
-                DerivationArg(position=2, source=Iri(AHS + "B")),
-            ),
+            args=(Iri(AHS + "A"), Iri(AHS + "B")),
         )
         outer = Derivation(
             point_id=Iri(AHS + "D2"),
             function_uri=DIVIDE_URI,
-            args=(
-                DerivationArg(position=1, source=Iri(AHS + "D1")),
-                DerivationArg(position=2, literal=Decimal("2")),
-            ),
+            args=(Iri(AHS + "D1"), Decimal("2")),
         )
         leaves = {AHS + "A": Decimal(10), AHS + "B": Decimal(4)}
         # One level at a time: a computed input comes in as a float.
@@ -170,10 +158,8 @@ class TestDerivationToOm:
         assert derivation_to_om(outer, {AHS + "D1": 2.5}) == OMApplication(
             DIVIDE, (OMFloat(2.5), OMInteger(2))
         )
-        # The reference inliner nests the same translation.
-        points = {pid: DataPoint(Iri(pid), (), value) for pid, value in leaves.items()}
-        points[AHS + "D1"] = DataPoint(Iri(AHS + "D1"), ())  # derived, no stored value
-        assert inline(outer, points, {AHS + "D1": inner}) == OMApplication(
+        # The reference inliner nests the same translation; D1 has no stored value.
+        assert inline(outer, leaves, {AHS + "D1": inner}) == OMApplication(
             DIVIDE,
             (OMApplication(DIVIDE, (OMInteger(10), OMInteger(4))), OMInteger(2)),
         )
@@ -182,10 +168,7 @@ class TestDerivationToOm:
         derivation = Derivation(
             point_id=Iri(AHS + "X"),
             function_uri=DIVIDE_URI,
-            args=(
-                DerivationArg(position=1, source=Iri(AHS + "NOWHERE")),
-                DerivationArg(position=2, literal=Decimal(1)),
-            ),
+            args=(Iri(AHS + "NOWHERE"), Decimal(1)),
         )
         with pytest.raises(UnresolvedArgumentError):
             derivation_to_om(derivation, {})
@@ -194,10 +177,7 @@ class TestDerivationToOm:
         derivation = Derivation(
             point_id=Iri(AHS + "X"),
             function_uri=DIVIDE_URI,
-            args=(
-                DerivationArg(position=1, literal=Decimal("1.5")),
-                DerivationArg(position=2, literal=Decimal("693")),
-            ),
+            args=(Decimal("1.5"), Decimal("693")),
         )
         obj = derivation_to_om(derivation, {})
         assert obj.args == (OMFloat(1.5), OMInteger(693))
@@ -223,8 +203,7 @@ class TestOmToDerivation:
         sources = iter([Iri(AHS + "A"), None])
         triples = om_to_derivation(Iri(AHS + "X"), obj, lambda arg: next(sources))
         (derivation,) = extract_derivations(Graph(frozenset(triples)))
-        assert derivation.args[0].source == Iri(AHS + "A")
-        assert derivation.args[1].literal == Decimal("2.5")
+        assert derivation.args == (Iri(AHS + "A"), Decimal("2.5"))
 
 
 class TestRoundTripProperty:
@@ -234,18 +213,15 @@ class TestRoundTripProperty:
         # Give every referenced source point a value so translation works,
         # then check extract(om_to_derivation(translate(d))) == d.
         inputs = {
-            arg.source.value: Decimal(10_000 + i) / Decimal(4)
+            arg.value: Decimal(10_000 + i) / Decimal(4)
             for i, arg in enumerate(derivation.args)
-            if arg.source is not None
+            if isinstance(arg, Iri)
         }
         obj = derivation_to_om(derivation, inputs)
-        order = iter([a.source for a in derivation.args])
+        order = iter([a if isinstance(a, Iri) else None for a in derivation.args])
         triples = om_to_derivation(derivation.point_id, obj, lambda arg: next(order))
         (again,) = extract_derivations(Graph(frozenset(triples)))
-        assert again.point_id == derivation.point_id
-        assert again.function_uri == derivation.function_uri
-        assert [a.source for a in again.args] == [a.source for a in derivation.args]
-        assert [a.literal for a in again.args] == [a.literal for a in derivation.args]
+        assert again == derivation
 
 
 class TestOrderIndependence:

@@ -200,6 +200,26 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err == f"omld: {bad_dir / 'bad.ocd'}: <Name>: bad symbol name: 'bad name'\n"
 
+    @pytest.mark.parametrize("command", ["verify", "recompute", "query-max"])
+    def test_bad_stored_value_is_reported_before_a_bad_derivation(
+        self, tmp_path, capsys, config_file, command
+    ):
+        # Stored values are read before derivations, and of two bad values the
+        # first point by IRI is named, not the first in the text.
+        dataset = tmp_path / "data.ttl"
+        dataset.write_text(
+            DATASET_PREFIXES
+            + 'ahs:B scv:dimension env:x ; rdf:value "lots" .\n'
+            + 'ahs:A scv:dimension env:x ; rdf:value "many" .\n'
+            + "ahs:C scv:dimension env:x ; sl:computedFrom [ sl:arguments"
+            ' [ sl:argPosition "1"^^xsd:int ; sl:argValue ahs:A ] ] .\n'
+        )
+        args = [str(dataset), *QUERY_MAX_ARGS] if command == "query-max" else [str(dataset)]
+        assert main([command, *args, "--config", config_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "omld: http://example.org/ns/ahs#A: rdf:value 'many' is not numeric\n"
+
     def test_two_symbols_of_one_remote_cd_cost_one_request(self, tmp_path, capsys, monkeypatch):
         # chain#c9(x) = 2x + 1 and chain#c10(x) = 2x, served from cds.example.
         cd = fixture_text("cds/chain.ocd").replace("http://example.org", "http://cds.example")

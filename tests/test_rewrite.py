@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from omld import cd as cd_module
 from omld import rewrite
 from omld.annotations import (
+    DIMENSION,
     CyclicDerivationError,
-    extract_data_points,
     extract_derivations,
+    stored_values,
 )
 from omld.cd import ContentDictionary, parse_cd_xml
 from omld.errors import ToolkitError
@@ -470,6 +471,14 @@ class TestVerify:
         assert result.status == "uncomputable"
         assert "no stored value" in result.reason
 
+    def test_value_without_a_dimension_is_not_an_input(self, local_store):
+        # ahs:L has an rdf:value but no scv:dimension, so it is no data point.
+        text = DATASET_PREFIXES + 'ahs:L rdf:value "1"^^xsd:decimal .\n'
+        text += point_turtle("P", 2, "plus", ("ahs:L", '"1"^^xsd:decimal'))
+        (result,) = verify_dataset(parse_turtle(text), local_store, tolerance=1e-9).results
+        assert result.status == "uncomputable"
+        assert result.reason == f"UnresolvedArgumentError: cannot resolve argument: {AHS}L"
+
     def test_deep_chain_without_stored_values_matches(self, local_store):
         graph = parse_turtle(chain_turtle(40, top_value=41))
         report = verify_dataset(graph, local_store, tolerance=1e-9)
@@ -603,9 +612,8 @@ class TestChainEvaluator:
         store = CdStore()
         report = verify_dataset(graph, store, tolerance=1e-9)
         (result,) = [r for r in report.results if r.point_id.value == top]
-        points = {p.id.value: p for p in extract_data_points(graph)}
         derivations = {d.point_id.value: d for d in extract_derivations(graph)}
-        term = inline(derivations[top], points, derivations)
+        term = inline(derivations[top], stored_values(graph), derivations)
         assert result.computed == evaluate(expand(term, store))
 
 
@@ -734,18 +742,18 @@ class TestQueryMax:
 
     def brute_force(self, graph, store):
         """Oracle: evaluate every metric derivation, group by hand."""
-        points = {p.id.value: p for p in extract_data_points(graph)}
+        stored = stored_values(graph)
         derivations = {d.point_id.value: d for d in extract_derivations(graph)}
 
         per_region: dict[str, dict[str, float]] = {}
         for pid, d in derivations.items():
             if d.function_uri != self.METRIC:
                 continue
-            point = points[pid]
-            dims = {x.value for x in point.dimensions}
+            triples = match(graph, d.point_id, DIMENSION, None)
+            dims = {t.object.value for t in triples if isinstance(t.object, Iri)}
             region = next(x for x in dims if match(graph, Iri(x), None, self.REGION))
             time = self.T1.value if self.T1.value in dims else self.T2.value
-            value = evaluate(expand(inline(d, points, derivations), store))
+            value = evaluate(expand(inline(d, stored, derivations), store))
             per_region.setdefault(region, {})[time] = value
         best = None
         for region in sorted(per_region):
@@ -790,6 +798,27 @@ class TestQueryMax:
         before, _ = query_max_increase(plain, self.METRIC, self.T1, self.T2, local_store)
         after, _ = query_max_increase(scaled, self.METRIC, self.T1, self.T2, local_store)
         assert before == after == Iri(ENV + "region-c")
+
+    @pytest.mark.parametrize(
+        "dimensions",
+        ['_:z , "http://example.org/ns/env#year-{year}"', "_:z , env:year-{year}"],
+        ids=["blank-and-literal", "blank-region"],
+    )
+    def test_only_iri_dimensions_place_a_point(self, local_store, dimensions):
+        # Region _:z would grow most, but a blank node or a literal is no
+        # dimension of a metric point, so its points are left out.
+        text = fixture_text("regions.ttl") + "_:z a env:Region .\n"
+        for year, population in (("2008", "1"), ("2009", "1000")):
+            text += (
+                f"ahs:DEN-Z-{year} scv:dimension {dimensions.format(year=year)} ; "
+                f"sl:computedFrom [ sl:function <{self.METRIC.value}> ; sl:arguments "
+                f'[ sl:argPosition "1"^^xsd:int ; sl:argValue "{population}"^^xsd:decimal ] , '
+                '[ sl:argPosition "2"^^xsd:int ; sl:argValue "1"^^xsd:decimal ] ] .\n'
+            )
+        graph = parse_turtle(text)
+        region, increase = query_max_increase(graph, self.METRIC, self.T1, self.T2, local_store)
+        assert region == Iri(ENV + "region-c")
+        assert abs(increase - 0.9) < 1e-12
 
     def test_no_computable_region(self, local_store):
         with pytest.raises(NoComputableRegionError):

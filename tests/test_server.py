@@ -508,6 +508,49 @@ class TestHttp:
         assert failures == []
         assert capsys.readouterr().err == ""
 
+    def test_a_non_ascii_base_iri_is_percent_encoded_in_the_location(self, capsys):
+        failures: list = []
+        hook = threading.excepthook
+        threading.excepthook = failures.append
+        server = CdServer(CD_DIR, port=0, base_iri="http://例.example").start()
+        try:
+            data = _request("GET", "/statistics", "Accept: text/html", "Connection: close")
+            [(status, headers, body)] = _responses(_exchange(server.port, data), ["GET"])
+        finally:
+            server.close()
+            threading.excepthook = hook
+        assert status == 303
+        assert headers["Location"] == "http://%E4%BE%8B.example/statistics.xhtml"
+        assert body == b"see http://%E4%BE%8B.example/statistics.xhtml\n"
+        assert failures == []
+        assert capsys.readouterr().err == ""
+
+    def test_an_idle_connection_is_closed_and_frees_its_thread(self, monkeypatch):
+        assert omld.server._Handler.timeout == omld.server.IDLE_TIMEOUT
+        monkeypatch.setattr(omld.server._Handler, "timeout", 0.2)
+        server = CdServer(CD_DIR, port=0).start()
+        try:
+            before = threading.active_count()
+            address = ("127.0.0.1", server.port)
+            socks = [socket.create_connection(address, timeout=5) for _ in range(5)]
+            try:
+                # The first connection is kept alive after a request; the others never send one.
+                socks[0].sendall(_request("HEAD", "/statistics"))
+                head = b""
+                while not head.endswith(b"\r\n\r\n"):
+                    head += socks[0].recv(65536)
+                for sock in socks:
+                    assert sock.recv(1) == b""  # closed by the server, well before the 5 s timeout
+            finally:
+                for sock in socks:
+                    sock.close()
+            deadline = time.monotonic() + 5
+            while threading.active_count() > before and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert threading.active_count() == before
+        finally:
+            server.close()
+
     def test_a_client_that_hangs_up_mid_request(self, cd_server):
         with socket.create_connection(("127.0.0.1", cd_server.port), timeout=5) as sock:
             sock.sendall(b"GET /statistics HTTP/1.1\r\nAccept: text/tur")

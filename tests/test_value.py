@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omld.annotations import DataPoint, Derivation, DerivationArg
+from omld.annotations import Derivation
 from omld.cd import ContentDictionary, DefinitionalFMP, LoadedCd, SymbolDefinition, TypedLink
 from omld.config import ToolkitConfig
 from omld.om import (
@@ -80,16 +80,7 @@ FIELDS = {
             st.none() | iri_texts,
         ),
     ),
-    DataPoint: (("id", "dimensions", "value"), st.tuples(iris, _tuples_of(iris), st.none() | decimals)),
-    DerivationArg: (
-        ("position", "source", "literal"),
-        st.tuples(st.integers(1, 2), iris, st.none())
-        | st.tuples(st.integers(1, 2), st.none(), decimals),
-    ),
-    Derivation: (
-        ("point_id", "function_uri", "args"),
-        st.tuples(iris, iris, st.sampled_from([(), (DerivationArg(1, Iri("urn:z")),)])),
-    ),
+    Derivation: (("point_id", "function_uri", "args"), st.tuples(iris, iris, _tuples_of(iris | decimals))),
     SymbolDefinition: (
         ("name", "description", "cmps", "fmps"),
         st.tuples(names, texts, _tuples_of(texts), _tuples_of(leaves)),
@@ -216,8 +207,9 @@ def test_fields_are_read_only(obj):
             "base_iri=None)",
         ),
         (
-            DerivationArg(1, literal=Decimal("2")),
-            "DerivationArg(position=1, source=None, literal=Decimal('2'))",
+            Derivation(Iri("urn:p"), Iri("urn:f"), (Iri("urn:a"), Decimal("2"))),
+            "Derivation(point_id=Iri(value='urn:p'), function_uri=Iri(value='urn:f'), "
+            "args=(Iri(value='urn:a'), Decimal('2')))",
         ),
         (
             SymbolDefinition("f", "d", ("c",), ()),
