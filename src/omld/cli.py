@@ -18,6 +18,13 @@ read them before computing when a derivation names a function that is not an
 arith1 base operation, and ``expand`` at its first CD lookup.  A CD that
 cannot be read then ends the run with exit 2; a run that needs no CD never
 opens the directories.
+
+Each command loads only the layers it runs.  Every command loads ``config``,
+``errors``, ``om`` and ``rdf``.  ``verify``, ``recompute``, ``query-max`` and
+``expand`` also load ``rewrite`` and ``annotations`` (and with them
+``decimal``); they load ``cd`` only when a run first needs a CD, and
+``resolver`` only when it fetches one.  ``fetch`` loads ``resolver`` and
+``cd``.  ``serve`` loads ``server`` and ``cd``, and never the batch layers.
 """
 
 from __future__ import annotations
@@ -28,19 +35,15 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .config import ConfigError, ToolkitConfig, load_config
 from .errors import ToolkitError, read_utf8
 from .om import OPENMATH_XML_MIME, parse_om_xml, serialize_om_xml
 from .rdf import Graph, Iri, parse_turtle, serialize_turtle
-from .rewrite import (
-    CdStore,
-    expand,
-    query_max_increase,
-    recompute,
-    residual_symbols,
-    verify_dataset,
-)
+
+if TYPE_CHECKING:
+    from .rewrite import CdStore
 
 EX_OK = 0
 EX_MISMATCH = 1
@@ -126,6 +129,8 @@ def _fetch_cd(url: str):
 
 
 def _build_store(cfg: ToolkitConfig) -> CdStore:
+    from .rewrite import CdStore  # the batch layer: serving never loads it
+
     store = CdStore(fetch=_fetch_cd)
     for directory in cfg.cd_dirs:
         if not Path(directory).is_dir():
@@ -135,6 +140,8 @@ def _build_store(cfg: ToolkitConfig) -> CdStore:
 
 
 def _cmd_verify(args) -> int:
+    from .rewrite import verify_dataset
+
     cfg = _load_config(args)
     graph = _read_graph(args.dataset)
     report = verify_dataset(graph, _build_store(cfg), cfg.tolerance)
@@ -150,6 +157,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_recompute(args) -> int:
+    from .rewrite import recompute
+
     cfg = _load_config(args)
     graph = _read_graph(args.dataset)
     result = recompute(graph, _build_store(cfg))
@@ -165,6 +174,8 @@ def _cmd_recompute(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    from .rewrite import expand, residual_symbols
+
     cfg = _load_config(args)
     path = Path(args.omxml)
     if not path.is_file():
@@ -235,6 +246,8 @@ def _iri_argument(name: str, text: str) -> Iri:
 
 
 def _cmd_query_max(args) -> int:
+    from .rewrite import query_max_increase
+
     cfg = _load_config(args)
     metric, t1, t2 = (_iri_argument(name, getattr(args, name)) for name in ("metric", "t1", "t2"))
     graph = _read_graph(args.dataset)

@@ -14,11 +14,15 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 from .errors import ToolkitError
 from .value import Value, set_field
 
 MAX_PORT = 65535
+# An ASCII control character or a space: in a bind address it fails the
+# socket call, and in a base IRI it would go verbatim into a header line.
+_CONTROL_OR_SPACE = re.compile(r"[\x00-\x20\x7f]")
 
 
 class ConfigError(ToolkitError):
@@ -40,6 +44,9 @@ class ToolkitConfig(Value):
             raise ConfigError("tolerance must be a finite number >= 0")
         if base_iri is not None and base_iri.endswith("#"):
             raise ConfigError("base_iri must not end with '#'")
+        for key, text in (("bind_address", bind_address), ("base_iri", base_iri)):
+            if text is not None and _CONTROL_OR_SPACE.search(text):
+                raise ConfigError(f"{key} must not contain a control character or space: {text!r}")
         if not 0 <= port <= MAX_PORT:
             raise ConfigError(f"port must be from 0 to {MAX_PORT}, got {port}")
         set_field(self, "tolerance", tolerance)

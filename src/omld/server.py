@@ -360,6 +360,7 @@ class CdServer:
         self.base_iri = (base_iri or f"http://{bind_address}:{actual_port}").rstrip("/")
         self.port = actual_port
         self._thread: threading.Thread | None = None
+        self._serving = False  # socketserver's shutdown() waits for a serve_forever that ran
         self._httpd.app = CdApp(cds, self.base_iri)  # type: ignore[attr-defined]
 
     @property
@@ -367,6 +368,7 @@ class CdServer:
         return self._httpd.app  # type: ignore[attr-defined]
 
     def start(self) -> "CdServer":
+        self._serving = True
         self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
         self._thread.start()
         return self
@@ -385,10 +387,13 @@ class CdServer:
         self._httpd.app = CdApp(cds, self.base_iri)  # type: ignore[attr-defined]
 
     def serve_forever(self) -> None:
+        self._serving = True
         self._httpd.serve_forever()
 
     def close(self) -> None:
-        self._httpd.shutdown()
+        """Stop serving, if it started, and close the listening socket."""
+        if self._serving:
+            self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)

@@ -11,6 +11,7 @@ import threading
 import xml.etree.ElementTree as ET
 from contextlib import contextmanager
 from decimal import Decimal
+from fractions import Fraction
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 from omld.annotations import (
@@ -396,6 +397,89 @@ def evaluate(obj: OMObject) -> float:
             raise NonNumericLeafError(f"bare operation {obj.cd}#{obj.name} is not a number")
         raise UnknownSymbolError(symbol_iri(obj).value)
     raise NonNumericLeafError(f"cannot evaluate {type(obj).__name__}")
+
+
+_UNIT_ROUNDOFF = Fraction(1, 2**53)  # the relative error of one rounding to a 64-bit float
+_SUBNORMAL = Fraction(1, 2**1074)  # bounds the absolute error of a rounding that underflows
+_FLOAT_SAFE = Fraction(2**1000)  # a magnitude below this stays in the float range, rounding and all
+
+
+class Undecided(Exception):
+    """The exact value does not tell what a float evaluation of the term gives."""
+
+
+class ExactDivisionByZero(Exception):
+    def __init__(self, term: OMObject):
+        super().__init__(serialize_om_xml(term))
+        self.term = term
+
+
+def exact_value(obj: OMObject) -> tuple[Fraction, Fraction]:
+    """A closed arith1 term's exact value, and a bound on a float evaluation's distance from it.
+
+    The exact reference for ``omld.rewrite.Program`` on terms whose leaves
+    are constants that a float holds exactly, and whose power exponents are
+    integer constants.  Arguments are taken left to right and ``plus`` and
+    ``times`` fold from the left, as in the program.  Each float step rounds
+    once: to within a relative 2**-53 (2**-52 for ``pow``, which may be an
+    ulp off), plus a subnormal where it underflows.  The bound carries those
+    errors up the term.
+
+    The first zero denominator in post-order, or zero base under a negative
+    exponent, raises ExactDivisionByZero with its sub-term.  A denominator
+    the bound does not keep away from zero, or a magnitude near the float
+    range, raises Undecided.
+    """
+    if isinstance(obj, (OMInteger, OMFloat)):
+        return Fraction(obj.value), Fraction(0)
+    name = obj.head.name
+    values = [exact_value(arg) for arg in obj.args]
+    x, e = values[0]
+    if name == "unary_minus":
+        return -x, e
+    if name == "abs":
+        return abs(x), e
+    if name == "power":
+        k = obj.args[1].value
+        if k < 0:
+            _check_denominator(x, e, obj)
+        m = abs(k)
+        err = (abs(x) + e) ** m - abs(x) ** m
+        if k < 0:
+            err /= (abs(x) - e) ** m * abs(x) ** m
+        return _rounded(x**k, err, 2 * _UNIT_ROUNDOFF)
+    if name == "divide":
+        xb, eb = values[1]
+        _check_denominator(xb, eb, obj)
+        err = (e * abs(xb) + abs(x) * eb) / ((abs(xb) - eb) * abs(xb))
+        return _rounded(x / xb, err)
+    if name == "minus":
+        xb, eb = values[1]
+        return _rounded(x - xb, e + eb)
+    for xb, eb in values[1:]:  # plus or times
+        if name == "plus":
+            x, e = _rounded(x + xb, e + eb)
+        else:
+            x, e = _rounded(x * xb, abs(x) * eb + abs(xb) * e + e * eb)
+    return x, e
+
+
+def _check_denominator(x: Fraction, e: Fraction, term: OMObject) -> None:
+    if abs(x) <= e:
+        if e:
+            raise Undecided()
+        raise ExactDivisionByZero(term)
+
+
+def _rounded(x: Fraction, err: Fraction, unit: Fraction = _UNIT_ROUNDOFF):
+    """An exact result with the bound of the float step that computes it.
+
+    ``err`` bounds how far the step's float operands put its exact result from ``x``.
+    """
+    bound = err + unit * (abs(x) + err) + _SUBNORMAL
+    if abs(x) + bound > _FLOAT_SAFE:
+        raise Undecided()
+    return x, bound
 
 
 def derivation_to_om(derivation: Derivation, inputs: Mapping[str, Decimal | float]) -> OMObject:

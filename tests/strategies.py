@@ -256,6 +256,29 @@ def arith1_terms(draw, params: tuple[str, ...], callees: dict[str, int], depth: 
     return OMApplication(head, args)
 
 
+# Constants a float holds exactly: small integers, zero often among them,
+# and floats of any value in range.
+_EXACT_CONSTANTS = st.one_of(
+    st.integers(-20, 20).map(OMInteger), st.floats(-100, 100, width=64).map(OMFloat)
+)
+
+
+@st.composite
+def exact_arith1_terms(draw, depth: int = 4):
+    """A closed term of arith1 operations, each with its usual number of
+    arguments, over ``_EXACT_CONSTANTS``, at most ``depth`` levels deep; a
+    power's exponent is an integer constant from -3 to 3."""
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        return draw(_EXACT_CONSTANTS)
+    name = draw(st.sampled_from(ARITH1_OPERATIONS))
+    head = OMSymbol("arith1", name)
+    if name == "power":
+        exponent = OMInteger(draw(st.integers(-3, 3)))
+        return OMApplication(head, (draw(exact_arith1_terms(depth - 1)), exponent))
+    n = {"minus": 2, "divide": 2, "unary_minus": 1, "abs": 1}.get(name) or draw(st.integers(1, 3))
+    return OMApplication(head, tuple(draw(exact_arith1_terms(depth - 1)) for _ in range(n)))
+
+
 @st.composite
 def random_cd_points(draw):
     """A random CD, a derivation over it or over arith1, and its inputs.

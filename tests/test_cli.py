@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from omld import cd as cd_module
 from omld import cli, resolver
 from omld.cli import main
+from omld.config import ToolkitConfig
 from omld.om import (
     OPENMATH_XML_MIME,
     OMApplication,
@@ -635,6 +636,33 @@ class TestServeCommand:
         err = capsys.readouterr().err
         assert err == f"omld: port must be from 0 to 65535, got {port}\n"
 
+    @pytest.mark.parametrize(
+        "key, value, source",
+        [
+            ("bind_address", "127.0.0.1\0", "config"),
+            ("base_iri", "http://x\r\nSet-Cookie: a=b", "config"),
+            ("base_iri", "http://x\r\nSet-Cookie: a=b", "flag"),
+            ("base_iri", "http://x/a b", "flag"),
+            ("base_iri", "http://x/\x7f", "flag"),
+        ],
+    )
+    def test_control_character_or_space_exits_64(self, tmp_path, capsys, key, value, source):
+        # A NUL made the socket call raise TypeError; a CR/LF in the base IRI
+        # split the headers of a 303, whose Location repeats it.
+        argv = ["serve", "--dir", str(CD_DIR), "--port", "0"]
+        if source == "flag":
+            argv += ["--base-iri", value]
+        else:
+            config = tmp_path / "omld.json"
+            config.write_text(json.dumps({key: value}))
+            argv += ["--config", str(config)]
+        assert main(argv) == 64
+        err = capsys.readouterr().err
+        assert err == f"omld: {key} must not contain a control character or space: {value!r}\n"
+
+    def test_non_ascii_base_iri_is_accepted(self):
+        assert ToolkitConfig(base_iri="http://例.example").base_iri == "http://例.example"
+
     def test_port_in_use_exits_2_and_leaks_no_socket(self, capsys):
         with socket.socket() as taken:
             taken.bind(("127.0.0.1", 0))
@@ -909,10 +937,16 @@ class TestUsage:
         assert main(["fly"]) == 64
 
     @staticmethod
-    def _loaded_after(runs: list[list[str]], modules: tuple[str, ...]) -> list[str]:
-        """Which of ``modules`` a fresh process holds after ``main`` has run each argv."""
+    def _loaded_after(
+        runs: list[list[str]], modules: tuple[str, ...], prelude: str = ""
+    ) -> list[str]:
+        """Which of ``modules`` a fresh process holds after ``main`` has run each argv.
+
+        ``prelude`` is code the process runs after importing ``omld.cli``.
+        """
         probe = (
             "import contextlib, io, json, sys, omld.cli\n"
+            f"{prelude}"
             f"for argv in {runs!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert omld.cli.main(argv) == 0, argv\n"
@@ -941,6 +975,16 @@ class TestUsage:
         ]
         assert self._loaded_after([], modules) == []
         assert self._loaded_after(runs, modules) == []
+
+    def test_serve_does_not_load_the_batch_layers(self, config_file):
+        # No route runs a derivation, so the server compiles and holds neither
+        # the rewrite and annotation layers nor the decimal module they use.
+        modules = ("omld.rewrite", "omld.annotations", "decimal")
+        prelude = "import omld.server\nomld.server.CdServer.serve_forever = lambda self: None\n"
+        serve = [["serve", "--dir", str(CD_DIR), "--port", "0"]]
+        assert self._loaded_after(serve, modules, prelude) == []
+        verify = [["verify", str(FIXTURES / "geese.ttl"), "--config", config_file]]
+        assert self._loaded_after(verify, modules) == list(modules)
 
     def test_run_with_local_cds_loads_the_cd_parser_but_not_the_fetcher(self, tmp_path, config_file):
         hdi = "http://example.org/statistics#hdi"

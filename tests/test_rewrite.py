@@ -5,7 +5,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from omld import cd as cd_module
@@ -27,6 +27,7 @@ from omld.om import (
     OMSymbol,
     OMVariable,
     parse_om_xml,
+    serialize_om_xml,
 )
 from omld.rdf import RDF_VALUE, Graph, Iri, Literal, parse_turtle
 from omld.resolver import FetchError
@@ -53,12 +54,15 @@ from .conftest import CD_DIR, fixture_text
 from .helpers import (
     DATASET_PREFIXES,
     CountingTriples,
+    ExactDivisionByZero,
     UnboundVariableError,
+    Undecided,
     chain_turtle,
     compute_term,
     demo_cd,
     derivation_to_om,
     evaluate as evaluate_tree,
+    exact_value,
     expand_outermost,
     inline,
     match,
@@ -66,12 +70,13 @@ from .helpers import (
     recursion_limit,
     substitute,
 )
-from .strategies import arith1_terms, derivation_dags, random_cd_points
+from .strategies import arith1_terms, derivation_dags, exact_arith1_terms, random_cd_points
 
 DIVIDE = OMSymbol(cd="arith1", name="divide")
 PLUS = OMSymbol(cd="arith1", name="plus")
 TIMES = OMSymbol(cd="arith1", name="times")
 POWER = OMSymbol(cd="arith1", name="power")
+MINUS = OMSymbol(cd="arith1", name="minus")
 LAMBDA = OMSymbol(cd="fns1", name="lambda")
 HDI = OMSymbol(cd="statistics", name="hdi", cdbase="http://example.org")
 AHS = "http://example.org/ns/ahs#"
@@ -360,6 +365,28 @@ class TestEvaluate:
         computed = evaluate(expand(term, store))
         oracle = float(hdi_oracle(*(float(v) for v in values)))
         assert abs(computed - oracle) <= 1e-12 * max(1.0, abs(oracle))
+
+
+class TestExactOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(exact_arith1_terms())
+    @example(OMApplication(DIVIDE, (OMInteger(1), OMInteger(3))))
+    @example(OMApplication(DIVIDE, (OMInteger(1), OMApplication(MINUS, (OMFloat(0.5), OMFloat(0.5))))))
+    @example(OMApplication(POWER, (OMFloat(-0.0), OMInteger(-2))))
+    def test_program_agrees_with_exact_arithmetic(self, term):
+        # Where the exact value is defined, the program's float lies within
+        # the rounding bound of it; where a denominator is exactly zero, the
+        # program fails at that sub-term.
+        try:
+            exact, bound = exact_value(term)
+        except ExactDivisionByZero as exc:
+            with pytest.raises(DivisionByZeroError) as raised:
+                Program(term).run([], ())
+            assert raised.value.location == serialize_om_xml(exc.term)
+            return
+        except Undecided:
+            reject()
+        assert abs(Fraction(Program(term).run([], ())) - exact) <= bound
 
 
 class TestCdStore:

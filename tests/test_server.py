@@ -284,6 +284,15 @@ class TestLiveServer:
         finally:
             server.close()
 
+    def test_close_without_start_returns_and_frees_the_port(self):
+        server = CdServer(CD_DIR, port=0)
+        closer = threading.Thread(target=server.close, daemon=True)
+        closer.start()
+        closer.join(timeout=2)
+        assert not closer.is_alive(), "close() of a server that never started hangs"
+        with socket.socket() as probe:
+            assert probe.connect_ex(("127.0.0.1", server.port)) != 0
+
     def test_relative_directory(self, monkeypatch):
         monkeypatch.chdir(CD_DIR.parent)
         cds = load_snapshot(CD_DIR.name)
