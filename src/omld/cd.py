@@ -30,8 +30,9 @@ from .om import (
     OMVariable,
     free_variables,
     is_ncname,
+    _local,
     om_element_text,
-    om_from_element,
+    om_from_omobj,
     parse_xml,
     symbol_iri,
     xml_escape,
@@ -147,10 +148,6 @@ class TypedLink(Value):
         set_field(self, "object", object)
 
 
-def _local(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
-
-
 def _child_text(elem: ET.Element, name: str) -> str | None:
     for c in elem:
         if _local(c.tag) == name:
@@ -196,17 +193,10 @@ def parse_cd_xml(text: str, source_url: Iri | str | None = None) -> ContentDicti
             if tag == "CMP":
                 cmps.append((child.text or "").strip())
             elif tag == "FMP":
-                omobj = None
-                for sub in child:
-                    if _local(sub.tag) == "OMOBJ":
-                        omobj = sub
-                        break
+                omobj = next((sub for sub in child if _local(sub.tag) == "OMOBJ"), None)
                 if omobj is None:
                     raise MissingElementError(f"CD/CDDefinition[{name}]/FMP/OMOBJ")
-                inner = list(omobj)
-                if len(inner) != 1:
-                    raise EncodingError("OMOBJ", "expected exactly one child object")
-                fmps.append(om_from_element(inner[0], omobj.get("cdbase", DEFAULT_CDBASE), memo))
+                fmps.append(om_from_omobj(omobj, memo))
         definitions.append(
             SymbolDefinition(
                 name=name,

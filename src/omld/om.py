@@ -12,11 +12,12 @@ and slash (``cdbase/cd/name``); ``symbol_iri`` renders the hash shape.  Hash
 URIs make a client fetch the whole CD, since the fragment never reaches the
 server; slash URIs allow per-symbol documents.
 
-Decoding, encoding and every walk over a term keep their own stack, so a
-nest of any depth is read, written and walked without recursion.  One
-decode shares one object per distinct symbol and per variable name
-(``om_from_element``'s ``memo``); the memo lives only as long as that
-decode, so nothing is cached across documents.
+``om_from_omobj`` is the one decoder of an OMOBJ element, for an OpenMath
+document and for each FMP of a CD alike.  Decoding, encoding and every walk
+over a term keep their own stack, so a nest of any depth is read, written
+and walked without recursion.  One decode shares one object per distinct
+symbol and per variable name (``om_from_element``'s ``memo``); the memo
+lives only as long as that decode, so nothing is cached across documents.
 
 A document type declaration in OpenMath or CD XML is rejected before any
 entity is expanded, so a document cannot define entities at all.
@@ -247,6 +248,14 @@ def om_from_element(
             return obj
 
 
+def om_from_omobj(elem: ET.Element, memo: dict | None = None) -> OMObject:
+    """Decode the one child object of an OMOBJ element under the element's cdbase."""
+    children = list(elem)
+    if len(children) != 1:
+        raise EncodingError("OMOBJ", "expected exactly one child object")
+    return om_from_element(children[0], elem.get("cdbase", DEFAULT_CDBASE), memo)
+
+
 def _decode_leaf(elem: ET.Element, tag: str, cdbase: str, memo: dict) -> OMObject:
     if tag == "OMS":
         cd, name = elem.get("cd"), elem.get("name")
@@ -314,11 +323,7 @@ def parse_om_xml(text: str) -> OMObject:
     root = parse_xml(text)
     if _local(root.tag) != "OMOBJ":
         raise EncodingError(_local(root.tag), "expected an OMOBJ root")
-    cdbase = root.get("cdbase", DEFAULT_CDBASE)
-    children = list(root)
-    if len(children) != 1:
-        raise EncodingError("OMOBJ", "expected exactly one child object")
-    return om_from_element(children[0], cdbase)
+    return om_from_omobj(root)
 
 
 def xml_escape(text: str) -> str:

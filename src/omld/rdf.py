@@ -21,11 +21,18 @@ code only ever sees typed literals.  Blank-node labels are rewritten to
 The parser reads the text in one pass: it pulls each token from the text
 when it needs it and holds only the next one, so the first error in the text
 is the one reported.  A token keeps only the offset where it starts; a
-syntax error turns its offset into the line and column it reports.  A parse
-interns its terms: it builds one ``Iri`` per distinct string, so the scheme
-check runs once per string, and one ``Literal`` per distinct lexical form,
-datatype and language.  The tables live only as long as the parse, so two
-parses share no term objects.
+syntax error turns its offset into the line and column it reports.
+
+One method, ``_Parser._term``, reads every term, given the token kinds its
+position allows: a subject ``<...>``, a prefixed name, ``_:x`` or ``[``; a
+predicate ``<...>``, a prefixed name or ``a``; an object a subject's kinds,
+a number or a string; the datatype after ``^^`` ``<...>`` or a prefixed
+name; a ``@prefix`` IRI ``<...>`` only.
+
+A parse interns its terms: it builds one ``Iri`` per distinct string, so the
+scheme check runs once per string, and one ``Literal`` per distinct lexical
+form, datatype and language.  The tables live only as long as the parse, so
+two parses share no term objects.
 """
 
 from __future__ import annotations
@@ -328,6 +335,13 @@ def _tokenize(text: str) -> Iterator[_Token]:
 
 MAX_NESTING = 100  # levels of '[' ... ']'; each level takes four parser frames
 
+# The token kinds that may start the term at each position.
+_IRI = frozenset({"IRIREF", "PNAME"})  # a datatype after '^^'
+_PREFIX_IRI = frozenset({"IRIREF"})
+_VERB = _IRI | {"A"}
+_SUBJECT = _IRI | {"BLANK", "LBRACKET"}
+_OBJECT = _SUBJECT | {"NUMBER", "STRING"}
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -343,10 +357,6 @@ class _Parser:
         self._iris: dict[str, Iri] = {}
         self._literals: dict[tuple[str, str | None, str | None], Literal] = {}
 
-    def _kind(self) -> str:
-        """The kind of the next token."""
-        return self.tok[0]
-
     def _next(self) -> _Token:
         """Take the next token and read the one after it."""
         tok = self.tok
@@ -358,7 +368,7 @@ class _Parser:
         return _error(self.text, (self.tok if tok is None else tok)[2], expected)
 
     def _take(self, kind: str, expected: str) -> _Token:
-        if self._kind() != kind:
+        if self.tok[0] != kind:
             raise self._expected(expected)
         return self._next()
 
@@ -366,11 +376,6 @@ class _Parser:
         node = BlankNode(f"b{self._bnode_counter}")
         self._bnode_counter += 1
         return node
-
-    def _labelled_bnode(self, label: str) -> BlankNode:
-        if label not in self._bnode_labels:
-            self._bnode_labels[label] = self._fresh_bnode()
-        return self._bnode_labels[label]
 
     def _iri(self, text: str) -> Iri:
         """The one Iri of this parse for ``text``."""
@@ -389,20 +394,8 @@ class _Parser:
             literal = self._literals[key] = Literal(lexical, datatype, language)
         return literal
 
-    def _resolve_iriref(self, tok: _Token) -> Iri:
-        try:
-            return self._iri(tok[1])
-        except ValueError:  # empty or without a scheme
-            raise self._expected(f"an absolute IRI (got <{tok[1]}>)", tok) from None
-
-    def _expand_pname(self, tok: _Token) -> Iri:
-        prefix, local = tok[1]
-        if prefix not in self.prefixes:
-            raise UnknownPrefixError(prefix)
-        return self._iri(self.prefixes[prefix] + local)
-
     def parse(self) -> Graph:
-        while (kind := self._kind()) != "EOF":
+        while (kind := self.tok[0]) != "EOF":
             if kind == "PREFIX_KW":
                 self._prefix_directive()
             else:
@@ -410,112 +403,93 @@ class _Parser:
         return Graph(triples=frozenset(self.triples), prefixes=dict(self.prefixes))
 
     def _prefix_directive(self):
-        self._take("PREFIX_KW", "'@prefix'")
+        self._next()  # '@prefix'
         tok = self._take("PNAME", "a prefix name like 'ex:'")
         prefix, local = tok[1]
         if local:
             raise self._expected("a prefix name ending in ':'", tok)
-        iri_tok = self._take("IRIREF", "the prefix IRI in <...>")
-        self.prefixes[prefix] = self._resolve_iriref(iri_tok).value
+        self.prefixes[prefix] = self._term(_PREFIX_IRI, "the prefix IRI in <...>").value
         self._take("DOT", "'.' after the prefix directive")
 
     def _triples_statement(self):
-        if self._kind() == "LBRACKET":
-            subject = self._bnode_property_list()
-            # A bracketed subject may stand alone or carry more predicates.
-            if self._kind() == "DOT":
-                self._next()
-                return
-        else:
-            subject = self._subject()
-        self._predicate_object_list(subject)
+        bracketed = self.tok[0] == "LBRACKET"
+        subject = self._term(_SUBJECT, "a subject (IRI or blank node)")
+        # A bracketed subject may stand alone or carry more predicates.
+        if not (bracketed and self.tok[0] == "DOT"):
+            self._predicate_object_list(subject)
         self._take("DOT", "'.' ending the statement")
-
-    def _subject(self) -> Iri | BlankNode:
-        kind = self._kind()
-        if kind == "IRIREF":
-            return self._resolve_iriref(self._next())
-        if kind == "PNAME":
-            return self._expand_pname(self._next())
-        if kind == "BLANK":
-            return self._labelled_bnode(self._next()[1])
-        raise self._expected("a subject (IRI or blank node)")
 
     def _predicate_object_list(self, subject: Iri | BlankNode):
         while True:
-            predicate = self._verb()
+            predicate = self._term(_VERB, "a predicate (IRI or 'a')")
             self._object_list(subject, predicate)
-            if self._kind() == "SEMI":
-                self._next()
-                # Tolerate a dangling ';' before '.' or ']'.
-                if self._kind() in ("DOT", "RBRACKET"):
-                    return
-                continue
-            return
-
-    def _verb(self) -> Iri:
-        kind = self._kind()
-        if kind == "A":
+            if self.tok[0] != "SEMI":
+                return
             self._next()
-            return self._iri(RDF_TYPE)
-        if kind == "IRIREF":
-            return self._resolve_iriref(self._next())
-        if kind == "PNAME":
-            return self._expand_pname(self._next())
-        raise self._expected("a predicate (IRI or 'a')")
+            # Tolerate a dangling ';' before '.' or ']'.
+            if self.tok[0] in ("DOT", "RBRACKET"):
+                return
 
     def _object_list(self, subject: Iri | BlankNode, predicate: Iri):
         while True:
-            obj = self._object()
+            obj = self._term(_OBJECT, "an object (IRI, blank node, or literal)")
             self.triples.add(Triple(subject, predicate, obj))
-            if self._kind() == "COMMA":
-                self._next()
-                continue
-            return
+            if self.tok[0] != "COMMA":
+                return
+            self._next()
 
-    def _object(self) -> Term:
-        kind = self._kind()
-        if kind == "IRIREF":
-            return self._resolve_iriref(self._next())
+    def _term(self, kinds: frozenset[str], expected: str) -> Term:
+        """The term the next token starts, if ``kinds`` holds its kind; else an error ``expected``.
+
+        The token after it is read before the term is checked, so a lexical
+        error there wins over a relative IRI or an undeclared prefix.
+        """
+        if self.tok[0] not in kinds:
+            raise self._expected(expected)
+        tok = self._next()
+        kind, value, _ = tok
         if kind == "PNAME":
-            return self._expand_pname(self._next())
-        if kind == "BLANK":
-            return self._labelled_bnode(self._next()[1])
-        if kind == "LBRACKET":
-            return self._bnode_property_list()
+            prefix, local = value
+            if prefix not in self.prefixes:
+                raise UnknownPrefixError(prefix)
+            return self._iri(self.prefixes[prefix] + local)
+        if kind == "IRIREF":
+            try:
+                return self._iri(value)
+            except ValueError:  # empty or without a scheme
+                raise self._expected(f"an absolute IRI (got <{value}>)", tok) from None
         if kind == "NUMBER":
-            lexical, datatype = self._next()[1]
+            lexical, datatype = value
             return self._literal(lexical, self._iri(datatype))
         if kind == "STRING":
-            return self._literal_tail(self._next()[1])
-        raise self._expected("an object (IRI, blank node, or literal)")
+            kind = self.tok[0]
+            if kind == "HATHAT":
+                self._next()
+                return self._literal(value, self._term(_IRI, "a datatype IRI after '^^'"))
+            if kind == "LANGTAG":
+                return self._literal(value, language=self._next()[1])
+            return self._literal(value)
+        if kind == "BLANK":
+            node = self._bnode_labels.get(value)
+            if node is None:
+                node = self._bnode_labels[value] = self._fresh_bnode()
+            return node
+        if kind == "A":
+            return self._iri(RDF_TYPE)
+        return self._bnode_property_list(tok)
 
-    def _literal_tail(self, lexical: str) -> Literal:
-        kind = self._kind()
-        if kind == "HATHAT":
-            self._next()
-            kind = self._kind()
-            if kind == "IRIREF":
-                return self._literal(lexical, self._resolve_iriref(self._next()))
-            if kind == "PNAME":
-                return self._literal(lexical, self._expand_pname(self._next()))
-            raise self._expected("a datatype IRI after '^^'")
-        if kind == "LANGTAG":
-            return self._literal(lexical, language=self._next()[1])
-        return self._literal(lexical)
-
-    def _bnode_property_list(self) -> BlankNode:
-        open_tok = self._take("LBRACKET", "'['")
+    def _bnode_property_list(self, open_tok: _Token) -> BlankNode:
+        """The blank node of the '[' ... ']' that ``open_tok``, already taken, opens."""
         if self.depth == MAX_NESTING:
             raise self._expected(f"at most {MAX_NESTING} nested '['", open_tok)
         node = self._fresh_bnode()
-        if self._kind() == "RBRACKET":
+        if self.tok[0] == "RBRACKET":
             self._next()
             return node
         self.depth += 1
         self._predicate_object_list(node)
         self.depth -= 1
-        if self._kind() != "RBRACKET":
+        if self.tok[0] != "RBRACKET":
             raise self._expected("']' closing the blank node", open_tok)
         self._next()
         return node

@@ -36,8 +36,15 @@ SUPPORTED_TYPES = (OPENMATH_XML_MIME, TEXT_HTML, TEXT_TURTLE)
 _ASCII = "".join(map(chr, range(128)))
 
 
+_QVALUE_RE = re.compile(r"0(?:\.[0-9]{0,3})?|1(?:\.0{0,3})?")  # RFC 9110, 12.4.2
+
+
 def parse_accept(header: str | None) -> list[tuple[str, float]]:
-    """Accept header as (media-type, q) pairs, highest preference first."""
+    """Accept header as (media-type, q) pairs, highest preference first.
+
+    A q-value outside the RFC's grammar (``nan``, ``2``, ``1e999``, ``0.1234``)
+    counts as 0, as an unparsable one does; the name ``q`` is case-insensitive.
+    """
     if not header:
         return []
     out = []
@@ -49,11 +56,8 @@ def parse_accept(header: str | None) -> list[tuple[str, float]]:
         q = 1.0
         for param in fields[1:]:
             param = param.strip()
-            if param.startswith("q="):
-                try:
-                    q = float(param[2:])
-                except ValueError:
-                    q = 0.0
+            if param[:2] in ("q=", "Q="):
+                q = float(param[2:]) if _QVALUE_RE.fullmatch(param[2:]) else 0.0
         out.append((mime, q, i))
     out.sort(key=lambda t: (-t[1], t[2]))
     return [(mime, q) for mime, q, _ in out]
@@ -187,11 +191,6 @@ class CdApp:
             return self._negotiated_cd(name, loaded, accept)
         return self._symbol_fragment(name, loaded, segments[1])
 
-    def negotiates(self, path: str) -> bool:
-        """Whether a GET of ``path`` is answered by the Accept header: a loaded CD's URI."""
-        segments = _segments(path)
-        return len(segments) == 1 and not segments[0].endswith(".xhtml") and segments[0] in self.cds
-
     def _rendered(self, key: tuple[str, ...], render) -> bytes:
         body = self._bodies.get(key)
         if body is None:
@@ -202,21 +201,23 @@ class CdApp:
         return 404, {"Content-Type": "text/plain"}, f"not found: {path}\n".encode()
 
     def _negotiated_cd(self, name: str, loaded: LoadedCd, accept: str | None):
+        """The CD URI's answer to ``accept``; each one says that it varies with Accept."""
         chosen = negotiate(accept)
         if chosen is None:
             body = "not acceptable; supported: " + ", ".join(SUPPORTED_TYPES) + "\n"
-            return 406, {"Content-Type": "text/plain"}, body.encode()
+            return 406, {"Content-Type": "text/plain", "Vary": "Accept"}, body.encode()
         if chosen == OPENMATH_XML_MIME:
-            return 200, {"Content-Type": OPENMATH_XML_MIME}, loaded.raw
+            return 200, {"Content-Type": OPENMATH_XML_MIME, "Vary": "Accept"}, loaded.raw
         if chosen == TEXT_HTML:
             location = cd_url(self.base_iri, name) + ".xhtml"
             if not location.isascii():  # a header holds ASCII: map the IRI to a URI (RFC 3987, 3.1)
                 location = quote(location, safe=_ASCII)
-            return 303, {"Location": location, "Content-Type": "text/plain"}, b"see " + location.encode() + b"\n"
+            headers = {"Location": location, "Content-Type": "text/plain", "Vary": "Accept"}
+            return 303, headers, b"see " + location.encode() + b"\n"
         body = self._rendered(
             ("turtle", name), lambda: serialize_turtle(cd_to_rdf(loaded.cd, self.base_iri))
         )
-        return 200, {"Content-Type": TEXT_TURTLE}, body
+        return 200, {"Content-Type": TEXT_TURTLE, "Vary": "Accept"}, body
 
     def _symbol_fragment(self, name: str, loaded: LoadedCd, symbol: str):
         key = ("fragment", name, symbol)
@@ -310,8 +311,6 @@ class _Handler(socketserver.StreamRequestHandler):
         status, headers, body = app.route(
             "GET" if method == "HEAD" else method, target, fields.get("accept")
         )
-        if method in ("GET", "HEAD") and app.negotiates(target):
-            headers = {**headers, "Vary": "Accept"}
         if not keep or version == "HTTP/1.0":
             headers = {**headers, "Connection": "keep-alive" if keep else "close"}
         self._send(status, headers, body, send_body=method != "HEAD")

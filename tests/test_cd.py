@@ -27,6 +27,7 @@ from omld.om import (
     OMSymbol,
     OMVariable,
     XmlError,
+    parse_om_xml,
 )
 from omld.rdf import Iri
 
@@ -47,6 +48,7 @@ def cd_with_fmps(*fmps: str, name: str = "sym", cdname: str = "demo") -> str:
 
 OWN = '<OMS cdbase="http://example.org" cd="demo" name="sym"/>'
 EQ = '<OMS cd="relation1" name="eq"/>'
+ONE_CHILD = "<OMOBJ>: expected exactly one child object"
 
 
 class TestParsing:
@@ -95,6 +97,33 @@ class TestParsing:
         with pytest.raises(EncodingError) as err:
             parse_cd_xml(text)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "omobj, expected",
+        [
+            ("<OMOBJ/>", ONE_CHILD),
+            ("<OMOBJ><OMI>1</OMI><OMI>2</OMI></OMOBJ>", ONE_CHILD),
+            (
+                '<OMOBJ cdbase="http://cd.example"><OMS cd="a" name="b"/></OMOBJ>',
+                OMSymbol("a", "b", "http://cd.example"),
+            ),
+            (
+                '<OMOBJ cdbase="http://cd.example">'
+                '<OMS cdbase="http://x.example" cd="a" name="b"/></OMOBJ>',
+                OMSymbol("a", "b", "http://x.example"),
+            ),
+        ],
+    )
+    def test_an_fmp_decodes_as_an_openmath_document(self, omobj, expected):
+        cd_text = cd_with_fmps().replace("</Name>", f"</Name><FMP>{omobj}</FMP>")
+        if isinstance(expected, str):
+            for parse, text in ((parse_om_xml, omobj), (parse_cd_xml, cd_text)):
+                with pytest.raises(EncodingError) as err:
+                    parse(text)
+                assert str(err.value) == expected
+        else:
+            assert parse_om_xml(omobj) == expected
+            assert parse_cd_xml(cd_text).definitions[0].fmps == (expected,)
 
     def test_doctype_rejected(self):
         text = '<!DOCTYPE CD [<!ENTITY n "x">]><CD><CDName>&n;</CDName></CD>'

@@ -181,6 +181,61 @@ class TestNesting:
             assert (err.value.line, err.value.column) == (2, column)
             assert err.value.expected == f"at most {MAX_NESTING} nested '['"
 
+    def test_a_bracketed_subject_nests_to_the_same_bound(self):
+        def nest(depth: int) -> str:
+            return _nest(depth).replace("ex:a ex:p ", "")
+
+        assert len(parse_turtle(nest(MAX_NESTING)).triples) == MAX_NESTING
+        with pytest.raises(TurtleSyntaxError) as err:
+            parse_turtle(nest(MAX_NESTING + 1))
+        column = MAX_NESTING * len("[ ex:p ") + 1
+        assert (err.value.line, err.value.column) == (2, column)
+        assert err.value.expected == f"at most {MAX_NESTING} nested '['"
+
+
+# Each term position with a wrong token, a relative IRI and an undeclared
+# prefix: the statement on line 2, and the column and expected text of the
+# TurtleSyntaxError, or None for an UnknownPrefixError naming 'no'.
+SUBJECT, PREDICATE = "a subject (IRI or blank node)", "a predicate (IRI or 'a')"
+OBJECT, DATATYPE = "an object (IRI, blank node, or literal)", "a datatype IRI after '^^'"
+PREFIX_IRI = "the prefix IRI in <...>"
+TERM_ERRORS = {
+    "subject-token": ('"s" ex:p ex:o .', 1, SUBJECT),
+    "subject-relative": ("<s> ex:p ex:o .", 1, "an absolute IRI (got <s>)"),
+    "subject-empty": ("<> ex:p ex:o .", 1, "an absolute IRI (got <>)"),
+    "subject-prefix": ("no:s ex:p ex:o .", None, None),
+    "predicate-token": ("ex:s _:p ex:o .", 6, PREDICATE),
+    "predicate-bracket": ("ex:s [] ex:o .", 6, PREDICATE),
+    "predicate-relative": ("ex:s <p> ex:o .", 6, "an absolute IRI (got <p>)"),
+    "predicate-prefix": ("ex:s no:p ex:o .", None, None),
+    "object-token": ("ex:s ex:p a .", 11, OBJECT),
+    "object-relative": ("ex:s ex:p <o> .", 11, "an absolute IRI (got <o>)"),
+    "object-prefix": ("ex:s ex:p no:o .", None, None),
+    "datatype-token": ('ex:s ex:p "x"^^_:d .', 16, DATATYPE),
+    "datatype-literal": ('ex:s ex:p "x"^^"d" .', 16, DATATYPE),
+    "datatype-relative": ('ex:s ex:p "x"^^<d> .', 16, "an absolute IRI (got <d>)"),
+    "datatype-prefix": ('ex:s ex:p "x"^^no:d .', None, None),
+    "prefix-iri-token": ('@prefix ns: "x" .', 13, PREFIX_IRI),
+    "prefix-iri-relative": ("@prefix ns: <rel> .", 13, "an absolute IRI (got <rel>)"),
+    "prefix-iri-prefixed-name": ("@prefix ns: no:x .", 13, PREFIX_IRI),
+}
+
+
+class TestTermErrors:
+    """Every term position reports a wrong token, a relative IRI and an undeclared prefix."""
+
+    @pytest.mark.parametrize("statement, column, expected", TERM_ERRORS.values(), ids=TERM_ERRORS)
+    def test_error_at_each_term_position(self, statement, column, expected):
+        text = "@prefix ex: <http://ex.org/> .\n" + statement + "\n"
+        if expected is None:
+            with pytest.raises(UnknownPrefixError) as prefix_err:
+                parse_turtle(text)
+            assert prefix_err.value.prefix == "no"
+            return
+        with pytest.raises(TurtleSyntaxError) as err:
+            parse_turtle(text)
+        assert (err.value.line, err.value.column, err.value.expected) == (2, column, expected)
+
 
 class TestInterning:
     TEXT = (

@@ -69,6 +69,30 @@ class TestParseAccept:
     def test_unsupported(self):
         assert negotiate("image/png") is None
 
+    def test_nan_q_counts_as_zero_in_either_order(self):
+        nan, half = "text/turtle;q=nan", "text/html;q=0.5"
+        assert negotiate(f"{nan}, {half}") == negotiate(f"{half}, {nan}") == "text/html"
+        assert parse_accept(f"{nan}, {half}") == [("text/html", 0.5), ("text/turtle", 0.0)]
+
+    @pytest.mark.parametrize("q", ["2", "1e999", "1.001", "0.1234", "+1", ".5", " 1"])
+    def test_q_outside_the_grammar_counts_as_zero(self, q):
+        assert parse_accept(f"text/html;q={q}, text/turtle;q=0.9") == [
+            ("text/turtle", 0.9),
+            ("text/html", 0.0),
+        ]
+        assert negotiate(f"text/html;q={q}") is None
+
+    @pytest.mark.parametrize(
+        "q, value", [("0", 0.0), ("0.", 0.0), ("0.125", 0.125), ("1.", 1.0), ("1.000", 1.0)]
+    )
+    def test_q_in_the_grammar_is_read(self, q, value):
+        assert parse_accept(f"text/html;q={q}") == [("text/html", value)]
+
+    def test_q_name_is_case_insensitive(self):
+        prefs = parse_accept("text/html;Q=0.5, text/turtle;q=0.9")
+        assert prefs == [("text/turtle", 0.9), ("text/html", 0.5)]
+        assert negotiate("text/html;Q=0, text/turtle") == "text/turtle"
+
 
 class TestRouting:
     def test_xml_representation(self, app):
