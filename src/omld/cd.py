@@ -7,9 +7,10 @@ arity 0).  FMPs with repeated variables on the left, or whose right side uses
 variables not bound on the left, are skipped.  CMPs are stored verbatim and
 never interpreted.
 
-Typed links are FMPs of the shape ``pred(subject, object)`` where the
-predicate's symbol URI is in ``DEFAULT_LINK_PREDICATES`` (rdfs:seeAlso) and
-both ends denote IRIs.
+A typed link is an FMP ``pred(subject, object)`` whose predicate is the
+symbol ``RDFS_SEE_ALSO`` and whose ends both denote IRIs: a symbol stands for
+its symbol URI, a string for the IRI it spells.  ``extract_links`` returns
+each link as the RDF ``Triple`` it states.
 """
 
 from __future__ import annotations
@@ -37,13 +38,12 @@ from .om import (
     symbol_iri,
     xml_escape,
 )
-from .rdf import Iri
+from .rdf import Iri, Triple
 from .value import Value, set_field
 
 EQ_SYMBOL = OMSymbol(cd="relation1", name="eq")
 
 RDFS_SEE_ALSO = "http://www.w3.org/2000/01/rdf-schema#seeAlso"
-DEFAULT_LINK_PREDICATES = frozenset({RDFS_SEE_ALSO})
 
 
 class MissingElementError(ToolkitError):
@@ -139,15 +139,6 @@ class DefinitionalFMP(Value):
         return len(self.params)
 
 
-class TypedLink(Value):
-    __slots__ = ("subject", "predicate", "object")
-
-    def __init__(self, subject: Iri, predicate: Iri, object: Iri):
-        set_field(self, "subject", subject)
-        set_field(self, "predicate", predicate)
-        set_field(self, "object", object)
-
-
 def _child_text(elem: ET.Element, name: str) -> str | None:
     for c in elem:
         if _local(c.tag) == name:
@@ -155,7 +146,7 @@ def _child_text(elem: ET.Element, name: str) -> str | None:
     return None
 
 
-def parse_cd_xml(text: str, source_url: Iri | str | None = None) -> ContentDictionary:
+def parse_cd_xml(text: str, source_url: str | None = None) -> ContentDictionary:
     """Parse CD XML.  A missing CDBase element falls back to the default.
 
     The CD name and every symbol name must be NCNames, as in an OMSymbol.
@@ -206,13 +197,12 @@ def parse_cd_xml(text: str, source_url: Iri | str | None = None) -> ContentDicti
             )
         )
 
-    src = source_url.value if isinstance(source_url, Iri) else source_url
     return ContentDictionary(
         cdbase=cdbase,
         cdname=cdname,
         description=description,
         definitions=tuple(definitions),
-        source_url=src,
+        source_url=source_url,
     )
 
 
@@ -273,25 +263,23 @@ def _link_end(obj: OMObject) -> Iri | None:
     return None
 
 
-def extract_links(cd: ContentDictionary) -> list[TypedLink]:
-    """Typed links encoded as ``pred(subject, object)`` FMPs, document order."""
-    links: list[TypedLink] = []
+def extract_links(cd: ContentDictionary) -> list[Triple]:
+    """The triples of the typed links encoded as ``pred(subject, object)`` FMPs, document order."""
+    links: list[Triple] = []
     for definition in cd.definitions:
-        own_uri = cd.symbol_uri(definition.name)
         for fmp in definition.fmps:
             if not isinstance(fmp, OMApplication) or len(fmp.args) != 2:
                 continue
             if not isinstance(fmp.head, OMSymbol):
                 continue
-            if symbol_iri(fmp.head).value not in DEFAULT_LINK_PREDICATES:
+            predicate = symbol_iri(fmp.head)
+            if predicate.value != RDFS_SEE_ALSO:
                 continue
             subj = _link_end(fmp.args[0])
             obj = _link_end(fmp.args[1])
             if subj is None or obj is None:
                 continue
-            if fmp.args[0] == cd.symbol(definition.name):
-                subj = own_uri
-            links.append(TypedLink(subject=subj, predicate=symbol_iri(fmp.head), object=obj))
+            links.append(Triple(subj, predicate, obj))
     return links
 
 

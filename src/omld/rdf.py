@@ -404,10 +404,12 @@ class _Parser:
 
     def _prefix_directive(self):
         self._next()  # '@prefix'
-        tok = self._take("PNAME", "a prefix name like 'ex:'")
-        prefix, local = tok[1]
+        if self.tok[0] != "PNAME":
+            raise self._expected("a prefix name like 'ex:'")
+        prefix, local = self.tok[1]
         if local:
-            raise self._expected("a prefix name ending in ':'", tok)
+            raise self._expected("a prefix name ending in ':'")
+        self._next()
         self.prefixes[prefix] = self._term(_PREFIX_IRI, "the prefix IRI in <...>").value
         self._take("DOT", "'.' after the prefix directive")
 
@@ -441,47 +443,49 @@ class _Parser:
     def _term(self, kinds: frozenset[str], expected: str) -> Term:
         """The term the next token starts, if ``kinds`` holds its kind; else an error ``expected``.
 
-        The token after it is read before the term is checked, so a lexical
-        error there wins over a relative IRI or an undeclared prefix.
+        Each token is checked before the token after it is read, so the
+        first error in the text is the one reported.
         """
-        if self.tok[0] not in kinds:
+        kind, value, _ = self.tok
+        if kind not in kinds:
             raise self._expected(expected)
-        tok = self._next()
-        kind, value, _ = tok
+        if kind == "LBRACKET":
+            return self._bnode_property_list()
         if kind == "PNAME":
             prefix, local = value
             if prefix not in self.prefixes:
                 raise UnknownPrefixError(prefix)
-            return self._iri(self.prefixes[prefix] + local)
-        if kind == "IRIREF":
+            term = self._iri(self.prefixes[prefix] + local)
+        elif kind == "IRIREF":
             try:
-                return self._iri(value)
+                term = self._iri(value)
             except ValueError:  # empty or without a scheme
-                raise self._expected(f"an absolute IRI (got <{value}>)", tok) from None
-        if kind == "NUMBER":
+                raise self._expected(f"an absolute IRI (got <{value}>)") from None
+        elif kind == "NUMBER":
             lexical, datatype = value
-            return self._literal(lexical, self._iri(datatype))
-        if kind == "STRING":
-            kind = self.tok[0]
-            if kind == "HATHAT":
-                self._next()
-                return self._literal(value, self._term(_IRI, "a datatype IRI after '^^'"))
-            if kind == "LANGTAG":
-                return self._literal(value, language=self._next()[1])
-            return self._literal(value)
-        if kind == "BLANK":
-            node = self._bnode_labels.get(value)
-            if node is None:
-                node = self._bnode_labels[value] = self._fresh_bnode()
-            return node
-        if kind == "A":
-            return self._iri(RDF_TYPE)
-        return self._bnode_property_list(tok)
+            term = self._literal(lexical, self._iri(datatype))
+        elif kind == "BLANK":
+            term = self._bnode_labels.get(value)
+            if term is None:
+                term = self._bnode_labels[value] = self._fresh_bnode()
+        elif kind == "A":
+            term = self._iri(RDF_TYPE)
+        self._next()
+        if kind != "STRING":
+            return term
+        kind = self.tok[0]
+        if kind == "HATHAT":
+            self._next()
+            return self._literal(value, self._term(_IRI, "a datatype IRI after '^^'"))
+        if kind == "LANGTAG":
+            return self._literal(value, language=self._next()[1])
+        return self._literal(value)
 
-    def _bnode_property_list(self, open_tok: _Token) -> BlankNode:
-        """The blank node of the '[' ... ']' that ``open_tok``, already taken, opens."""
+    def _bnode_property_list(self) -> BlankNode:
+        """The blank node of the '[' ... ']' that the next token opens."""
         if self.depth == MAX_NESTING:
-            raise self._expected(f"at most {MAX_NESTING} nested '['", open_tok)
+            raise self._expected(f"at most {MAX_NESTING} nested '['")
+        open_tok = self._next()
         node = self._fresh_bnode()
         if self.tok[0] == "RBRACKET":
             self._next()

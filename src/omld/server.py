@@ -11,6 +11,10 @@ requests can run concurrently and a reload just swaps the snapshot.  HTTP is
 a small HTTP/1.1 loop on ``socketserver`` that writes each response at once
 on a TCP_NODELAY socket: Nagle's algorithm would hold a body written after
 its headers until the client's delayed ACK, ~40 ms per keep-alive request.
+
+``CdServer`` is the threading TCP server itself, one thread per connection.
+It serves at most ``MAX_CONNECTIONS`` connections at once and answers one
+more with ``503 Service Unavailable`` and closes it.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ def parse_accept(header: str | None) -> list[tuple[str, float]]:
     if not header:
         return []
     out = []
-    for i, part in enumerate(header.split(",")):
+    for part in header.split(","):
         fields = part.strip().split(";")
         mime = fields[0].strip().lower()
         if not mime:
@@ -58,9 +62,9 @@ def parse_accept(header: str | None) -> list[tuple[str, float]]:
             param = param.strip()
             if param[:2] in ("q=", "Q="):
                 q = float(param[2:]) if _QVALUE_RE.fullmatch(param[2:]) else 0.0
-        out.append((mime, q, i))
-    out.sort(key=lambda t: (-t[1], t[2]))
-    return [(mime, q) for mime, q, _ in out]
+        out.append((mime, q))
+    out.sort(key=lambda t: -t[1])  # stable: equal q-values keep the header's order
+    return out
 
 
 def negotiate(header: str | None) -> str | None:
@@ -256,12 +260,32 @@ def load_snapshot(directory: str | Path) -> dict[str, LoadedCd]:
 MAX_LINE = 65536  # bytes in a request line or header line, as in http.server
 MAX_HEADERS = 100
 IDLE_TIMEOUT = 30.0  # seconds a connection may wait for its next request before it closes
+MAX_CONNECTIONS = 64  # connections served at once; one more is answered 503 and closed
 _VERSION_RE = re.compile(r"HTTP/[0-9]\.[0-9]")
+
+
+def _response(status: int, headers: dict[str, str], body: bytes, send_body: bool = True) -> bytes:
+    """The status line, headers and body as one write, so Nagle has nothing to hold."""
+    lines = [
+        f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
+        "Date: " + time.strftime("%a, %d %b %Y %H:%M:%S GMT", time.gmtime()),
+        *(f"{key}: {value}" for key, value in headers.items()),
+        f"Content-Length: {len(body)}",
+    ]
+    head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+    return head + body if send_body else head
+
+
+def _error_response(status: int) -> bytes:
+    """The answer to a request that is not read: ``status``, and the connection closes."""
+    body = f"{HTTPStatus(status).phrase}\n".encode()
+    return _response(status, {"Content-Type": "text/plain", "Connection": "close"}, body)
 
 
 class _Handler(socketserver.StreamRequestHandler):
     """HTTP/1.1 on one connection: read a request, write its whole response at once, repeat."""
 
+    server: CdServer
     disable_nagle_algorithm = True
     timeout = IDLE_TIMEOUT  # a timed-out read raises OSError, which ends handle()
 
@@ -307,40 +331,29 @@ class _Handler(socketserver.StreamRequestHandler):
         tokens = {t.strip().lower() for t in fields.get("connection", "").split(",")}
         wanted = "keep-alive" in tokens if version == "HTTP/1.0" else "close" not in tokens
         keep = wanted and not has_body
-        app: CdApp = self.server.app  # type: ignore[attr-defined]
-        status, headers, body = app.route(
+        status, headers, body = self.server.app.route(
             "GET" if method == "HEAD" else method, target, fields.get("accept")
         )
         if not keep or version == "HTTP/1.0":
             headers = {**headers, "Connection": "keep-alive" if keep else "close"}
-        self._send(status, headers, body, send_body=method != "HEAD")
+        self.wfile.write(_response(status, headers, body, send_body=method != "HEAD"))
         return keep
 
     def _error(self, status: int) -> bool:
         """Answer a request that cannot be read with ``status``, and close."""
-        body = f"{HTTPStatus(status).phrase}\n".encode()
-        self._send(status, {"Content-Type": "text/plain", "Connection": "close"}, body)
+        self.wfile.write(_error_response(status))
         return False
 
-    def _send(self, status: int, headers: dict[str, str], body: bytes, send_body: bool = True):
-        """Write the status line, headers and body with one write, so Nagle has nothing to hold."""
-        lines = [
-            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
-            "Date: " + time.strftime("%a, %d %b %Y %H:%M:%S GMT", time.gmtime()),
-            *(f"{key}: {value}" for key, value in headers.items()),
-            f"Content-Length: {len(body)}",
-        ]
-        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-        self.wfile.write(head + body if send_body else head)
 
+class CdServer(socketserver.ThreadingTCPServer):
+    """The HTTP face of CdApp: start/serve/reload/close.
 
-class _TcpServer(socketserver.ThreadingTCPServer):
+    The listening thread answers a connection over ``MAX_CONNECTIONS`` with
+    a 503 and closes it, without reading its request.
+    """
+
     allow_reuse_address = True
     daemon_threads = True
-
-
-class CdServer:
-    """The HTTP face of CdApp: start/serve/reload/close."""
 
     def __init__(
         self,
@@ -352,24 +365,40 @@ class CdServer:
         self.cd_directory = str(cd_directory)
         cds = load_snapshot(self.cd_directory)
         try:  # on failure the server has already closed its socket
-            self._httpd = _TcpServer((bind_address, port), _Handler)
+            super().__init__((bind_address, port), _Handler)
         except OSError as exc:
             raise ToolkitError(f"cannot listen on {bind_address}:{port}: {exc}") from None
-        actual_port = self._httpd.server_address[1]
-        self.base_iri = (base_iri or f"http://{bind_address}:{actual_port}").rstrip("/")
-        self.port = actual_port
-        self._thread: threading.Thread | None = None
+        self.port = self.server_address[1]
+        self.base_iri = (base_iri or f"http://{bind_address}:{self.port}").rstrip("/")
+        self.app = CdApp(cds, self.base_iri)  # reload() swaps it; a request reads it once
+        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+        self._serve_thread: threading.Thread | None = None
         self._serving = False  # socketserver's shutdown() waits for a serve_forever that ran
-        self._httpd.app = CdApp(cds, self.base_iri)  # type: ignore[attr-defined]
 
-    @property
-    def app(self) -> CdApp:
-        return self._httpd.app  # type: ignore[attr-defined]
+    def process_request(self, request, client_address) -> None:
+        if not self._slots.acquire(blocking=False):
+            try:
+                request.sendall(_error_response(503))
+            except OSError:  # the client is gone already
+                pass
+            self.shutdown_request(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:  # no thread started to release the slot
+            self._slots.release()
+            raise
+
+    def process_request_thread(self, request, client_address) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._slots.release()
 
     def start(self) -> "CdServer":
         self._serving = True
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
-        self._thread.start()
+        self._serve_thread = threading.Thread(target=self.serve_forever, daemon=True)
+        self._serve_thread.start()
         return self
 
     def reload(self) -> None:
@@ -383,16 +412,16 @@ class CdServer:
         except (ToolkitError, OSError) as exc:
             print(f"omld: reload failed, still serving the old CDs: {exc}", file=sys.stderr)
             return
-        self._httpd.app = CdApp(cds, self.base_iri)  # type: ignore[attr-defined]
+        self.app = CdApp(cds, self.base_iri)
 
-    def serve_forever(self) -> None:
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
         self._serving = True
-        self._httpd.serve_forever()
+        super().serve_forever(poll_interval)
 
     def close(self) -> None:
         """Stop serving, if it started, and close the listening socket."""
         if self._serving:
-            self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
+            self.shutdown()
+        self.server_close()
+        if self._serve_thread is not None:
+            self._serve_thread.join(timeout=5)

@@ -12,7 +12,6 @@ from omld.cd import (
     DefinitionalFMP,
     DuplicateSymbolError,
     MissingElementError,
-    TypedLink,
     extract_links,
     load_cd_directory,
     parse_cd_xml,
@@ -29,7 +28,7 @@ from omld.om import (
     XmlError,
     parse_om_xml,
 )
-from omld.rdf import Iri
+from omld.rdf import Iri, Triple
 
 from .conftest import CD_DIR, fixture_text
 from .strategies import xml_mutations
@@ -219,10 +218,10 @@ class TestLinks:
         cd = parse_cd_xml(fixture_text("cds/elementary.ocd"))
         links = extract_links(cd)
         assert links == [
-            TypedLink(
-                subject=Iri("http://example.org/elementary#logarithm"),
-                predicate=Iri("http://www.w3.org/2000/01/rdf-schema#seeAlso"),
-                object=Iri("http://dbpedia.org/resource/Logarithm"),
+            Triple(
+                Iri("http://example.org/elementary#logarithm"),
+                Iri("http://www.w3.org/2000/01/rdf-schema#seeAlso"),
+                Iri("http://dbpedia.org/resource/Logarithm"),
             )
         ]
 

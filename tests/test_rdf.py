@@ -486,6 +486,41 @@ class TestOnePass:
             parse_turtle(text)
         assert err.value.prefix == "no"
 
+    @pytest.mark.parametrize(
+        "text, line, column, expected",
+        [
+            ('<s> "open', 1, 1, "an absolute IRI (got <s>)"),
+            ('<http://a/s> <p> "open', 1, 14, "an absolute IRI (got <p>)"),
+            ('<http://a/s> <http://a/p> <o> "open', 1, 27, "an absolute IRI (got <o>)"),
+            ('<http://a/s> <http://a/p> "x"^^<d> "open', 1, 32, "an absolute IRI (got <d>)"),
+            ('@prefix ex:a "open', 1, 9, "a prefix name ending in ':'"),
+            ('@prefix ex: <e> "open', 1, 13, "an absolute IRI (got <e>)"),
+        ],
+    )
+    def test_a_term_error_before_a_lexical_error_in_the_next_token_wins(
+        self, text, line, column, expected
+    ):
+        with pytest.raises(TurtleSyntaxError) as err:
+            parse_turtle(text)
+        assert (err.value.line, err.value.column, err.value.expected) == (line, column, expected)
+
+    @pytest.mark.parametrize(
+        "text",
+        ['no:a "open', '<http://a/s> no:p "open', '<http://a/s> <http://a/p> "x"^^no:d "open'],
+    )
+    def test_an_undeclared_prefix_before_a_lexical_error_in_the_next_token_wins(self, text):
+        with pytest.raises(UnknownPrefixError) as err:
+            parse_turtle(text)
+        assert err.value.prefix == "no"
+
+    def test_the_bracket_over_the_nesting_bound_wins_over_the_next_token(self):
+        text = "<http://a/s> <http://a/p> " + "[ <http://a/p> " * MAX_NESTING + '[ "open'
+        with pytest.raises(TurtleSyntaxError) as err:
+            parse_turtle(text)
+        column = len(text) - len('[ "open') + 1
+        assert (err.value.line, err.value.column) == (1, column)
+        assert err.value.expected == f"at most {MAX_NESTING} nested '['"
+
 
 class TestParseFuzz:
     @settings(max_examples=1000, deadline=None)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import logging
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import example, given, reject, settings
@@ -27,6 +28,7 @@ from omld.om import (
     OMSymbol,
     OMVariable,
     parse_om_xml,
+    parse_symbol_uri,
     serialize_om_xml,
 )
 from omld.rdf import RDF_VALUE, Graph, Iri, Literal, parse_turtle
@@ -265,6 +267,84 @@ class TestExpand:
             inner = expand(term, local_store)
             outer = expand_outermost(term, local_store)
             assert inner == outer
+
+
+def _call(cdname: str, name: str, *args: str) -> str:
+    """OpenMath XML of ``name(args)``, ``name`` a symbol of the CD at http://example.org."""
+    own = f'<OMS cdbase="http://example.org" cd="{cdname}" name="{name}"/>'
+    return f"<OMA>{own}{''.join(args)}</OMA>"
+
+
+def _unary_cd(cdname: str, **bodies: str) -> CdStore:
+    """A store of one CD at http://example.org that defines each ``name(x)`` as its body."""
+    x = '<OMV name="x"/>'
+    definitions = "".join(
+        f"<CDDefinition><Name>{name}</Name><FMP><OMOBJ><OMA>"
+        f'<OMS cd="relation1" name="eq"/>{_call(cdname, name, x)}{body}'
+        "</OMA></OMOBJ></FMP></CDDefinition>"
+        for name, body in bodies.items()
+    )
+    store = CdStore()
+    store.add(
+        parse_cd_xml(
+            f"<CD><CDName>{cdname}</CDName><CDBase>http://example.org</CDBase>{definitions}</CD>"
+        )
+    )
+    return store
+
+
+class TestLazyArguments:
+    """Expansion substitutes an argument unexpanded, so a callee that drops it never expands it.
+
+    ``loop(x)`` never reaches a fixpoint and ``bad(x)`` calls ``one`` with two
+    arguments, yet ``one(loop(x))`` and ``one(bad(x))`` are 1.
+    """
+
+    X = '<OMV name="x"/>'
+    LAZY = "http://example.org/lazy#"
+
+    @pytest.fixture(scope="class")
+    def store(self):
+        call = partial(_call, "lazy")
+        return _unary_cd(
+            "lazy",
+            one="<OMI>1</OMI>",
+            loop=call("loop", self.X),
+            bad=call("one", self.X, self.X),
+            f=call("one", call("loop", self.X)),
+            g=call("one", call("bad", self.X)),
+        )
+
+    @pytest.mark.parametrize("name", ["f", "g"])
+    def test_expand_drops_the_unused_argument(self, store, name):
+        term = OMApplication(parse_symbol_uri(self.LAZY + name), (OMInteger(5),))
+        assert serialize_om_xml(expand(term, store)) == serialize_om_xml(OMInteger(1))
+
+    @pytest.mark.parametrize("name", ["f", "g"])
+    def test_the_compiled_function_runs_to_one(self, store, name):
+        program = rewrite.compile_function(self.LAZY + name, 1, store)
+        assert program.run([5.0], (OMInteger(5),)) == 1.0
+
+    def test_verify_matches_a_point_over_f(self, store):
+        text = DATASET_PREFIXES + point_turtle("P", 1, self.LAZY + "f", ('"5"^^xsd:decimal',))
+        (result,) = verify_dataset(parse_turtle(text), store, tolerance=1e-9).results
+        assert (result.status, result.computed) == ("match", 1.0)
+
+    def test_the_first_arity_error_is_the_one_met_pass_by_pass(self):
+        # One pass rewrites f's body: g(5) becomes k(5, 5), and h(5, 5) fails.
+        # Expanding g(5) fully first would fail at k(5, 5) instead.
+        x = self.X
+        call = partial(_call, "order")
+        plus = f'<OMA><OMS cd="arith1" name="plus"/>{call("g", x)}{call("h", x, x)}</OMA>'
+        store = _unary_cd("order", f=plus, g=call("k", x, x), h=x, k=x)
+        message = "http://example.org/order#h expects 1 argument(s), got 2"
+        term = OMApplication(parse_symbol_uri("http://example.org/order#f"), (OMInteger(5),))
+        with pytest.raises(ArityMismatchError) as err:
+            expand(term, store)
+        assert str(err.value) == message
+        with pytest.raises(ArityMismatchError) as err:
+            rewrite.compile_function("http://example.org/order#f", 1, store)
+        assert str(err.value) == message
 
 
 def _symbols(obj):

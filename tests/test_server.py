@@ -584,6 +584,80 @@ class TestHttp:
         finally:
             server.close()
 
+    def test_a_connection_over_the_cap_gets_503_and_a_freed_slot_serves_again(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(omld.server, "MAX_CONNECTIONS", 2)
+        server = CdServer(CD_DIR, port=0).start()
+        try:
+            before = threading.active_count()
+            address = ("127.0.0.1", server.port)
+            held = [socket.create_connection(address, timeout=5) for _ in range(2)]
+            try:
+                with socket.create_connection(address, timeout=5) as over:
+                    data = b""
+                    while chunk := over.recv(65536):  # the 503, then EOF
+                        data += chunk
+                [(status, headers, body)] = _responses(data, ["GET"])
+                assert (status, body) == (503, b"Service Unavailable\n")
+                assert headers["Connection"] == "close" and "Date" in headers
+                assert threading.active_count() == before + 2  # no thread for the third
+                held[0].close()
+                deadline = time.monotonic() + 5
+                while threading.active_count() > before + 1 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                data = _request("GET", "/statistics", "Connection: close")
+                assert _responses(_exchange(server.port, data), ["GET"])[0][0] == 200
+            finally:
+                for sock in held:
+                    sock.close()
+        finally:
+            server.close()
+        assert capsys.readouterr().err == ""
+
+    def test_the_cap_keeps_its_slots_through_many_short_connections(self, monkeypatch, capsys):
+        monkeypatch.setattr(omld.server, "MAX_CONNECTIONS", 3)
+        server = CdServer(CD_DIR, port=0).start()
+        statuses: list[int] = []
+
+        def client():
+            for _ in range(20):
+                data = _request("GET", "/statistics/hdi", "Connection: close")
+                statuses.append(_responses(_exchange(server.port, data), ["GET"])[0][0])
+
+        interval = sys.getswitchinterval()
+        try:
+            before = threading.active_count()
+            sys.setswitchinterval(1e-5)
+            try:
+                clients = [threading.Thread(target=client) for _ in range(6)]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(timeout=30)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in clients)
+            assert len(statuses) == 120 and set(statuses) <= {200, 503} and 200 in statuses
+            # Every slot is free again, and there are still exactly three.
+            deadline = time.monotonic() + 5
+            while threading.active_count() > before and time.monotonic() < deadline:
+                time.sleep(0.01)
+            address = ("127.0.0.1", server.port)
+            held = [socket.create_connection(address, timeout=5) for _ in range(3)]
+            try:
+                deadline = time.monotonic() + 5
+                while threading.active_count() < before + 3 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert threading.active_count() == before + 3
+                assert _exchange(server.port, b"").startswith(b"HTTP/1.1 503 ")
+            finally:
+                for sock in held:
+                    sock.close()
+        finally:
+            server.close()
+        assert capsys.readouterr().err == ""
+
     def test_a_client_that_hangs_up_mid_request(self, cd_server):
         with socket.create_connection(("127.0.0.1", cd_server.port), timeout=5) as sock:
             sock.sendall(b"GET /statistics HTTP/1.1\r\nAccept: text/tur")

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omld.annotations import Derivation
-from omld.cd import ContentDictionary, DefinitionalFMP, LoadedCd, SymbolDefinition, TypedLink
+from omld.cd import ContentDictionary, DefinitionalFMP, LoadedCd, SymbolDefinition
 from omld.config import ToolkitConfig
 from omld.om import (
     DEFAULT_CDBASE,
@@ -99,7 +99,6 @@ FIELDS = {
         ("symbol", "params", "body"),
         st.tuples(symbols, _tuples_of(variables), leaves),
     ),
-    TypedLink: (("subject", "predicate", "object"), st.tuples(iris, iris, iris)),
     LoadedCd: (
         ("path", "cd", "raw"),
         st.tuples(
@@ -171,10 +170,6 @@ def test_values_are_equal_only_within_one_class(a, b):
         (OMInteger(1), OMFloat(1.0)),
         (OMString("x"), OMVariable("x")),
         (OMString("urn:z"), Iri("urn:z")),
-        (
-            Triple(Iri("urn:a"), Iri("urn:b"), Iri("urn:c")),
-            TypedLink(Iri("urn:a"), Iri("urn:b"), Iri("urn:c")),
-        ),
     ],
 )
 def test_same_fields_in_two_classes_are_not_equal(a, b):
