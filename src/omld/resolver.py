@@ -5,7 +5,10 @@ first, as fragments never reach the server.  Nothing is cached here:
 ``fetch_cd`` is the fetch hook of a ``CdStore``, which is keyed by CD URL and
 remembers each URL it fetched, or failed to fetch, for the life of the store,
 so one run requests each CD at most once.  Response bodies are read up to
-``MAX_BODY_BYTES``.
+``MAX_BODY_BYTES``, and one fetch, redirects included, ends in FetchError once
+it has taken ``FETCH_TIMEOUT`` seconds.  Every socket operation waits only for
+the time left; the name lookup before a connection cannot be cut short, but
+its time counts.
 
 The transport is injectable, which is how tests count requests and simulate
 broken servers.
@@ -13,6 +16,9 @@ broken servers.
 
 from __future__ import annotations
 
+import io
+import time
+from functools import partial
 from typing import Callable
 from urllib.parse import urljoin, urlsplit, urlunsplit
 
@@ -26,6 +32,7 @@ Transport = Callable[[str, dict[str, str]], tuple[int, dict[str, str], bytes]]
 
 MAX_REDIRECTS = 5
 MAX_BODY_BYTES = 16 * 1024 * 1024
+FETCH_TIMEOUT = 30.0  # seconds for one fetch with its redirects
 _REDIRECT_STATUSES = (301, 302, 303)
 
 
@@ -67,8 +74,41 @@ def strip_fragment(url: str) -> str:
     return urlunsplit((parts.scheme, parts.netloc, parts.path, parts.query, ""))
 
 
-def _default_transport(url: str, headers: dict[str, str]) -> tuple[int, dict[str, str], bytes]:
+class _TimedSocketFile(io.RawIOBase):
+    """A raw socket file whose every read waits only for ``time_left()`` seconds."""
+
+    def __init__(self, file: io.RawIOBase, sock, time_left: Callable[[], float]):
+        self.file = file
+        self.sock = sock
+        self.time_left = time_left
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int | None:
+        self.sock.settimeout(self.time_left())
+        return self.file.readinto(buffer)
+
+    def close(self) -> None:
+        self.file.close()
+        super().close()
+
+
+def _default_transport(
+    url: str, headers: dict[str, str], deadline: float | None = None
+) -> tuple[int, dict[str, str], bytes]:
+    """GET ``url``, done by ``deadline`` (time.monotonic), or within FETCH_TIMEOUT."""
     import http.client
+
+    if deadline is None:
+        deadline = time.monotonic() + FETCH_TIMEOUT
+
+    def time_left() -> float:
+        """The timeout of the next socket operation: 10 s, or what is left of the fetch."""
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise FetchError(url, f"not done within {FETCH_TIMEOUT:g} s")
+        return min(left, 10)
 
     parts = urlsplit(url)
     if parts.scheme not in ("http", "https"):
@@ -77,13 +117,21 @@ def _default_transport(url: str, headers: dict[str, str]) -> tuple[int, dict[str
         raise FetchError(url, "no host")
     conn_cls = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
     try:
-        conn = conn_cls(parts.hostname, parts.port, timeout=10)
+        conn = conn_cls(parts.hostname, parts.port, timeout=time_left())
     except (ValueError, http.client.InvalidURL) as exc:  # a bad port, or a bad character in the host
         raise FetchError(url, str(exc)) from None
     # The request line carries only path and query; the fragment stays local.
     path = parts.path or "/"
     if parts.query:
         path += "?" + parts.query
+
+    def timed_response(sock, **kwargs) -> http.client.HTTPResponse:
+        """A response that reads its status line, headers and body against the deadline."""
+        response = http.client.HTTPResponse(sock, **kwargs)
+        response.fp = io.BufferedReader(_TimedSocketFile(response.fp.detach(), sock, time_left))
+        return response
+
+    conn.response_class = timed_response
     try:
         conn.request("GET", path, headers={**headers, "Connection": "close"})
         response = conn.getresponse()
@@ -101,8 +149,13 @@ def _default_transport(url: str, headers: dict[str, str]) -> tuple[int, dict[str
 
 
 def negotiate_fetch(url: str, accept: str, transport: Transport | None = None) -> FetchResult:
-    """GET with one Accept value, following 301/302/303 up to MAX_REDIRECTS."""
-    transport = transport or _default_transport
+    """GET with one Accept value, following 301/302/303 up to MAX_REDIRECTS.
+
+    The default transport ends the whole fetch after FETCH_TIMEOUT seconds.
+    """
+    transport = transport or partial(
+        _default_transport, deadline=time.monotonic() + FETCH_TIMEOUT
+    )
     current = strip_fragment(url)
     headers = {"Accept": accept}
     chain: list[str] = []

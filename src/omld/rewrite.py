@@ -1,12 +1,26 @@
 """Definition expansion, compiled evaluation, and dataset verification.
 
-Expansion rewrites every application whose head has a definitional FMP in its
-CD, innermost first, pass by pass until nothing changes.  The base
-operations, the seven arith1 operations under the default cdbase, are never
-expanded; symbols without a definition stay in place and show up in the
-residual set.  A definition-set that still rewrites after ``MAX_PASSES``
-passes is reported as cyclic.  Every walk over a term keeps its own stack,
-so a term of any depth expands.
+Expansion replaces every application whose head has a definitional FMP in
+its CD by that definition's body, and every bare symbol with a definition of
+no parameters by its body, until none is left.  The base operations, the
+seven arith1 operations under the default cdbase, are never expanded;
+symbols without a definition stay in place and show up in the residual set.
+
+Each definition's body is expanded once per store, at its first use, with
+its parameters left as variables.  An application of a defined symbol then
+becomes that expanded body with the arguments it uses substituted, each
+expanded first, left to right.  An argument the expanded body does not use is
+never expanded, so a callee that drops an argument never meets its errors.
+Where an argument is a bare symbol, the substituted body may apply it, so the
+result is walked again.  Errors come in the order of this depth-first walk:
+a callee's arity, then its body, then its arguments left to right.
+
+A definition whose expansion needs itself is cyclic, as is an application
+whose walked-again result meets the same function applied to the same bare
+symbols: either would expand for ever.  Both raise CyclicDefinitionError
+naming the definitions on the cycle.  Every walk over a term, and the
+definitions whose bodies are being expanded, keep their own stacks, so a term
+of any depth and a chain of any length expand.
 
 A derived point is computed in two steps.  Its function is compiled once per
 run and arity (``CdStore.program``): the function applied to parameter slots
@@ -30,7 +44,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Generator, Iterable, Iterator, Mapping
 from decimal import Decimal
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -70,14 +84,10 @@ if TYPE_CHECKING:
     from .cd import ContentDictionary, DefinitionalFMP
 
 
-class DepthExceededError(ToolkitError):
-    def __init__(self, max_depth: int, chain: list[str]):
-        self.max_depth = max_depth
-        self.chain = chain
-        super().__init__(
-            f"no fixpoint after {max_depth} rewrite passes; still expanding: "
-            + ", ".join(chain)
-        )
+class CyclicDefinitionError(ToolkitError):
+    def __init__(self, cycle: Iterable[OMSymbol]):
+        self.cycle = sorted({symbol_iri(sym).value for sym in cycle})
+        super().__init__("cyclic definition: " + ", ".join(self.cycle))
 
 
 class ArityMismatchError(ToolkitError):
@@ -142,6 +152,7 @@ class CdStore:
         self._cds: dict[str, ContentDictionary] = {}
         self._fetch_errors: dict[str, Exception] = {}
         self._programs: dict[tuple[str, int], Program | ToolkitError] = {}
+        self._bodies: dict[OMSymbol, tuple[OMObject, list[tuple[int, str]]]] = {}  # for expand
         self._unread: list[str | Path] = []
 
     def add(self, cd: ContentDictionary) -> None:
@@ -149,7 +160,8 @@ class CdStore:
         existing = self._cds.get(url)
         if existing is None:
             self._cds[url] = cd
-            self._programs.clear()  # a new CD may define what a program lacked
+            self._programs.clear()  # a new CD may define what a program or body lacked
+            self._bodies.clear()
         else:
             from .cd import serialize_cd_xml as text  # compares at any depth, where == recurses
 
@@ -183,8 +195,8 @@ class CdStore:
         return cd
 
     def definition(self, sym: OMSymbol) -> DefinitionalFMP | None:
-        """The symbol's definitional FMP from its CD's table, or None."""
-        cd = self.lookup(cd_url(sym.cdbase, sym.cd))
+        """The symbol's definitional FMP from its CD's table, or None; a base operation has none."""
+        cd = self.lookup(cd_url(sym.cdbase, sym.cd)) if _base_op(sym) is None else None
         return None if cd is None else cd.definitional.get(sym.name)
 
     def fetch_error(self, url: str) -> Exception | None:
@@ -209,9 +221,6 @@ class CdStore:
 # ---------------------------------------------------------------------------
 # Base operations
 # ---------------------------------------------------------------------------
-
-MAX_PASSES = 32  # changing rewrite passes before expansion is reported as cyclic
-
 
 def _fold(fn: Callable[[float, float], float]) -> Callable[[list[float]], float]:
     def apply(args: list[float]) -> float:
@@ -335,75 +344,92 @@ def _binding_tasks(
 # ---------------------------------------------------------------------------
 
 
-def _rewrite_pass(obj: OMObject, store: CdStore, rewritten: list[OMSymbol]) -> OMObject:
-    """One innermost-first pass; substituted bodies wait for the next pass.
-
-    An application's arguments are rewritten left to right, then a head that
-    is not a symbol; a binding's binder, then its body.
-    """
-    # Each open node: the node, its subterms to rewrite in order, and the results so far.
-    stack: list[tuple[OMObject, tuple[OMObject, ...], list[OMObject]]] = []
-    while True:
-        if isinstance(obj, OMApplication):
-            todo = obj.args if isinstance(obj.head, OMSymbol) else (*obj.args, obj.head)
-            stack.append((obj, todo, []))
-            obj = todo[0]
-            continue
-        if isinstance(obj, OMBinding):
-            stack.append((obj, (obj.binder, obj.body), []))
-            obj = obj.binder
-            continue
-        if isinstance(obj, OMSymbol) and _base_op(obj) is None:
-            defn = store.definition(obj)
-            if defn is not None and defn.arity == 0:
-                rewritten.append(obj)
-                obj = defn.body
-        while stack:
-            node, todo, done = stack[-1]
-            done.append(obj)
-            if len(done) < len(todo):
-                obj = todo[len(done)]
-                break
-            stack.pop()
-            if isinstance(node, OMBinding):
-                obj = OMBinding(done[0], node.variables, done[1])
-            elif isinstance(node.head, OMSymbol):
-                obj = _rewrite_application(node.head, tuple(done), store, rewritten)
-            else:
-                obj = OMApplication(done[-1], tuple(done[:-1]))
-        else:
-            return obj
-
-
-def _rewrite_application(
-    head: OMSymbol, args: tuple[OMObject, ...], store: CdStore, rewritten: list[OMSymbol]
-) -> OMObject:
-    """``head(args)``, or the body of head's definition with its parameters replaced."""
-    if _base_op(head) is None:
-        defn = store.definition(head)
-        if defn is not None:
-            if defn.arity != len(args):
-                raise ArityMismatchError(symbol_iri(head).value, defn.arity, len(args))
-            rewritten.append(head)
-            mapping = {p.name: a for p, a in zip(defn.params, args)}
-            return _replace(defn.body, mapping, frozenset())
-    return OMApplication(head, args)
-
-
 def expand(obj: OMObject, store: CdStore) -> OMObject:
-    """Rewrite to fixpoint with at most ``MAX_PASSES`` changing passes."""
-    term = obj
-    passes = 0
+    """The term with every defined symbol expanded (see the module docstring)."""
+    # The walks in progress: the term's, then each definition's whose expanded
+    # body the walk before it needs.
+    walks: list[tuple[DefinitionalFMP | None, Generator]] = [(None, _walk(obj, store))]
+    sent = None
     while True:
-        rewritten: list[OMSymbol] = []
-        new_term = _rewrite_pass(term, store, rewritten)
-        if not rewritten:  # a pass without a rewrite rebuilds an equal term
-            return term
-        passes += 1
-        if passes > MAX_PASSES:
-            chain = sorted({symbol_iri(sym).value for sym in rewritten})
-            raise DepthExceededError(MAX_PASSES, chain)
-        term = new_term
+        defn, walk = walks[-1]
+        try:
+            needed = walk.send(sent)
+        except StopIteration as stop:
+            walks.pop()
+            if defn is None:
+                return stop.value
+            free = free_variables(stop.value)
+            used = [(i, slot) for i, slot in enumerate(_slots(defn.arity)) if slot in free]
+            sent = store._bodies[defn.symbol] = (stop.value, used)
+            continue
+        pending = [d.symbol for d, _ in walks[1:]]
+        if needed.symbol in pending:
+            raise CyclicDefinitionError(pending[pending.index(needed.symbol) :])
+        # Slots for the parameters, so that no binding in the body renames its
+        # variables to keep clear of a parameter's name.
+        slots = {p.name: OMVariable(slot) for p, slot in zip(needed.params, _slots(needed.arity))}
+        walks.append((needed, _walk(_replace(needed.body, slots, frozenset()), store)))
+        sent = None
+
+
+def _slots(n: int) -> list[str]:
+    """Names for n parameters that no XML document gives a variable."""
+    return [f"\0{i}" for i in range(n)]
+
+
+def _walk(obj: OMObject, store: CdStore) -> Generator[DefinitionalFMP, tuple, OMObject]:
+    """Expand a term; yield each definition whose expanded body the store lacks, to be sent it."""
+    keys: list[tuple] = []  # the applications whose results are walked again, outermost first
+    values: list[OMObject] = []
+    # The subterms still to expand, and after each node's subterms what to
+    # build from their values, last first: (node, n) rebuilds a node from n
+    # values, (symbol, body, used) puts a call's used arguments into the
+    # slots of its expanded body, and () ends a result walked again.
+    todo: list = [obj]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, OMApplication):
+            head = obj.head
+            defn = store.definition(head) if isinstance(head, OMSymbol) else None
+            if defn is None:  # an undefined head symbol walks to itself
+                todo.extend(((obj, 1 + len(obj.args)), *reversed(obj.args), head))
+                continue
+            if defn.arity != len(obj.args):
+                raise ArityMismatchError(symbol_iri(head).value, defn.arity, len(obj.args))
+            body, used = store._bodies.get(defn.symbol) or (yield defn)
+            todo.extend(((defn.symbol, body, used), *(obj.args[i] for i, _ in reversed(used))))
+        elif isinstance(obj, OMBinding):
+            todo.extend(((obj, 2), obj.body, obj.binder))
+        elif not isinstance(obj, tuple):
+            defn = store.definition(obj) if isinstance(obj, OMSymbol) else None
+            if defn is not None and defn.arity == 0:
+                obj = (store._bodies.get(defn.symbol) or (yield defn))[0]
+            values.append(obj)
+        elif len(obj) == 2:
+            node, n = obj
+            parts = [values.pop() for _ in range(n)][::-1]
+            if isinstance(node, OMBinding):
+                values.append(OMBinding(parts[0], node.variables, parts[1]))
+                continue
+            # A head that was no symbol and expanded to one may name a definition.
+            walked = parts[0] is not node.head and isinstance(parts[0], OMSymbol)
+            (todo if walked else values).append(OMApplication(parts[0], tuple(parts[1:])))
+        elif obj:
+            own, body, used = obj
+            args = [values.pop() for _ in used][::-1]
+            result = _replace(body, {slot: a for (_, slot), a in zip(used, args)}, frozenset())
+            if not any(isinstance(a, OMSymbol) for a in args):
+                values.append(result)
+                continue
+            # A parameter in head position may now name a definition.
+            key = (own, tuple(a if isinstance(a, OMSymbol) else None for a in args))
+            if key in keys:
+                raise CyclicDefinitionError(k[0] for k in keys[keys.index(key) :])
+            keys.append(key)
+            todo.extend(((), result))
+        else:
+            keys.pop()
+    return values[0]
 
 
 def residual_symbols(obj: OMObject) -> list[str]:
@@ -531,7 +557,7 @@ def compile_function(function: str, arity: int, store: CdStore) -> Program:
     The application is expanded, and a symbol left without a definition
     fails as its CD's remembered fetch error or as UnknownSymbolError.
     """
-    params = tuple(f"\0{i}" for i in range(arity))  # no XML document names such a variable
+    params = tuple(_slots(arity))
     term = OMApplication(parse_symbol_uri(function), tuple(OMVariable(p) for p in params))
     expanded = expand(term, store)
     residual = residual_symbols(expanded)

@@ -14,12 +14,16 @@ its headers until the client's delayed ACK, ~40 ms per keep-alive request.
 
 ``CdServer`` is the threading TCP server itself, one thread per connection.
 It serves at most ``MAX_CONNECTIONS`` connections at once and answers one
-more with ``503 Service Unavailable`` and closes it.
+more with ``503 Service Unavailable`` and closes it.  A connection waits at
+most ``IDLE_TIMEOUT`` for a request; a request line and headers that have not
+all come ``REQUEST_TIMEOUT`` after their first byte are answered ``408
+Request Timeout``, and the connection closes.
 """
 
 from __future__ import annotations
 
 import html
+import io
 import re
 import socketserver
 import sys
@@ -260,6 +264,7 @@ def load_snapshot(directory: str | Path) -> dict[str, LoadedCd]:
 MAX_LINE = 65536  # bytes in a request line or header line, as in http.server
 MAX_HEADERS = 100
 IDLE_TIMEOUT = 30.0  # seconds a connection may wait for its next request before it closes
+REQUEST_TIMEOUT = 10.0  # seconds from a request's first byte to the end of its headers
 MAX_CONNECTIONS = 64  # connections served at once; one more is answered 503 and closed
 _VERSION_RE = re.compile(r"HTTP/[0-9]\.[0-9]")
 
@@ -282,6 +287,40 @@ def _error_response(status: int) -> bytes:
     return _response(status, {"Content-Type": "text/plain", "Connection": "close"}, body)
 
 
+class _RequestReader(io.RawIOBase):
+    """The socket under a handler's ``rfile``.
+
+    Its first read of a request starts the request's deadline; each later
+    read waits only for the time left, and none is left raises TimeoutError.
+    No timer or thread is started: the socket's own timeout does the waiting.
+    """
+
+    def __init__(self, sock, idle_timeout: float | None):
+        self.sock = sock
+        self.idle_timeout = idle_timeout
+        self.deadline: float | None = None  # None between requests
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        if self.deadline is not None:
+            left = self.deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("request timeout")
+            self.sock.settimeout(left)
+        n = self.sock.recv_into(buffer)
+        if self.deadline is None:
+            self.deadline = time.monotonic() + REQUEST_TIMEOUT
+        return n
+
+    def end_request(self) -> None:
+        """The request is read: wait for the next one as an idle connection does."""
+        self.deadline = None
+        if self.sock.gettimeout() != self.idle_timeout:  # a read waited for less
+            self.sock.settimeout(self.idle_timeout)
+
+
 class _Handler(socketserver.StreamRequestHandler):
     """HTTP/1.1 on one connection: read a request, write its whole response at once, repeat."""
 
@@ -289,10 +328,21 @@ class _Handler(socketserver.StreamRequestHandler):
     disable_nagle_algorithm = True
     timeout = IDLE_TIMEOUT  # a timed-out read raises OSError, which ends handle()
 
+    def setup(self) -> None:
+        super().setup()
+        self.rfile.close()  # the socket file; the reader below reads the socket itself
+        self.reader = _RequestReader(self.connection, self.timeout)
+        self.rfile = io.BufferedReader(self.reader)
+
     def handle(self) -> None:
         try:
-            while self._exchange():
-                pass
+            try:
+                while self._exchange():
+                    pass
+            except TimeoutError:
+                if self.reader.deadline is not None:  # the request came too slowly
+                    self.reader.end_request()
+                    self._error(408)
         except OSError:  # the client reset the connection or stopped reading
             pass
 
@@ -324,6 +374,7 @@ class _Handler(socketserver.StreamRequestHandler):
             fields.setdefault(name.lower(), value.strip())
         else:
             return self._error(431)
+        self.reader.end_request()
 
         # This server reads no request body: a request that has one is
         # answered, and then the connection closes before the body is read.

@@ -8,6 +8,7 @@ import re
 import socket
 import sys
 import threading
+import time
 import xml.etree.ElementTree as ET
 from contextlib import contextmanager
 from decimal import Decimal
@@ -185,20 +186,21 @@ class CountingTransport:
         self._cds = cds
         self._real = resolver._default_transport
 
-    def __call__(self, url: str, headers: dict[str, str]):
+    def __call__(self, url: str, headers: dict[str, str], deadline: float | None = None):
         self.urls.append(url)
         if self._cds is None:
-            return self._real(url, headers)
+            return self._real(url, headers, deadline)
         if url in self._cds:
             return 200, {"content-type": OPENMATH_XML_MIME}, self._cds[url]
         return 404, {}, b""
 
 
 @contextmanager
-def one_shot_server(response: bytes) -> Iterator[str]:
+def one_shot_server(response: bytes, pieces: int = 1, gap: float = 0.0) -> Iterator[str]:
     """Yield the base URL of a loopback socket that answers one request with ``response``.
 
-    The bytes are sent as they are, so a test can serve a malformed response.
+    The bytes are sent as they are, so a test can serve a malformed response,
+    in ``pieces`` parts ``gap`` seconds apart.
     """
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(10)
@@ -215,7 +217,14 @@ def one_shot_server(response: bytes) -> Iterator[str]:
                 if not chunk:
                     break
                 request += chunk
-            conn.sendall(response)
+            step = max(1, -(-len(response) // pieces))
+            for start in range(0, len(response), step):
+                if start:
+                    time.sleep(gap)
+                try:
+                    conn.sendall(response[start : start + step])
+                except OSError:  # the client gave up
+                    return
 
     thread = threading.Thread(target=answer, daemon=True)
     thread.start()

@@ -313,6 +313,36 @@ class TestVerifyCommand:
             ("mismatch", 1.7e308, -1.7e308, None)
         ]
 
+    def test_a_growing_cyclic_definition_exits_2_at_once(self, tmp_path):
+        # f(x) = plus(f(x), f(x)) doubles the term at each step of its expansion.
+        call = '<OMA><OMS cdbase="http://example.org" cd="grow" name="f"/><OMV name="x"/></OMA>'
+        (tmp_path / "grow.ocd").write_text(
+            demo_cd("grow", f'<OMA><OMS cd="arith1" name="plus"/>{call}{call}</OMA>')
+        )
+        dataset = tmp_path / "data.ttl"
+        dataset.write_text(
+            DATASET_PREFIXES
+            + point_turtle("L", 1)
+            + point_turtle("P", 2, "http://example.org/grow#f", ["ahs:L"])
+        )
+        config = tmp_path / "omld.json"
+        config.write_text(json.dumps({"cd_dirs": [str(tmp_path)]}))
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "omld", "verify", str(dataset), "--config", str(config)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=10,
+        )
+        assert time.monotonic() - start < 5
+        assert (proc.returncode, proc.stderr) == (2, "")
+        assert proc.stdout == (
+            "UNCOMPUTABLE http://example.org/ns/ahs#P reason=CyclicDefinitionError: "
+            "cyclic definition: http://example.org/grow#f\n"
+        )
+
 
 class TestRecomputeCommand:
     def test_edited_base_value(self, tmp_path, config_file):

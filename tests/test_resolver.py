@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from functools import partial
 
 import pytest
@@ -14,9 +15,12 @@ from omld.resolver import (
     negotiate_fetch,
     strip_fragment,
 )
-from omld.rewrite import CdStore
+from omld.rdf import Iri, parse_turtle, serialize_turtle
+from omld.rewrite import CdStore, query_max_increase, recompute, verify_dataset
+from omld.server import CdServer
 
-from .helpers import CountingTransport, one_shot_server
+from .conftest import CD_DIR, fixture_text
+from .helpers import DATASET_PREFIXES, CountingTransport, one_shot_server, point_turtle
 
 
 class TestNegotiateFetch:
@@ -89,6 +93,23 @@ class TestNegotiateFetch:
         with one_shot_server(response) as base:
             with pytest.raises(FetchError):
                 fetch_cd(f"{base}/cd")
+
+    @pytest.mark.parametrize("pad", [0, 2000], ids=["body", "headers"])
+    def test_one_fetch_has_one_deadline(self, monkeypatch, pad):
+        # A valid CD sent in 8 pieces 0.3 s apart: each read is quick, the
+        # whole is not.  A padding header spreads the head over the pieces too.
+        cd = fixture_text("cds/statistics.ocd").encode()
+        head = f"HTTP/1.1 200 OK\r\nContent-Type: {OPENMATH_XML_MIME}\r\nX-Pad: {'a' * pad}\r\n"
+        response = (head + f"Content-Length: {len(cd)}\r\n\r\n").encode() + cd
+        monkeypatch.setattr(resolver, "FETCH_TIMEOUT", 1.0)
+        with one_shot_server(response, pieces=8, gap=0.3) as base:
+            start = time.monotonic()
+            with pytest.raises(FetchError, match="not done within 1 s|timed out"):
+                fetch_cd(f"{base}/statistics")
+            assert time.monotonic() - start < 2
+        monkeypatch.setattr(resolver, "FETCH_TIMEOUT", 30.0)
+        with one_shot_server(response, pieces=8, gap=0.3) as base:
+            assert fetch_cd(f"{base}/statistics").cdname == "statistics"
 
     def test_body_over_the_cap_is_a_fetch_error(self, cd_server, monkeypatch):
         url = f"{cd_server.base_iri}/statistics"
@@ -190,3 +211,73 @@ class TestStripFragment:
     def test_basic(self):
         assert strip_fragment("http://x.org/cd#name") == "http://x.org/cd"
         assert strip_fragment("http://x.org/cd") == "http://x.org/cd"
+
+
+class TestClosedLoop:
+    """The batch commands give the same answers from CDs read off disk and
+    from the same CDs fetched from a live ``CdServer`` that publishes them."""
+
+    HDI = "http://example.org/statistics#hdi"
+    C1 = "http://example.org/chain#c1"
+    ENV = "http://example.org/ns/env#"
+
+    def dataset(self) -> str:
+        lines = [DATASET_PREFIXES, "env:region-a a env:Region .\nenv:region-b a env:Region .\n"]
+        for name, value in (("L", 1), ("M", 2), ("N", 5)):
+            lines.append(point_turtle(name, value))
+        lines.append(point_turtle("H1", 1, self.HDI, ["ahs:L"] * 4))
+        lines.append(point_turtle("H2", "1.5", self.HDI, ["ahs:L", "ahs:M", "ahs:L", "ahs:M"]))
+        for point, region, year, source, value in (  # c1(x) = 2x + 9
+            ("CA1", "a", 2008, "L", 11),
+            ("CA2", "a", 2009, "N", 19),
+            ("CB1", "b", 2008, "M", 13),
+            ("CB2", "b", 2009, "N", 20),
+        ):
+            lines.append(point_turtle(point, value, self.C1, [f"ahs:{source}"]))
+            lines.append(f"ahs:{point} scv:dimension env:region-{region}, env:year-{year} .\n")
+        return "".join(lines)
+
+    def run(self, store: CdStore) -> tuple:
+        graph = parse_turtle(self.dataset())
+        years = Iri(self.ENV + "year-2008"), Iri(self.ENV + "year-2009")
+        return (
+            verify_dataset(graph, store, tolerance=1e-9).to_records(),
+            serialize_turtle(recompute(graph, store)),
+            query_max_increase(graph, Iri(self.C1), *years, store),
+        )
+
+    @pytest.fixture
+    def published(self):
+        """A fetching store, and the URLs it asked for, over a server whose base IRI is http://example.org."""
+        server = CdServer(CD_DIR, port=0, base_iri="http://example.org").start()
+        urls: list[str] = []
+
+        def transport(url, headers):
+            urls.append(url)
+            local = url.replace("http://example.org", f"http://127.0.0.1:{server.port}", 1)
+            return resolver._default_transport(local, headers)
+
+        try:
+            yield CdStore(fetch=partial(fetch_cd, transport=transport)), urls
+        finally:
+            server.close()
+
+    def test_fetched_cds_give_the_answers_of_the_directory(self, local_store, published):
+        store, urls = published
+        on_disk = self.run(local_store)
+        statuses = [record["status"] for record in on_disk[0]]
+        assert statuses == ["match", "match", "match", "mismatch", "match", "mismatch"]
+        assert on_disk[2] == (Iri(self.ENV + "region-a"), 8.0)
+        assert self.run(store) == on_disk
+        assert sorted(urls) == ["http://example.org/chain", "http://example.org/statistics"]
+
+    def test_a_cd_the_server_lacks_is_one_remembered_404(self, published):
+        store, urls = published
+        text = DATASET_PREFIXES + point_turtle("L", 1)
+        for i in range(3):
+            text += point_turtle(f"P{i}", 1, "http://example.org/missing#f", ["ahs:L"])
+        report = verify_dataset(parse_turtle(text), store, tolerance=1e-9)
+        assert urls == ["http://example.org/missing"]
+        assert store.fetch_error("http://example.org/missing").status == 404
+        reason = "FetchError: fetch of http://example.org/missing failed: HTTP status 404"
+        assert [r.reason for r in report.results] == [reason] * 3

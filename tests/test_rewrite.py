@@ -36,7 +36,7 @@ from omld.resolver import FetchError
 from omld.rewrite import (
     ArityMismatchError,
     CdStore,
-    DepthExceededError,
+    CyclicDefinitionError,
     DivisionByZeroError,
     FreeVariableError,
     NoComputableRegionError,
@@ -81,6 +81,7 @@ POWER = OMSymbol(cd="arith1", name="power")
 MINUS = OMSymbol(cd="arith1", name="minus")
 LAMBDA = OMSymbol(cd="fns1", name="lambda")
 HDI = OMSymbol(cd="statistics", name="hdi", cdbase="http://example.org")
+HDI_IRI = "http://example.org/statistics#hdi"
 AHS = "http://example.org/ns/ahs#"
 ENV = "http://example.org/ns/env#"
 
@@ -194,13 +195,14 @@ class TestExpand:
         term = OMApplication(DIVIDE, (OMInteger(693), OMInteger(380)))
         assert expand(term, local_store) == term
 
-    def test_cycle_raises_depth_exceeded(self, local_store):
-        f = OMSymbol(cd="cyclic", name="f", cdbase="http://example.org")
-        term = OMApplication(f, (OMInteger(1),))
-        with pytest.raises(DepthExceededError) as err:
-            expand(term, local_store)
-        assert err.value.max_depth == 32
-        assert err.value.chain
+    def test_a_cycle_is_named_whichever_member_is_met_first(self, local_store):
+        members = ["http://example.org/cyclic#f", "http://example.org/cyclic#g"]
+        for name in ("f", "g"):
+            sym = OMSymbol(cd="cyclic", name=name, cdbase="http://example.org")
+            with pytest.raises(CyclicDefinitionError) as err:
+                expand(OMApplication(sym, (OMInteger(1),)), local_store)
+            assert err.value.cycle == members
+            assert str(err.value) == "cyclic definition: " + ", ".join(members)
 
     def test_ten_deep_chain_expands_fully(self, local_store):
         c1 = OMSymbol(cd="chain", name="c1", cdbase="http://example.org")
@@ -209,16 +211,6 @@ class TestExpand:
         assert residual_symbols(expanded) == []
         # c1(5) = 5*2 + 9 ones
         assert evaluate(expanded) == 19.0
-
-    def test_depth_budget_is_rewrite_passes(self, local_store, monkeypatch):
-        c1 = OMSymbol(cd="chain", name="c1", cdbase="http://example.org")
-        term = OMApplication(c1, (OMInteger(5),))
-        monkeypatch.setattr(rewrite, "MAX_PASSES", 10)
-        assert expand(term, local_store) is not None
-        monkeypatch.setattr(rewrite, "MAX_PASSES", 9)
-        with pytest.raises(DepthExceededError) as err:
-            expand(term, local_store)
-        assert err.value.max_depth == 9
 
     def test_undefined_symbol_left_in_place(self, local_store):
         sin = OMSymbol(cd="transc1", name="sin")
@@ -275,22 +267,35 @@ def _call(cdname: str, name: str, *args: str) -> str:
     return f"<OMA>{own}{''.join(args)}</OMA>"
 
 
-def _unary_cd(cdname: str, **bodies: str) -> CdStore:
-    """A store of one CD at http://example.org that defines each ``name(x)`` as its body."""
-    x = '<OMV name="x"/>'
-    definitions = "".join(
-        f"<CDDefinition><Name>{name}</Name><FMP><OMOBJ><OMA>"
-        f'<OMS cd="relation1" name="eq"/>{_call(cdname, name, x)}{body}'
-        "</OMA></OMOBJ></FMP></CDDefinition>"
-        for name, body in bodies.items()
-    )
+def _cd_store(cdname: str, **definitions: str | tuple[tuple[str, ...], str]) -> CdStore:
+    """A store of one CD at http://example.org.
+
+    ``name=body`` defines ``name(x)`` as the body, and ``name=(params, body)``
+    defines ``name(*params)``.
+    """
+    parts = []
+    for name, definition in definitions.items():
+        params, body = definition if isinstance(definition, tuple) else (("x",), definition)
+        lhs = _call(cdname, name, *(f'<OMV name="{p}"/>' for p in params))
+        parts.append(
+            f"<CDDefinition><Name>{name}</Name><FMP><OMOBJ><OMA>"
+            f'<OMS cd="relation1" name="eq"/>{lhs}{body}</OMA></OMOBJ></FMP></CDDefinition>'
+        )
     store = CdStore()
     store.add(
         parse_cd_xml(
-            f"<CD><CDName>{cdname}</CDName><CDBase>http://example.org</CDBase>{definitions}</CD>"
+            f"<CD><CDName>{cdname}</CDName><CDBase>http://example.org</CDBase>{''.join(parts)}</CD>"
         )
     )
     return store
+
+
+def _chain_store(n: int) -> CdStore:
+    """The CD http://example.org/long: c<i>(x) = plus(c<i+1>(x), 1), and c<n>(x) = x."""
+    x = '<OMV name="x"/>'
+    plus = '<OMS cd="arith1" name="plus"/>'
+    bodies = {f"c{i}": f'<OMA>{plus}{_call("long", f"c{i + 1}", x)}<OMI>1</OMI></OMA>' for i in range(1, n)}
+    return _cd_store("long", **bodies, **{f"c{n}": x})
 
 
 class TestLazyArguments:
@@ -306,7 +311,7 @@ class TestLazyArguments:
     @pytest.fixture(scope="class")
     def store(self):
         call = partial(_call, "lazy")
-        return _unary_cd(
+        return _cd_store(
             "lazy",
             one="<OMI>1</OMI>",
             loop=call("loop", self.X),
@@ -330,14 +335,13 @@ class TestLazyArguments:
         (result,) = verify_dataset(parse_turtle(text), store, tolerance=1e-9).results
         assert (result.status, result.computed) == ("match", 1.0)
 
-    def test_the_first_arity_error_is_the_one_met_pass_by_pass(self):
-        # One pass rewrites f's body: g(5) becomes k(5, 5), and h(5, 5) fails.
-        # Expanding g(5) fully first would fail at k(5, 5) instead.
+    def test_the_first_arity_error_is_the_one_met_depth_first(self):
+        # f's body is expanded depth first: g's body, k(x, x), fails before h(x, x) is met.
         x = self.X
         call = partial(_call, "order")
         plus = f'<OMA><OMS cd="arith1" name="plus"/>{call("g", x)}{call("h", x, x)}</OMA>'
-        store = _unary_cd("order", f=plus, g=call("k", x, x), h=x, k=x)
-        message = "http://example.org/order#h expects 1 argument(s), got 2"
+        store = _cd_store("order", f=plus, g=call("k", x, x), h=x, k=x)
+        message = "http://example.org/order#k expects 1 argument(s), got 2"
         term = OMApplication(parse_symbol_uri("http://example.org/order#f"), (OMInteger(5),))
         with pytest.raises(ArityMismatchError) as err:
             expand(term, store)
@@ -345,6 +349,105 @@ class TestLazyArguments:
         with pytest.raises(ArityMismatchError) as err:
             rewrite.compile_function("http://example.org/order#f", 1, store)
         assert str(err.value) == message
+
+    def test_an_arity_error_in_a_dropped_argument_is_never_met(self, store):
+        inner = _call("lazy", "one", self.X, self.X)
+        term = parse_om_xml(f'<OMOBJ>{_call("lazy", "one", inner)}</OMOBJ>')
+        assert expand(term, store) == OMInteger(1)
+
+    def test_a_cycle_met_first_is_the_error_reported(self):
+        # The walk meets loop's cycle before bad's arity error; rewriting the
+        # whole term pass by pass would meet the arity error in its second pass.
+        x = self.X
+        call = partial(_call, "first")
+        plus = f'<OMA><OMS cd="arith1" name="plus"/>{call("loop", x)}{call("bad", x)}</OMA>'
+        store = _cd_store("first", f=plus, loop=call("loop", x), bad=call("f", x, x))
+        term = OMApplication(parse_symbol_uri("http://example.org/first#f"), (OMInteger(5),))
+        with pytest.raises(CyclicDefinitionError, match=r"^cyclic definition: \S+#loop$"):
+            expand(term, store)
+
+
+class TestOneExpansion:
+    """Each definition's body is expanded once per store, on explicit stacks,
+    and a definition that needs itself is named as a cycle."""
+
+    HO = "http://example.org/ho#"
+
+    @pytest.fixture(scope="class")
+    def store(self):
+        call = partial(_call, "ho")
+        f, x, y = '<OMV name="f"/>', '<OMV name="x"/>', '<OMV name="y"/>'
+        return _cd_store(
+            "ho",
+            app=(("f", "y"), f"<OMA>{f}{y}</OMA>"),
+            g=f'<OMA><OMS cd="arith1" name="plus"/>{x}<OMI>1</OMI></OMA>',
+            omega=(("f",), f"<OMA>{f}{f}</OMA>"),
+            grow=f'<OMA><OMS cd="arith1" name="plus"/>{call("grow", x) * 2}</OMA>',
+        )
+
+    def test_a_parameter_in_head_position_still_expands(self, store):
+        g = parse_symbol_uri(self.HO + "g")
+        term = OMApplication(parse_symbol_uri(self.HO + "app"), (g, OMInteger(3)))
+        assert expand(term, store) == OMApplication(PLUS, (OMInteger(3), OMInteger(1)))
+
+    def test_omega_applied_to_itself_is_cyclic_at_once(self, store):
+        omega = parse_symbol_uri(self.HO + "omega")
+        with pytest.raises(CyclicDefinitionError) as err:
+            expand(OMApplication(omega, (omega,)), store)
+        assert str(err.value) == f"cyclic definition: {self.HO}omega"
+
+    def test_a_growing_cycle_is_named_at_once(self, store):
+        term = OMApplication(parse_symbol_uri(self.HO + "grow"), (OMInteger(1),))
+        with pytest.raises(CyclicDefinitionError, match=f"^cyclic definition: {self.HO}grow$"):
+            expand(term, store)
+
+    def test_a_chain_deeper_than_32_expands(self):
+        term = OMApplication(parse_symbol_uri("http://example.org/long#c1"), (OMInteger(5),))
+        expanded = expand(term, _chain_store(40))
+        assert residual_symbols(expanded) == []
+        assert evaluate(expanded) == 44.0
+
+    def test_a_300_definition_chain_verifies_on_a_small_stack(self):
+        store = _chain_store(300)
+        text = DATASET_PREFIXES + point_turtle("P", 304, "http://example.org/long#c1", ('"5"^^xsd:decimal',))
+        with recursion_limit(150):
+            (result,) = verify_dataset(parse_turtle(text), store, tolerance=1e-9).results
+        assert (result.status, result.computed) == ("match", 304.0)
+
+    def test_each_body_is_expanded_once_per_store(self, monkeypatch):
+        walked = []
+        original = rewrite._walk
+        monkeypatch.setattr(rewrite, "_walk", lambda obj, store: walked.append(obj) or original(obj, store))
+        store = CdStore()
+        store.add_directory(CD_DIR)
+        hdi_xml = '<OMS cdbase="http://example.org" cd="statistics" name="hdi"/>'
+        x_xml = '<OMV name="x"/>'
+        store.add(parse_cd_xml(demo_cd("wrap", f"<OMA>{hdi_xml}{x_xml * 4}</OMA>")))
+        wrap = "http://example.org/wrap#f"
+        text = DATASET_PREFIXES + point_turtle("L", "0.5")
+        for i in range(5):
+            text += point_turtle(f"H{i}", "0.5", HDI_IRI, ("ahs:L",) * 4)
+            text += point_turtle(f"W{i}", "0.5", wrap, ("ahs:L",))
+        report = verify_dataset(parse_turtle(text), store, 1e-9)
+        assert {r.status for r in report.results} == {"match"}
+        for _ in range(2):
+            expand(OMApplication(parse_symbol_uri(wrap), (OMInteger(1),)), store)
+        # A walk for each of the two compiled functions and the two expand
+        # calls, and one for each of the two bodies they need: hdi's and wrap's.
+        assert len(walked) == 6
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_cd_points())
+    def test_expand_equals_outermost_expansion(self, case):
+        cd, derivation, inputs = case
+        store = CdStore()
+        store.add(cd)
+        try:
+            term = derivation_to_om(derivation, inputs)
+            expanded = expand(term, store)
+        except ToolkitError:
+            return  # only a term that expands has an expansion to compare
+        assert expanded == expand_outermost(term, store)
 
 
 def _symbols(obj):
@@ -994,7 +1097,7 @@ class TestDefinitionTable:
         x_xml = '<OMV name="x"/>'
         store.add(parse_cd_xml(demo_cd("wrap", f"<OMA>{hdi_xml}{x_xml * 4}</OMA>")))
         wrap = OMSymbol(cd="wrap", name="f", cdbase="http://example.org")
-        # wrap#f(i) becomes hdi(i, i, i, i) in one pass, which expands in the next.
+        # wrap#f's body is hdi(x, x, x, x), whose body is expanded in turn.
         term = OMApplication(
             PLUS,
             tuple(

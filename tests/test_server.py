@@ -3,6 +3,7 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import select
 import shutil
 import socket
 import statistics
@@ -657,6 +658,59 @@ class TestHttp:
         finally:
             server.close()
         assert capsys.readouterr().err == ""
+
+    def test_a_trickled_request_gets_408_at_its_deadline_and_frees_its_thread(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(omld.server, "REQUEST_TIMEOUT", 0.5)
+        server = CdServer(CD_DIR, port=0).start()
+        try:
+            before = threading.active_count()
+            trickle = b"GET /statistics HTTP/1.1\r\nX-Slow: " + b"a" * 100
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+                start = time.monotonic()
+                for byte in trickle:  # one byte every 0.1 s, 10 s in all
+                    try:
+                        sock.sendall(bytes([byte]))
+                    except OSError:  # the server has closed the connection
+                        break
+                    ready, _, _ = select.select([sock], [], [], 0.1)
+                    if ready:
+                        break
+                data = b""
+                while chunk := sock.recv(65536):
+                    data += chunk
+                elapsed = time.monotonic() - start
+            [(status, headers, body)] = _responses(data, ["GET"])
+            assert (status, headers["Connection"], body) == (408, "close", b"Request Timeout\n")
+            assert 0.5 <= elapsed < 1.5
+            deadline = time.monotonic() + 5
+            while threading.active_count() > before and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert threading.active_count() == before
+        finally:
+            server.close()
+        assert capsys.readouterr().err == ""
+
+    def test_the_request_deadline_starts_at_each_request(self, monkeypatch):
+        # A keep-alive client that waits longer than the deadline between
+        # requests, and sends a request in two parts, is served each time.
+        monkeypatch.setattr(omld.server, "REQUEST_TIMEOUT", 0.5)
+        server = CdServer(CD_DIR, port=0).start()
+        try:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+                for _ in range(3):
+                    time.sleep(0.6)
+                    request = _request("GET", "/statistics/hdi")
+                    sock.sendall(request[:10])
+                    time.sleep(0.2)
+                    sock.sendall(request[10:])
+                    data = b""
+                    while not data.endswith(b"</CD>\n"):
+                        data += sock.recv(65536)
+                    assert _responses(data, ["GET"])[0][0] == 200
+        finally:
+            server.close()
 
     def test_a_client_that_hangs_up_mid_request(self, cd_server):
         with socket.create_connection(("127.0.0.1", cd_server.port), timeout=5) as sock:
